@@ -1,9 +1,10 @@
 // Mega-constellation scale-out harness (ISSUE 8 tentpole): episodes/sec
 // and peak RSS across the Walker preset ladder {reference 7×14,
 // iridium-next 6×11, oneweb 18×36, starlink 72×22} at jobs 1/4/8; the
-// pooled-vs-naive per-episode A/B at the 72×22 design point; the pooled
-// runner's steady-state allocation count (hence alloc_counter); and the
-// warm SharedVisibilityCache hit accounting. Prints a human table plus a
+// reused-EpisodeContext vs EpisodeEngine::run per-episode A/B at the 72×22
+// design point (JSON keys "pooled" and "naive"); the reused context's
+// steady-state allocation count (hence alloc_counter); and the warm
+// SharedVisibilityCache hit accounting. Prints a human table plus a
 // BENCH_JSON line (aggregated into BENCH_8.json by tools/run_bench.sh).
 //
 //   constellation_scale [episodes]
@@ -22,8 +23,8 @@
 #include "alloc_counter.hpp"
 #include "common/distribution.hpp"
 #include "common/table.hpp"
+#include "oaq/episode.hpp"
 #include "oaq/montecarlo.hpp"
-#include "oaq/pooled_episode.hpp"
 #include "oaq/schedule.hpp"
 #include "orbit/constellation_builder.hpp"
 #include "orbit/visibility.hpp"
@@ -59,28 +60,23 @@ QosSimulationConfig scale_config(const Constellation& c, int episodes) {
   return cfg;
 }
 
-double run_seconds(const QosSimulationConfig& base, int jobs, bool pooled) {
+double episodes_per_sec(const QosSimulationConfig& base, int jobs) {
   QosSimulationConfig cfg = base;
   cfg.jobs = jobs;
-  cfg.pooled_episodes = pooled;
   const auto t0 = Clock::now();
   const SimulatedQos qos = simulate_qos(cfg);
   const double elapsed = seconds_since(t0);
   if (qos.episodes != cfg.episodes) std::abort();
-  return elapsed;
+  return static_cast<double>(cfg.episodes) / elapsed;
 }
 
-double episodes_per_sec(const QosSimulationConfig& base, int jobs,
-                        bool pooled) {
-  return static_cast<double>(base.episodes) / run_seconds(base, jobs, pooled);
-}
-
-/// Drive one PooledEpisodeRunner directly, feeding it the exact
+/// Drive one reused EpisodeContext directly, feeding it the exact
 /// per-episode streams simulate_qos forks: a warm-up block grows every
 /// reusable buffer (event slab, envelope pool, dense per-node tables,
-/// episode storage) and populates the covering visibility window, then
-/// the allocation delta over the following episodes must be zero.
-std::uint64_t pooled_steady_state_allocs(const Constellation& c,
+/// lazily registered handlers, episode storage) and populates the covering
+/// visibility window, then the allocation delta over the following
+/// episodes must be zero.
+std::uint64_t reused_steady_state_allocs(const Constellation& c,
                                          std::int64_t warm,
                                          std::int64_t total) {
   const QosSimulationConfig cfg = scale_config(c, 1);
@@ -90,8 +86,7 @@ std::uint64_t pooled_steady_state_allocs(const Constellation& c,
                         cfg.protocol.tau + Duration::hours(2);
   VisibilityCache cache(c, cfg.earth_rotation, vopt);
   GeometricSchedule schedule(cache, cfg.target);
-  PooledEpisodeRunner runner(schedule, c.active_satellites(), cfg.protocol,
-                             cfg.opportunity_adaptive, /*plan=*/nullptr);
+  EpisodeContext context(schedule, cfg.protocol, cfg.opportunity_adaptive);
   const ExponentialDuration duration_law(cfg.mu);
   const Rng episode_rng = Rng(cfg.seed).fork(3);
   std::uint64_t level_sink = 0;
@@ -103,8 +98,7 @@ std::uint64_t pooled_steady_state_allocs(const Constellation& c,
         phase_rng.uniform(Duration::zero(), c.max_period());
     const Duration duration = duration_law.sample(duration_rng);
     const EpisodeResult& r =
-        runner.run_episode(e, ep.fork(3), signal_start + phase, duration,
-                           /*trace=*/nullptr, /*invariants=*/nullptr);
+        context.run(e, ep.fork(3), signal_start + phase, duration);
     level_sink += static_cast<std::uint64_t>(to_int(r.level));
   };
   for (std::int64_t e = 0; e < warm; ++e) run_one(e);
@@ -119,11 +113,11 @@ struct AbThroughput {
   double pooled_eps = 0.0;
 };
 
-/// Pooled-vs-naive per-episode throughput, both engines driven directly
-/// over one pre-warmed VisibilityCache so the timed regions contain pure
-/// episode work: the naive path re-constructs Simulator/CrosslinkNetwork
-/// and re-registers the pass horizon per episode (exactly like the scalar
-/// simulate_qos loop), the pooled path resets one arena. Measuring this
+/// Reused-vs-fresh per-episode throughput, both driven directly over one
+/// pre-warmed VisibilityCache so the timed regions contain pure episode
+/// work: the naive path is EpisodeEngine::run, which constructs a fresh
+/// EpisodeContext (simulator, network, handler registrations) per
+/// episode; the pooled path resets one reused context. Measuring this
 /// way — instead of subtracting two full simulate_qos runs — keeps the
 /// one-time visibility seed sweep out of the comparison entirely, so the
 /// recorded numbers are stable enough to trend-gate.
@@ -136,8 +130,7 @@ AbThroughput pooled_vs_naive(const Constellation& c, std::int64_t naive_n,
                         cfg.protocol.tau + Duration::hours(2);
   VisibilityCache cache(c, cfg.earth_rotation, vopt);
   GeometricSchedule schedule(cache, cfg.target);
-  PooledEpisodeRunner runner(schedule, c.active_satellites(), cfg.protocol,
-                             cfg.opportunity_adaptive, /*plan=*/nullptr);
+  EpisodeContext context(schedule, cfg.protocol, cfg.opportunity_adaptive);
   const EpisodeEngine engine(schedule, cfg.protocol,
                              cfg.opportunity_adaptive);
   const ExponentialDuration duration_law(cfg.mu);
@@ -163,11 +156,10 @@ AbThroughput pooled_vs_naive(const Constellation& c, std::int64_t naive_n,
     Duration phase, duration;
     Rng protocol = episode_inputs(e, phase, duration);
     const EpisodeResult& r =
-        runner.run_episode(e, protocol, signal_start + phase, duration,
-                           /*trace=*/nullptr, /*invariants=*/nullptr);
+        context.run(e, protocol, signal_start + phase, duration);
     level_sink += static_cast<std::uint64_t>(to_int(r.level));
   };
-  // Warm-up: populates the covering cache window and grows every pooled
+  // Warm-up: populates the covering cache window and grows every reused
   // buffer to steady state.
   for (std::int64_t e = 0; e < 64; ++e) {
     run_naive(e);
@@ -236,11 +228,10 @@ int main(int argc, char** argv) {
     row.name = name;
     row.planes = c.num_planes();
     row.active = c.total_active();
-    (void)episodes_per_sec(cfg, 1, /*pooled=*/true);  // untimed warm-up
+    (void)episodes_per_sec(cfg, 1);  // untimed warm-up
     for (int rep = 0; rep < 2; ++rep) {
       for (int j = 0; j < 3; ++j) {
-        row.eps[j] = std::max(row.eps[j],
-                              episodes_per_sec(cfg, kJobs[j], true));
+        row.eps[j] = std::max(row.eps[j], episodes_per_sec(cfg, kJobs[j]));
       }
     }
     row.rss_mib = peak_rss_mib();
@@ -258,9 +249,9 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // Pooled-vs-naive A/B at the 72×22 design point, single-thread so the
+  // Reused-vs-fresh A/B at the 72×22 design point, single-thread so the
   // ratio is per-core DES-context reuse, not pool scheduling noise. The
-  // pooled path runs more episodes so its (much shorter) timed region
+  // reused path runs more episodes so its (much shorter) timed region
   // still dwarfs scheduler noise.
   const Constellation starlink =
       ConstellationBuilder::preset("starlink").build();
@@ -270,13 +261,13 @@ int main(int argc, char** argv) {
   const double pooled_eps = ab.pooled_eps;
   const double speedup = pooled_eps / naive_eps;
   std::cout << "\nstarlink 72x22 A/B (jobs=1, per-episode, warm cache): "
-            << "naive " << naive_eps << " eps, pooled " << pooled_eps
-            << " eps, speedup " << speedup << "x\n";
+            << "EpisodeEngine::run " << naive_eps << " eps, reused context "
+            << pooled_eps << " eps, speedup " << speedup << "x\n";
 
   const std::uint64_t steady_allocs =
-      pooled_steady_state_allocs(starlink, 64, 512);
+      reused_steady_state_allocs(starlink, 64, 512);
   std::cout << "steady state: " << steady_allocs
-            << " allocs over 448 pooled starlink episodes\n";
+            << " allocs over 448 reused-context starlink episodes\n";
 
   const HitAccounting hits =
       warm_cache_hits(scale_config(starlink, std::max(1, episodes / 4)));
@@ -302,9 +293,9 @@ int main(int argc, char** argv) {
        << ",\"pass_hits\":" << hits.hits << "}}";
   std::cout << "BENCH_JSON " << json.str() << "\n";
 
-  // Acceptance gates (ISSUE 8): the pooled path sustains >= 1.5x the naive
-  // per-episode path at 72×22, allocates nothing in steady state, and the
-  // warm shared-cache hit accounting is preserved.
+  // Acceptance gates (ISSUE 8): the reused context sustains >= 1.5x
+  // EpisodeEngine::run per episode at 72×22, allocates nothing in steady
+  // state, and the warm shared-cache hit accounting is preserved.
   const bool ok = speedup >= 1.5 && steady_allocs == 0 && hits.hits > 0 &&
                   hits.queries >= hits.hits;
   if (!ok) std::cout << "REGRESSION: acceptance thresholds not met\n";

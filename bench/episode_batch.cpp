@@ -1,25 +1,16 @@
-// SoA episode-batching harness (ISSUE 6 tentpole): scalar vs batched
-// episodes/sec through simulate_qos, the batch engine's steady-state
-// allocation count (hence alloc_counter), and the lane-occupancy histogram
-// of the SoA prologue. Prints a human table plus a BENCH_JSON line
-// (aggregated into BENCH_6.json by tools/run_bench.sh).
-//
-// The interleave variant (ISSUE 9) measures the same armed-heavy workload
-// through the episode-tagged merged timeline: a width sweep (1 = the PR 6
-// sequential drain, up to the full block width), an occupancy sweep over
-// the signal-duration law, and the steady-state allocation count at full
-// width. Its headline gate is the interleaved engine against the
-// sequential per-episode drain; width parity (merged timeline vs the
-// width-1 drain) is reported and gated as a cost-neutrality floor — the
-// per-lane protocol work is width-invariant by the determinism contract
-// (DESIGN.md §15), so interleaving buys structure, not protocol time.
+// SoA episode-batching harness (ISSUE 6 tentpole): episodes/sec of the
+// scalar oracle (a direct EpisodeEngine::run loop on simulate_qos's
+// streams) vs the batched path (simulate_qos: escape prologue + one reused
+// episode context per shard), the batch engine's steady-state allocation
+// count (hence alloc_counter), and the lane-occupancy histogram of the SoA
+// prologue. Prints a human table plus a BENCH_JSON line (aggregated into
+// BENCH_6.json by tools/run_bench.sh).
 //
 //   episode_batch [episodes]
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <iterator>
 #include <sstream>
 
 #include "alloc_counter.hpp"
@@ -50,27 +41,35 @@ QosSimulationConfig base_config(int episodes) {
   return cfg;
 }
 
-/// Episodes/sec of one simulate_qos run with the batch engine on or off.
-/// The batched measurement pins interleave width 1 — the PR 6 sequential
-/// drain — so the SoA-batching speedup stays apples-to-apples with the
-/// committed BENCH_6..8 trajectories; the interleave variant below
-/// measures the merged timeline separately.
-double episodes_per_sec(const QosSimulationConfig& base, bool batched) {
-  QosSimulationConfig cfg = base;
-  cfg.batch_episodes = batched;
-  cfg.interleave_width = 1;
+/// Episodes/sec of the scalar oracle: a fresh EpisodeEngine::run per
+/// episode on the per-index streams simulate_qos forks.
+double scalar_eps(const QosSimulationConfig& cfg) {
+  const ExponentialDuration duration_law(cfg.mu);
+  const Rng episode_rng = Rng(cfg.seed).fork(3);
+  const TimePoint signal_start = TimePoint::at(Duration::minutes(60));
+  const Duration tr = cfg.geometry.tr(cfg.k);
+  std::uint64_t level_sink = 0;
   const auto t0 = Clock::now();
-  const SimulatedQos qos = simulate_qos(cfg);
+  for (std::int64_t e = 0; e < cfg.episodes; ++e) {
+    const Rng ep = episode_rng.fork(static_cast<std::uint64_t>(e));
+    Rng phase_rng = ep.fork(1);
+    Rng duration_rng = ep.fork(2);
+    Rng protocol_rng = ep.fork(3);
+    const Duration phase = phase_rng.uniform(Duration::zero(), tr);
+    const Duration duration = duration_law.sample(duration_rng);
+    const AnalyticSchedule schedule(cfg.geometry, cfg.k, phase);
+    const EpisodeEngine engine(schedule, cfg.protocol,
+                               cfg.opportunity_adaptive);
+    level_sink += static_cast<std::uint64_t>(
+        to_int(engine.run(signal_start, duration, protocol_rng).level));
+  }
   const double elapsed = seconds_since(t0);
-  if (qos.episodes != cfg.episodes) std::abort();
+  if (level_sink == ~0ull) std::abort();  // defeat over-eager optimizers
   return static_cast<double>(cfg.episodes) / elapsed;
 }
 
-/// Episodes/sec of the batched path at an explicit interleave width.
-double interleaved_eps(const QosSimulationConfig& base, int width) {
-  QosSimulationConfig cfg = base;
-  cfg.batch_episodes = true;
-  cfg.interleave_width = width;
+/// Episodes/sec of one batched simulate_qos run.
+double batched_eps(const QosSimulationConfig& cfg) {
   const auto t0 = Clock::now();
   const SimulatedQos qos = simulate_qos(cfg);
   const double elapsed = seconds_since(t0);
@@ -84,19 +83,18 @@ struct SteadyState {
   BatchEpisodeStats stats;
 };
 
-/// Drive one BatchEpisodeEngine directly at the given interleave width: a
-/// warm-up block grows every reusable buffer (slab, envelope pool,
-/// pass/agent/participant storage, the merged run), then the allocation
-/// delta over the following episodes must be zero.
+/// Drive one BatchEpisodeEngine directly: a warm-up block grows every
+/// reusable buffer (slab, envelope pool, pass/agent/participant storage,
+/// the sole run), then the allocation delta over the following episodes
+/// must be zero.
 SteadyState steady_state_allocs(const QosSimulationConfig& cfg,
-                                std::int64_t warm, std::int64_t total,
-                                int width) {
+                                std::int64_t warm, std::int64_t total) {
   const ExponentialDuration duration_law(cfg.mu);
   const Rng episode_rng = Rng(cfg.seed).fork(3);
   const TimePoint signal_start = TimePoint::at(Duration::minutes(60));
   BatchEpisodeEngine engine(cfg.geometry, cfg.k, cfg.protocol,
                             cfg.opportunity_adaptive, duration_law,
-                            episode_rng, signal_start, /*plan=*/nullptr, width);
+                            episode_rng, signal_start, /*plan=*/nullptr);
   std::uint64_t level_sink = 0;
   const BatchEpisodeEngine::ResultSink sink =
       [&level_sink](std::int64_t, const EpisodeResult& r) {
@@ -113,45 +111,6 @@ SteadyState steady_state_allocs(const QosSimulationConfig& cfg,
   return out;
 }
 
-/// One occupancy-sweep point: scale the signal-duration law (longer
-/// signals arm more lanes per block) and report the armed-lane fraction
-/// with the full-width interleaved throughput at that occupancy.
-struct OccupancyPoint {
-  double mu_scale = 1.0;
-  double armed_fraction = 0.0;
-  double eps = 0.0;
-};
-
-OccupancyPoint occupancy_point(const QosSimulationConfig& cfg,
-                               double mu_scale, std::int64_t total,
-                               int width = 0) {
-  const ExponentialDuration duration_law(cfg.mu * mu_scale);
-  const Rng episode_rng = Rng(cfg.seed).fork(3);
-  const TimePoint signal_start = TimePoint::at(Duration::minutes(60));
-  BatchEpisodeEngine engine(cfg.geometry, cfg.k, cfg.protocol,
-                            cfg.opportunity_adaptive, duration_law,
-                            episode_rng, signal_start, /*plan=*/nullptr, width);
-  std::uint64_t level_sink = 0;
-  const BatchEpisodeEngine::ResultSink sink =
-      [&level_sink](std::int64_t, const EpisodeResult& r) {
-        level_sink += static_cast<std::uint64_t>(to_int(r.level));
-      };
-  const std::int64_t warm = total / 5;
-  engine.run(0, warm, /*trace=*/nullptr, /*invariants=*/nullptr, sink);
-  const auto t0 = Clock::now();
-  engine.run(warm, total, /*trace=*/nullptr, /*invariants=*/nullptr, sink);
-  const double elapsed = seconds_since(t0);
-  if (level_sink == ~0ull) std::abort();
-  const BatchEpisodeStats& st = engine.stats();
-  OccupancyPoint out;
-  out.mu_scale = mu_scale;
-  out.armed_fraction = st.episodes == 0 ? 0.0
-                                        : static_cast<double>(st.des_lanes) /
-                                              static_cast<double>(st.episodes);
-  out.eps = static_cast<double>(total - warm) / elapsed;
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -162,71 +121,22 @@ int main(int argc, char** argv) {
   const QosSimulationConfig cfg = base_config(episodes);
 
   // Untimed warm-up (page faults, allocator growth, frequency ramp), then
-  // interleaved repetitions so drift hits every variant.
-  (void)episodes_per_sec(cfg, /*batched=*/false);
-  double scalar_eps = 0.0, batched_eps = 0.0, interleave_eps = 0.0;
+  // interleaved repetitions so drift hits both variants.
+  (void)scalar_eps(cfg);
+  double scalar = 0.0, batched = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
-    scalar_eps = std::max(scalar_eps, episodes_per_sec(cfg, false));
-    batched_eps = std::max(batched_eps, episodes_per_sec(cfg, true));
-    interleave_eps = std::max(interleave_eps, interleaved_eps(cfg, 0));
+    scalar = std::max(scalar, scalar_eps(cfg));
+    batched = std::max(batched, batched_eps(cfg));
   }
-  const double speedup = batched_eps / scalar_eps;
+  const double speedup = batched / scalar;
 
-  const SteadyState steady = steady_state_allocs(cfg, 512, 4096, /*width=*/1);
-
-  // --- Interleaved merged timeline (ISSUE 9): width sweep on the same
-  // armed-heavy workload (~98% of lanes arm), occupancy sweep over the
-  // signal-duration law, steady-state allocations at full width. The
-  // width sweep drives the engine directly (no shard machinery on either
-  // side) with repetitions interleaved across widths so thermal drift on
-  // a busy single core hits every width, not whichever runs last. ---
-  constexpr int kWidths[] = {1, 2, 4, kEpisodeBatchWidth};
-  constexpr int kWidthCount = static_cast<int>(std::size(kWidths));
-  double width_eps[kWidthCount] = {};
-  for (int rep = 0; rep < 3; ++rep) {
-    for (int i = 0; i < kWidthCount; ++i) {
-      width_eps[i] = std::max(
-          width_eps[i],
-          occupancy_point(cfg, 1.0, episodes, kWidths[i]).eps);
-    }
-  }
-  // Headline: the interleaved engine against the sequential per-episode
-  // drain of the same armed-heavy workload. Width parity (merged timeline
-  // vs the width-1 drain loop, direct engine A/B) is gated separately as
-  // a cost-neutrality floor: the per-lane protocol work is width-invariant
-  // by the determinism contract, so the merged timeline can redistribute
-  // queue cost but never protocol cost (DESIGN.md §15).
-  const double interleave_speedup = interleave_eps / scalar_eps;
-  const double width_parity = width_eps[kWidthCount - 1] / width_eps[0];
-  const SteadyState interleave_steady =
-      steady_state_allocs(cfg, 512, 4096, /*width=*/0);
-  OccupancyPoint occupancy[3];
-  {
-    const double scales[3] = {4.0, 1.0, 0.25};
-    for (int i = 0; i < 3; ++i) {
-      occupancy[i] = occupancy_point(cfg, scales[i], 6000);
-    }
-  }
+  const SteadyState steady = steady_state_allocs(cfg, 512, 4096);
 
   TablePrinter table({"path", "episodes/s", "speedup"}, 2);
-  table.add_row({std::string("scalar (per-episode ctor)"), scalar_eps, 1.0});
-  table.add_row({std::string("batched (SoA + reuse)"), batched_eps, speedup});
-  table.add_row({std::string("interleaved (merged timeline)"), interleave_eps,
-                 interleave_speedup});
+  table.add_row({std::string("scalar (EpisodeEngine::run)"), scalar, 1.0});
+  table.add_row({std::string("batched (SoA + reused context)"), batched,
+                 speedup});
   table.print(std::cout);
-
-  std::cout << "\ninterleave width sweep:";
-  for (int i = 0; i < kWidthCount; ++i) {
-    std::cout << " w" << kWidths[i] << "=" << static_cast<long>(width_eps[i]);
-  }
-  std::cout << "  (width parity " << width_parity << ")\n"
-            << "occupancy sweep (mu-scale -> armed fraction, episodes/s):";
-  for (const OccupancyPoint& pt : occupancy) {
-    std::cout << "  " << pt.mu_scale << " -> " << pt.armed_fraction << ", "
-              << static_cast<long>(pt.eps);
-  }
-  std::cout << "\ninterleaved steady state: " << interleave_steady.allocs
-            << " allocs over " << interleave_steady.episodes << " episodes\n";
 
   const BatchEpisodeStats& bs = steady.stats;
   std::cout << "\nsteady state: " << steady.allocs << " allocs over "
@@ -242,8 +152,8 @@ int main(int argc, char** argv) {
 
   std::ostringstream json;
   json << "{\"bench\":\"episode_batch\",\"episodes\":" << episodes
-       << ",\"throughput\":{\"scalar_episodes_per_sec\":" << scalar_eps
-       << ",\"batched_episodes_per_sec\":" << batched_eps
+       << ",\"throughput\":{\"scalar_episodes_per_sec\":" << scalar
+       << ",\"batched_episodes_per_sec\":" << batched
        << ",\"speedup\":" << speedup
        << "},\"steady_state_allocs\":" << steady.allocs
        << ",\"occupancy\":{\"des_lanes\":" << bs.des_lanes
@@ -254,35 +164,9 @@ int main(int argc, char** argv) {
   json << "]}}";
   std::cout << "BENCH_JSON " << json.str() << "\n";
 
-  std::ostringstream ijson;
-  ijson << "{\"bench\":\"episode_interleave\",\"episodes\":" << episodes
-        << ",\"throughput\":{\"sequential_episodes_per_sec\":" << scalar_eps
-        << ",\"interleaved_episodes_per_sec\":" << interleave_eps
-        << ",\"speedup_vs_sequential\":" << interleave_speedup
-        << "},\"width8_vs_width1\":" << width_parity << ",\"width_sweep\":[";
-  for (int i = 0; i < kWidthCount; ++i) {
-    ijson << (i == 0 ? "" : ",") << "{\"width\":" << kWidths[i]
-          << ",\"episodes_per_sec\":" << width_eps[i] << "}";
-  }
-  ijson << "],\"occupancy_sweep\":[";
-  for (int i = 0; i < 3; ++i) {
-    ijson << (i == 0 ? "" : ",") << "{\"mu_scale\":" << occupancy[i].mu_scale
-          << ",\"armed_fraction\":" << occupancy[i].armed_fraction
-          << ",\"episodes_per_sec\":" << occupancy[i].eps << "}";
-  }
-  ijson << "],\"steady_state_allocs\":" << interleave_steady.allocs << "}";
-  std::cout << "BENCH_JSON " << ijson.str() << "\n";
-
-  // Acceptance gates. ISSUE 6: the batched path sustains >= 2x the scalar
-  // episodes/sec and allocates nothing in steady state. ISSUE 9: the
-  // interleaved merged timeline sustains >= 1.5x the sequential
-  // per-episode drain on the armed-heavy workload, stays within the
-  // cost-neutrality floor of the width-1 drain loop (protocol work is
-  // width-invariant; 0.75 absorbs single-core scheduler noise), and
-  // allocates nothing in steady state at full width.
-  const bool ok = speedup >= 2.0 && steady.allocs == 0 &&
-                  interleave_speedup >= 1.5 && width_parity >= 0.75 &&
-                  interleave_steady.allocs == 0;
+  // Acceptance gates (ISSUE 6): the batched path sustains >= 2x the scalar
+  // episodes/sec and allocates nothing in steady state.
+  const bool ok = speedup >= 2.0 && steady.allocs == 0;
   if (!ok) std::cout << "REGRESSION: acceptance thresholds not met\n";
   return ok ? 0 : 1;
 }

@@ -37,11 +37,6 @@ QosSimulationConfig base_config(int episodes) {
   cfg.seed = 7;
   cfg.protocol.computation_cap = cfg.protocol.tg;
   cfg.jobs = 1;  // single-thread A/B: per-core throughput, no pool noise
-  // Pin the sequential drain: this harness gates the profiler's overhead,
-  // so the engine config must stay fixed across BENCH_*.json snapshots
-  // (BENCH_8 and earlier measured the pre-interleave drain; the merged
-  // timeline's own cost is episode_batch's episode_interleave payload).
-  cfg.interleave_width = 1;
   return cfg;
 }
 

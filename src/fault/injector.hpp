@@ -51,8 +51,8 @@ class FaultInjector {
   /// receives every activation under `episode_id` — campaign plans anchor
   /// at the origin and belong to no single episode, so they land in the
   /// ledger's global row. `expander` (nullable) is the reusable
-  /// stochastic-clause expander; pooled engines pass a long-lived one so
-  /// repeated arms allocate nothing, one-shot callers may leave it null
+  /// stochastic-clause expander; the episode context passes a long-lived
+  /// one so repeated arms allocate nothing, one-shot callers may leave it null
   /// and the injector creates its own on demand.
   FaultInjector(Simulator& sim, CrosslinkNetwork& net, const FaultPlan& plan,
                 Rng rng, ShardTraceBuffer* trace = nullptr,

@@ -13,8 +13,7 @@
 // arm() time, before any protocol event fires, and consumes only the
 // reserved fault fork. Protocol draws therefore see exactly the streams
 // they would with a scripted plan, and the expanded clause list is a
-// pure function of (plan, rng) — the same at any --jobs or
-// --interleave-width. Each clause expands from its own sub-fork
+// pure function of (plan, rng) — the same at any --jobs. Each clause expands from its own sub-fork
 // (rng.fork(i + 1)), so clause order in the plan never couples the
 // per-clause sample paths.
 //

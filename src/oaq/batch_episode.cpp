@@ -5,37 +5,8 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "fault/invariants.hpp"
-#include "fault/plan.hpp"
 
 namespace oaq {
-namespace {
-
-/// The network options EpisodeEngine::run derives from the protocol
-/// configuration — kept in lockstep (the batched context must be
-/// indistinguishable from a per-episode network).
-CrosslinkNetwork::Options net_options(const ProtocolConfig& cfg) {
-  CrosslinkNetwork::Options opt;
-  opt.min_delay = cfg.delta * 0.3;
-  opt.max_delay = cfg.delta;
-  opt.loss_probability = cfg.crosslink_loss_probability;
-  opt.lossless_to_ground = true;
-  opt.reliable = cfg.reliable_links;
-  opt.retry_limit = cfg.link_retry_limit;
-  opt.backoff_base = cfg.link_backoff_base;
-  if (cfg.self_healing_links) {
-    opt.health.enabled = true;
-    opt.health.alpha = cfg.link_health_alpha;
-    opt.health.demote_below = cfg.link_demote_below;
-    opt.health.restore_above = cfg.link_restore_above;
-    opt.health.probation = cfg.link_probation;
-    opt.health.probation_backoff = cfg.link_probation_backoff;
-    opt.health.probation_cap = cfg.tau;  // τ-feasibility cap
-  }
-  return opt;
-}
-
-}  // namespace
 
 bool analytic_signal_detected(const PlaneGeometry& geometry, int k,
                               Duration phase, TimePoint signal_start,
@@ -70,293 +41,20 @@ bool analytic_signal_detected(const PlaneGeometry& geometry, int k,
   return false;
 }
 
-BatchEpisodeEngine::LaneContext::LaneContext(
-    Simulator& sim, const PlaneGeometry& geometry, int k,
-    const ProtocolConfig& cfg, bool opportunity_adaptive,
-    const std::set<SatelliteId>& known_failed, bool want_drop_handler)
-    : schedule(geometry, k, Duration::zero()),
-      net(sim, net_options(cfg), Rng(0)),  // re-seeded per lane by reset()
-      episode(/*target_id=*/0, sim, net, schedule, cfg, opportunity_adaptive,
-              protocol_rng, /*calendar=*/nullptr, &known_failed,
-              /*trace=*/nullptr) {
-  // Handlers are registered once for the whole plane and survive every
-  // reset: an episode's horizon satellites are always a subset of the k
-  // slots, and no protocol message ever targets a satellite outside its
-  // episode's horizon, so the extra registrations are unreachable — the
-  // delivered/dropped accounting matches per-episode registration exactly.
-  for (int slot = 0; slot < k; ++slot) {
-    const SatelliteId id{0, slot};
-    net.register_node(Address::sat(id), [this, id](const Envelope& env) {
-      episode.handle_satellite_message(id, env);
-    });
-  }
-  net.register_node(Address::ground(), [this](const Envelope& env) {
-    if (const auto* alert = env.payload.get_if<AlertMessage>()) {
-      episode.handle_ground_alert(*alert);
-    }
-  });
-  // Same gate as the scalar engine: attached only when links can fail for
-  // good, so the default path's drop accounting stays identical.
-  if (want_drop_handler) {
-    net.set_drop_handler([this](const Envelope& env, DropReason reason) {
-      episode.handle_send_failure(env, reason);
-    });
-  }
-}
-
 BatchEpisodeEngine::BatchEpisodeEngine(PlaneGeometry geometry, int k,
                                        const ProtocolConfig& cfg,
                                        bool opportunity_adaptive,
                                        const DurationDistribution& duration_law,
                                        Rng episode_rng, TimePoint signal_start,
-                                       const FaultPlan* plan,
-                                       int interleave_width)
+                                       const FaultPlan* plan)
     : geometry_(geometry),
       k_(k),
-      cfg_(cfg),
-      oaq_(opportunity_adaptive),
+      tau_(cfg.tau),
       duration_law_(&duration_law),
       episode_rng_(episode_rng),
       signal_start_(signal_start),
-      plan_(plan != nullptr && !plan->empty() ? plan : nullptr),
-      width_(interleave_width == 0 ? kEpisodeBatchWidth : interleave_width) {
-  OAQ_REQUIRE(k > 0, "need at least one satellite");
-  OAQ_REQUIRE(cfg.tau > Duration::zero(), "deadline must be positive");
-  OAQ_REQUIRE(interleave_width >= 0 && interleave_width <= kEpisodeBatchWidth,
-              "interleave width must be in [0, kEpisodeBatchWidth]");
-  sim_.reserve_episode_tags(static_cast<std::size_t>(width_));
-  const bool want_drop =
-      cfg_.reliable_links || cfg_.self_healing_links || plan_ != nullptr;
-  contexts_.reserve(static_cast<std::size_t>(width_));
-  for (int j = 0; j < width_; ++j) {
-    contexts_.push_back(std::make_unique<LaneContext>(
-        sim_, geometry_, k_, cfg_, oaq_, no_known_failed_, want_drop));
-  }
-  block_staging_.reserve(kEpisodeBatchWidth);
-  for (int i = 0; i < kEpisodeBatchWidth; ++i) {
-    block_staging_.emplace_back(ShardTraceBuffer::kUnbounded);
-  }
-}
-
-bool BatchEpisodeEngine::lane_detects(Duration phase, Duration duration) const {
-  return analytic_signal_detected(geometry_, k_, phase, signal_start_,
-                                  duration, cfg_.tau);
-}
-
-void BatchEpisodeEngine::run_des_lane(std::int64_t e, Duration phase,
-                                      Duration duration,
-                                      ShardTraceBuffer* trace,
-                                      InvariantChecker* invariants,
-                                      const ResultSink& sink) {
-  // The same stream layout as the scalar loop: protocol noise from
-  // ep.fork(3), network delays/losses from its 0x6e6574 fork, injector
-  // draws from its 0x666c74 fork. fork() is const, so the derivation
-  // order is irrelevant — only the draw order during the run matters,
-  // and that is the (identical) DES event order.
-  LaneContext& ctx = *contexts_[0];
-  const Rng ep = episode_rng_.fork(static_cast<std::uint64_t>(e));
-  ctx.protocol_rng = ep.fork(3);
-  sim_.reset();
-  ctx.net.reset(ctx.protocol_rng.fork(0x6e6574));
-  ctx.net.set_trace(trace, e);
-  ctx.net.set_ledger(ledger_);
-  ctx.schedule = AnalyticSchedule(geometry_, k_, phase);
-  ctx.episode.reset_for(static_cast<int>(e), ctx.protocol_rng, trace);
-  ctx.injector.reset();
-
-  if (!ctx.episode.arm(signal_start_, duration)) {
-    // The closed-form classifier is false-positive-safe: arm() is still
-    // the authority, and a rejected lane retires with the scalar's
-    // default result having touched nothing observable.
-    sink(e, ctx.episode.result());
-    return;
-  }
-  if (plan_ != nullptr) {
-    ctx.injector.emplace(sim_, ctx.net, *plan_, ctx.protocol_rng.fork(0x666c74),
-                         trace, e, ledger_, &ctx.expander);
-    ctx.injector->arm(signal_start_);
-  }
-
-  sim_.run(200000);
-  ctx.episode.finalize();
-
-  // Copy-assign into the reused buffer so the participants capacity
-  // survives — steady-state lanes retire without allocating.
-  result_buf_ = ctx.episode.result();
-  const NetworkStats& net_stats = ctx.net.stats();
-  result_buf_.telemetry.messages_sent = net_stats.sent;
-  result_buf_.telemetry.messages_delivered = net_stats.delivered;
-  result_buf_.telemetry.messages_dropped_loss = net_stats.dropped_loss;
-  result_buf_.telemetry.messages_dropped_dead =
-      net_stats.dropped_dead_sender + net_stats.dropped_dead_receiver +
-      net_stats.dropped_unregistered;
-  result_buf_.telemetry.messages_dropped_link = net_stats.dropped_link;
-  result_buf_.telemetry.retries = net_stats.retries;
-  result_buf_.telemetry.retries_exhausted = net_stats.retries_exhausted;
-  result_buf_.telemetry.links_demoted = net_stats.links_demoted;
-  result_buf_.telemetry.links_restored = net_stats.links_restored;
-  result_buf_.telemetry.links_demoted_end =
-      static_cast<std::uint64_t>(ctx.net.demoted_link_count());
-  result_buf_.telemetry.link_probes = net_stats.link_probes;
-  result_buf_.telemetry.link_probations = net_stats.link_probations;
-  result_buf_.telemetry.degradation_active_end =
-      ctx.net.degradation_active() ? 1 : 0;
-  if (ctx.injector) {
-    result_buf_.telemetry.faults_injected = ctx.injector->stats().activations;
-    result_buf_.telemetry.lifecycle_deaths =
-        ctx.injector->stats().lifecycle_deaths;
-    result_buf_.telemetry.lifecycle_spares =
-        ctx.injector->stats().lifecycle_spares;
-  }
-  result_buf_.telemetry.sim_events = sim_.processed_count();
-  result_buf_.telemetry.sim_peak_pending = sim_.peak_pending_count();
-  const QueueStats& qs = sim_.queue_stats();
-  result_buf_.telemetry.sim_runs_created = qs.runs_created;
-  result_buf_.telemetry.sim_run_merges = qs.run_merges;
-  result_buf_.telemetry.sim_tombstones_purged = qs.tombstones_purged;
-  result_buf_.telemetry.sim_max_run_length = qs.max_run_length;
-
-  if (invariants != nullptr) {
-    invariants->check_episode(e, result_buf_, cfg_);
-    invariants->check_simulator(e, sim_.accounting());
-  }
-  sink(e, result_buf_);
-}
-
-void BatchEpisodeEngine::run_block_interleaved(std::int64_t b, int n,
-                                               ShardTraceBuffer* trace,
-                                               InvariantChecker* invariants,
-                                               const ResultSink& sink) {
-  int armed_idx[kEpisodeBatchWidth];
-  int armed_n = 0;
-  for (int i = 0; i < n; ++i) {
-    lane_fate_[i] = LaneFate::kEscaped;
-    if (lane_armed_[i]) armed_idx[armed_n++] = i;
-  }
-  for (int g0 = 0; g0 < armed_n; g0 += width_) {
-    const int gn = std::min(width_, armed_n - g0);
-    sim_.reset();
-    // Arm every lane of the group at the clock origin — exactly where the
-    // scalar path arms each episode (no event has fired yet, so now() is
-    // the origin for all of them). Group slot j is the lane's episode tag:
-    // everything its cascade schedules inherits it.
-    for (int j = 0; j < gn; ++j) {
-      const int i = armed_idx[g0 + j];
-      const std::int64_t e = b + i;
-      LaneContext& ctx = *contexts_[static_cast<std::size_t>(j)];
-      ShardTraceBuffer* lane_trace =
-          trace != nullptr ? &block_staging_[static_cast<std::size_t>(i)]
-                           : nullptr;
-      const Rng ep = episode_rng_.fork(static_cast<std::uint64_t>(e));
-      ctx.protocol_rng = ep.fork(3);
-      sim_.set_episode_tag(static_cast<std::uint16_t>(j));
-      ctx.net.reset(ctx.protocol_rng.fork(0x6e6574));
-      ctx.net.set_trace(lane_trace, e);
-      ctx.net.set_ledger(ledger_);
-      ctx.schedule = AnalyticSchedule(geometry_, k_, lane_phase_[i]);
-      ctx.episode.reset_for(static_cast<int>(e), ctx.protocol_rng, lane_trace);
-      ctx.injector.reset();
-      if (!ctx.episode.arm(signal_start_, lane_duration_[i])) {
-        // Classifier false positive: arm() scheduled nothing (the width-1
-        // path relies on the same fact — reset() right after would throw
-        // otherwise), so the group timeline is untouched. Snapshot the
-        // scalar's default result now, before the context is reused.
-        block_result_[static_cast<std::size_t>(i)] = ctx.episode.result();
-        lane_fate_[i] = LaneFate::kRejected;
-        continue;
-      }
-      lane_fate_[i] = LaneFate::kDrained;
-      if (plan_ != nullptr) {
-        ctx.injector.emplace(sim_, ctx.net, *plan_,
-                             ctx.protocol_rng.fork(0x666c74), lane_trace, e,
-                             ledger_, &ctx.expander);
-        ctx.injector->arm(signal_start_);
-      }
-    }
-    // One merged timeline: the kernel pops (time, tag, seq), so each lane
-    // observes exactly its dedicated-simulator event order. The safety
-    // valve scales with the group so no lane's budget shrinks.
-    sim_.run(200000ull * static_cast<std::uint64_t>(gn));
-    // Find the group's last drained lane: the merged queue's maintenance
-    // counters are a property of the whole group timeline, so the group
-    // total is attributed to that lane (zeros elsewhere) — a deterministic
-    // rule that keeps shard sums exact (DESIGN.md §15).
-    int last_drained = -1;
-    for (int j = 0; j < gn; ++j) {
-      if (lane_fate_[armed_idx[g0 + j]] == LaneFate::kDrained) last_drained = j;
-    }
-    // Retire the group before the next group resets the simulator (the
-    // reset clears per-tag accounting): finalize, snapshot result +
-    // telemetry, audit. Group slots ascend in episode order, so invariant
-    // violations are still recorded in increasing episode order.
-    for (int j = 0; j < gn; ++j) {
-      const int i = armed_idx[g0 + j];
-      if (lane_fate_[i] != LaneFate::kDrained) continue;
-      const std::int64_t e = b + i;
-      LaneContext& ctx = *contexts_[static_cast<std::size_t>(j)];
-      ctx.episode.finalize();
-      EpisodeResult& out = block_result_[static_cast<std::size_t>(i)];
-      out = ctx.episode.result();
-      const NetworkStats& net_stats = ctx.net.stats();
-      out.telemetry.messages_sent = net_stats.sent;
-      out.telemetry.messages_delivered = net_stats.delivered;
-      out.telemetry.messages_dropped_loss = net_stats.dropped_loss;
-      out.telemetry.messages_dropped_dead =
-          net_stats.dropped_dead_sender + net_stats.dropped_dead_receiver +
-          net_stats.dropped_unregistered;
-      out.telemetry.messages_dropped_link = net_stats.dropped_link;
-      out.telemetry.retries = net_stats.retries;
-      out.telemetry.retries_exhausted = net_stats.retries_exhausted;
-      out.telemetry.links_demoted = net_stats.links_demoted;
-      out.telemetry.links_restored = net_stats.links_restored;
-      out.telemetry.links_demoted_end =
-          static_cast<std::uint64_t>(ctx.net.demoted_link_count());
-      out.telemetry.link_probes = net_stats.link_probes;
-      out.telemetry.link_probations = net_stats.link_probations;
-      out.telemetry.degradation_active_end =
-          ctx.net.degradation_active() ? 1 : 0;
-      if (ctx.injector) {
-        out.telemetry.faults_injected = ctx.injector->stats().activations;
-        out.telemetry.lifecycle_deaths = ctx.injector->stats().lifecycle_deaths;
-        out.telemetry.lifecycle_spares = ctx.injector->stats().lifecycle_spares;
-      }
-      const SimAccounting acct =
-          sim_.episode_accounting(static_cast<std::uint16_t>(j));
-      out.telemetry.sim_events = acct.processed;
-      out.telemetry.sim_peak_pending =
-          sim_.episode_peak_pending(static_cast<std::uint16_t>(j));
-      if (j == last_drained) {
-        const QueueStats& qs = sim_.queue_stats();
-        out.telemetry.sim_runs_created = qs.runs_created;
-        out.telemetry.sim_run_merges = qs.run_merges;
-        out.telemetry.sim_tombstones_purged = qs.tombstones_purged;
-        out.telemetry.sim_max_run_length = qs.max_run_length;
-      } else {
-        out.telemetry.sim_runs_created = 0;
-        out.telemetry.sim_run_merges = 0;
-        out.telemetry.sim_tombstones_purged = 0;
-        out.telemetry.sim_max_run_length = 0;
-      }
-      if (invariants != nullptr) {
-        invariants->check_episode(e, out, cfg_);
-        invariants->check_simulator(e, acct);
-      }
-    }
-  }
-  // Block retirement in strict episode order: each lane's staged trace
-  // events replay into the shard ring, then its result sinks — the same
-  // per-stream byte sequences the sequential drain produces.
-  for (int i = 0; i < n; ++i) {
-    const std::int64_t e = b + i;
-    if (trace != nullptr) {
-      ShardTraceBuffer& staged = block_staging_[static_cast<std::size_t>(i)];
-      if (staged.recorded() != 0) staged.drain_into(*trace);
-    }
-    sink(e, lane_fate_[i] == LaneFate::kEscaped
-                ? escaped_result_
-                : block_result_[static_cast<std::size_t>(i)]);
-  }
-}
+      schedule_(geometry, k, Duration::zero()),
+      context_(schedule_, cfg, opportunity_adaptive, plan) {}
 
 void BatchEpisodeEngine::run(std::int64_t begin, std::int64_t end,
                              ShardTraceBuffer* trace,
@@ -364,7 +62,6 @@ void BatchEpisodeEngine::run(std::int64_t begin, std::int64_t end,
                              const ResultSink& sink, SpanArena* spans,
                              EpisodeLedger* ledger) {
   OAQ_REQUIRE(begin <= end, "episode range must be nondecreasing");
-  ledger_ = ledger;
   const Duration tr = geometry_.tr(k_);
   // Block spans are recorded retroactively with shared boundary
   // timestamps: one clock read ends a block's "drain" AND starts the next
@@ -387,7 +84,9 @@ void BatchEpisodeEngine::run(std::int64_t begin, std::int64_t end,
       Rng duration_rng = ep.fork(2);
       lane_phase_[i] = phase_rng.uniform(Duration::zero(), tr);
       lane_duration_[i] = duration_law_->sample(duration_rng);
-      lane_armed_[i] = lane_detects(lane_phase_[i], lane_duration_[i]);
+      lane_armed_[i] =
+          analytic_signal_detected(geometry_, k_, lane_phase_[i],
+                                   signal_start_, lane_duration_[i], tau_);
       armed += lane_armed_[i] ? 1 : 0;
     }
     if (spans != nullptr) {
@@ -402,25 +101,21 @@ void BatchEpisodeEngine::run(std::int64_t begin, std::int64_t end,
     stats_.des_lanes += static_cast<std::uint64_t>(armed);
     stats_.escaped += static_cast<std::uint64_t>(n - armed);
     if (n == kEpisodeBatchWidth) ++stats_.occupancy[armed];
-    // Retirement in episode order. Width 1 is the sequential drain:
-    // escaped lanes compact out immediately (the scalar's failed-arm
-    // result is the default), armed lanes drain one at a time through
-    // context 0. Wider engines multiplex the armed lanes over one merged
-    // timeline and resequence every output stream at block end — either
-    // way the trace stream and observation order are identical to the
-    // scalar loop.
-    if (width_ == 1) {
-      for (int i = 0; i < n; ++i) {
-        const std::int64_t e = b + i;
-        if (!lane_armed_[i]) {
-          sink(e, escaped_result_);
-        } else {
-          run_des_lane(e, lane_phase_[i], lane_duration_[i], trace,
-                       invariants, sink);
-        }
+    // Retirement in episode order: escaped lanes compact out immediately
+    // (the scalar's failed-arm result is the default); armed lanes run
+    // through the reused context on the same streams the scalar loop
+    // forks. A classifier false positive still retires correctly — arm()
+    // stays the authority and the context returns the default result.
+    for (int i = 0; i < n; ++i) {
+      const std::int64_t e = b + i;
+      if (!lane_armed_[i]) {
+        sink(e, escaped_result_);
+        continue;
       }
-    } else {
-      run_block_interleaved(b, n, trace, invariants, sink);
+      schedule_ = AnalyticSchedule(geometry_, k_, lane_phase_[i]);
+      const Rng ep = episode_rng_.fork(static_cast<std::uint64_t>(e));
+      sink(e, context_.run(e, ep.fork(3), signal_start_, lane_duration_[i],
+                           trace, invariants, ledger));
     }
     if (spans != nullptr) {
       const auto t_end = std::chrono::steady_clock::now();

@@ -1,11 +1,8 @@
 // SoA episode batching for the analytic Monte-Carlo path (DESIGN.md §12).
 //
-// The scalar path of simulate_qos builds a Simulator, a CrosslinkNetwork
-// and a TargetEpisode from scratch for every episode — thousands of
-// episodes, each paying construction, handler registration, and teardown
-// for a protocol run that is often over before it starts (the signal
-// escapes surveillance entirely). BatchEpisodeEngine advances a shard's
-// episodes in blocks of kEpisodeBatchWidth lanes:
+// Many analytic episodes are over before they start: the signal escapes
+// surveillance entirely. BatchEpisodeEngine advances a shard's episodes in
+// blocks of kEpisodeBatchWidth lanes:
 //
 //   1. Prologue (SoA): the per-lane phase and signal duration are sampled
 //      into structure-of-arrays lanes from the same per-index RNG streams
@@ -17,50 +14,29 @@
 //   2. Escaped lanes retire immediately with a default EpisodeResult — the
 //      exact value the scalar engine returns for a failed arm — and never
 //      touch the DES.
-//   3. Armed lanes execute as ONE interleaved event timeline (DESIGN.md
-//      §15): groups of up to `interleave_width` armed lanes are armed up
-//      front in one episode-tagged simulator and drained as a merged
-//      timeline — per-lane networks, episodes, and RNG streams keep every
-//      protocol observable disjoint, and the kernel's (time, tag, seq) key
-//      keeps each lane's event order exactly what a dedicated simulator
-//      would produce. Width 1 reproduces the PR 6 sequential drain
-//      (reset → drain one lane → reset) operation for operation.
+//   3. Armed lanes run, in episode order, through one reused
+//      EpisodeContext — the lifecycle EpisodeEngine::run runs once.
 //
 // Determinism: every random stream is the same fork the scalar path uses
 // (ep.fork(3) protocol noise, .fork(0x6e6574) network, .fork(0x666c74)
-// injector), DES event order is a pure function of (time, tag, sequence) —
-// never of recycled slab slots — and the closed-form escape test is a
-// false-positive-safe mirror of arm() (a lane the classifier arms but arm()
-// rejects still retires with the scalar's default result). Interleaved
-// lanes buffer trace events in per-lane staging rings and snapshot results
-// and telemetry at group retirement, then emit everything in strictly
-// increasing episode order — so the trace stream, metric observation
-// order, ledger rows, and span trees are byte-identical to the scalar
-// oracle at any job count and any interleave width.
+// injector), and the closed-form escape test is a false-positive-safe
+// mirror of arm() (a lane the classifier arms but arm() rejects still
+// retires with the scalar's default result). The trace stream, metric
+// observation order, ledger rows, and span trees are therefore
+// byte-identical to the scalar oracle at any job count.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
-#include <set>
-#include <vector>
 
 #include "common/distribution.hpp"
 #include "common/rng.hpp"
-#include "fault/injector.hpp"
-#include "net/crosslink.hpp"
 #include "oaq/episode.hpp"
 #include "oaq/schedule.hpp"
-#include "oaq/target_episode.hpp"
 #include "obs/span.hpp"
-#include "sim/simulator.hpp"
 
 namespace oaq {
-
-class FaultPlan;         // src/fault/plan.hpp
-class InvariantChecker;  // src/fault/invariants.hpp
 
 /// Closed-form mirror of TargetEpisode::arm()'s detection decision for the
 /// analytic schedule: true iff a signal starting at `signal_start` with the
@@ -113,15 +89,12 @@ class BatchEpisodeEngine {
   /// `episode_rng` is simulate_qos's master.fork(3) stream; `duration_law`
   /// and `plan` (nullable; an empty plan is treated as none) must outlive
   /// the engine. All episodes share `signal_start` — the phase is the
-  /// randomized quantity (PASTA). `interleave_width` is the number of armed
-  /// lanes multiplexed over one event timeline: 0 means the block width
-  /// (kEpisodeBatchWidth), 1 reproduces the sequential drain, and values
-  /// outside [0, kEpisodeBatchWidth] are rejected.
+  /// randomized quantity (PASTA).
   BatchEpisodeEngine(PlaneGeometry geometry, int k, const ProtocolConfig& cfg,
                      bool opportunity_adaptive,
                      const DurationDistribution& duration_law,
                      Rng episode_rng, TimePoint signal_start,
-                     const FaultPlan* plan, int interleave_width = 0);
+                     const FaultPlan* plan);
 
   BatchEpisodeEngine(const BatchEpisodeEngine&) = delete;
   BatchEpisodeEngine& operator=(const BatchEpisodeEngine&) = delete;
@@ -133,106 +106,32 @@ class BatchEpisodeEngine {
   /// lanes classified) and one "drain" span per block (items = armed
   /// lanes) — block granularity keeps the profiler inside its <= 5%
   /// overhead gate (bench/span_overhead); `ledger` (nullable) receives
-  /// every final drop, retry, and fault activation under the owning
-  /// lane's episode id — rows are additive counters, so the ledger bytes
-  /// are independent of the interleave width.
+  /// every final drop, retry, and fault activation under its episode id.
   void run(std::int64_t begin, std::int64_t end, ShardTraceBuffer* trace,
            InvariantChecker* invariants, const ResultSink& sink,
            SpanArena* spans = nullptr, EpisodeLedger* ledger = nullptr);
 
   [[nodiscard]] const BatchEpisodeStats& stats() const { return stats_; }
-  /// Resolved interleave width (0 at construction → kEpisodeBatchWidth).
-  [[nodiscard]] int interleave_width() const { return width_; }
 
  private:
-  /// One interleave slot's protocol context — its own network, episode,
-  /// schedule, and RNG streams over the engine's shared simulator, with
-  /// handlers registered once at construction exactly like the sequential
-  /// engine's single context. Heap-allocated for address stability (the
-  /// handlers capture `this`).
-  struct LaneContext {
-    LaneContext(Simulator& sim, const PlaneGeometry& geometry, int k,
-                const ProtocolConfig& cfg, bool opportunity_adaptive,
-                const std::set<SatelliteId>& known_failed,
-                bool want_drop_handler);
-
-    /// The lane's protocol stream; its TargetEpisode holds a pointer to it
-    /// across reset_for calls.
-    Rng protocol_rng;
-    AnalyticSchedule schedule;  ///< reassigned per lane (phase changes)
-    CrosslinkNetwork net;
-    TargetEpisode episode;
-    std::optional<FaultInjector> injector;
-    /// Reusable stochastic-clause expander: each lane owns one because an
-    /// interleaved group keeps up to width_ expanded plans alive at once,
-    /// and reuse keeps repeated arms allocation-free (chaos-soak gate).
-    FaultProcessExpander expander;
-  };
-
-  /// What a block lane turned out to be, deciding its retirement value.
-  enum class LaneFate : std::uint8_t {
-    kEscaped,   ///< classified closed-form, never touched the DES
-    kRejected,  ///< classifier false positive — arm() said no
-    kDrained,   ///< ran through the (possibly merged) timeline
-  };
-
-  /// Closed-form mirror of TargetEpisode::arm()'s detection decision for
-  /// the analytic schedule — same window, same pass enumeration, same
-  /// floating-point expressions, no materialized pass list.
-  [[nodiscard]] bool lane_detects(Duration phase, Duration duration) const;
-
-  /// Drain one armed lane through context 0 (the width-1 sequential path —
-  /// operation for operation the PR 6 drain).
-  void run_des_lane(std::int64_t e, Duration phase, Duration duration,
-                    ShardTraceBuffer* trace, InvariantChecker* invariants,
-                    const ResultSink& sink);
-
-  /// Interleaved retirement of one prologue block: chunk the armed lanes
-  /// into groups of <= width_, arm each group up front in the episode-tagged
-  /// simulator, drain the merged timeline, snapshot per-lane results at
-  /// group end, and emit traces + results in strict episode order.
-  void run_block_interleaved(std::int64_t b, int n, ShardTraceBuffer* trace,
-                             InvariantChecker* invariants,
-                             const ResultSink& sink);
-
   PlaneGeometry geometry_;
   int k_;
-  ProtocolConfig cfg_;
-  bool oaq_;
+  Duration tau_;
   const DurationDistribution* duration_law_;
   Rng episode_rng_;
   TimePoint signal_start_;
-  const FaultPlan* plan_;  ///< normalized: null when absent or empty
-  int width_;              ///< resolved interleave width, in [1, block width]
-  EpisodeLedger* ledger_ = nullptr;  ///< current run()'s attribution sink
-
-  /// The shared episode-tagged simulator — reset per drained lane at width
-  /// 1, per armed group otherwise.
-  Simulator sim_;
-  std::set<SatelliteId> no_known_failed_;
-  /// width_ interleave slots; group slot j drains under episode tag j.
-  std::vector<std::unique_ptr<LaneContext>> contexts_;
+  /// The armed lane's pass pattern, re-phased per lane; the context below
+  /// is bound to it.
+  AnalyticSchedule schedule_;
+  EpisodeContext context_;
 
   // SoA prologue lanes.
   std::array<Duration, kEpisodeBatchWidth> lane_phase_{};
   std::array<Duration, kEpisodeBatchWidth> lane_duration_{};
   std::array<bool, kEpisodeBatchWidth> lane_armed_{};
 
-  // Interleaved-block retirement state, keyed by block lane index (lane
-  // contexts are reused across the block's groups, so snapshots cannot
-  // live in the contexts).
-  std::array<LaneFate, kEpisodeBatchWidth> lane_fate_{};
-  /// Per-lane result snapshots; copy-assigned so capacity survives.
-  std::array<EpisodeResult, kEpisodeBatchWidth> block_result_;
-  /// Per-lane trace staging (lossless), resequenced into the shard ring in
-  /// episode order at block retirement.
-  std::vector<ShardTraceBuffer> block_staging_;
-
   /// Scalar-identical retirement value of an escaped lane.
   const EpisodeResult escaped_result_{};
-  /// Reused copy target for width-1 drained results (participants capacity
-  /// survives, so steady-state episodes copy without allocating).
-  EpisodeResult result_buf_;
 
   BatchEpisodeStats stats_;
 };

@@ -79,24 +79,7 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
           : std::make_shared<ExponentialDuration>(Rate::per_minute(0.2));
 
   Simulator sim;
-  CrosslinkNetwork::Options net_opt;
-  net_opt.min_delay = config.protocol.delta * 0.3;
-  net_opt.max_delay = config.protocol.delta;
-  net_opt.loss_probability = config.protocol.crosslink_loss_probability;
-  net_opt.lossless_to_ground = true;
-  net_opt.reliable = config.protocol.reliable_links;
-  net_opt.retry_limit = config.protocol.link_retry_limit;
-  net_opt.backoff_base = config.protocol.link_backoff_base;
-  if (config.protocol.self_healing_links) {
-    net_opt.health.enabled = true;
-    net_opt.health.alpha = config.protocol.link_health_alpha;
-    net_opt.health.demote_below = config.protocol.link_demote_below;
-    net_opt.health.restore_above = config.protocol.link_restore_above;
-    net_opt.health.probation = config.protocol.link_probation;
-    net_opt.health.probation_backoff = config.protocol.link_probation_backoff;
-    net_opt.health.probation_cap = config.protocol.tau;  // τ-feasibility cap
-  }
-  CrosslinkNetwork net(sim, net_opt, net_rng);
+  CrosslinkNetwork net(sim, net_options(config.protocol), net_rng);
   // Episodes share the network; network events carry episode = -1 unless
   // per-envelope attribution is on (then each xlink_* event names the
   // owning target — the golden campaign trace keeps the -1 default).
@@ -161,13 +144,13 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
     t = t + arrivals_rng.exponential(config.signal_arrival_rate);
     if (t >= end) break;
     const Duration duration = duration_law->sample(durations_rng);
-    if (analytic && config.batch_episodes &&
+    if (analytic &&
         !analytic_signal_detected(config.geometry, config.k, phase, t,
                                   duration, config.protocol.tau)) {
-      // Closed-form escape: the scalar path would build the RNG stream and
-      // the episode only for arm() to reject it — record the identical
-      // kMissed outcome without either. False positives fall through to
-      // arm(), which stays the authority.
+      // Closed-form escape pre-screen: a signal the pass pattern can never
+      // detect records kMissed without building its RNG stream and episode
+      // only for arm() to reject it. False positives fall through to arm(),
+      // which stays the authority.
       out.levels.add(to_int(QosLevel::kMissed));
       ++target_id;
       ++out.signals;
@@ -401,21 +384,16 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   // replication then reads the same sweep lock-free.
   std::optional<SharedVisibilityCache> shared_cache;
   SeedFreezeHook seed_hook;
-  int seed_executors = 0;
   if (config.constellation != nullptr && config.shared_visibility) {
     VisibilityCache::Options vopt;
     vopt.window_quantum = campaign_visibility_quantum(config);
     shared_cache.emplace(*config.constellation, config.earth_rotation, vopt);
     // `vopt` dies with this block but the lambda runs later (inside
     // parallel_reduce), so capture it by value.
-    seed_hook.seed = [&shared_cache, &config, vopt, &seed_executors,
-                      main_spans] {
+    seed_hook.seed = [&shared_cache, &config, vopt, main_spans] {
       const ScopedSpan span(main_spans, "visibility_seed");
-      // Single-target campaigns seed serially (seed_windows degrades to
-      // the plain loop); multi-target callers get the pool fan-out.
-      seed_executors = shared_cache->seed_windows(
-          {config.target}, Duration::zero(), vopt.window_quantum,
-          config.jobs);
+      shared_cache->seed_window(config.target, Duration::zero(),
+                                vopt.window_quantum);
     };
     seed_hook.freeze = [&shared_cache, main_spans] {
       const ScopedSpan span(main_spans, "visibility_freeze");
@@ -477,11 +455,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
         "visibility.cache_entries",
         static_cast<std::int64_t>(shared_cache->frozen_entries() +
                                   shared_cache->overflow_entries()));
-    if (seed_executors > 1) {
-      // Only when the seed phase actually fanned out — single-target
-      // campaigns (and the golden metrics files) see no new key.
-      total.metrics.add("visibility.seed_parallel", seed_executors);
-    }
   }
   if (want_metrics && config.check_invariants) {
     total.metrics.add(

@@ -67,13 +67,6 @@ struct CampaignConfig {
   /// default: the golden metrics files predate these keys).
   bool queue_metrics = false;
 
-  /// Pre-screen analytic-mode arrivals with the closed-form escape test
-  /// (analytic_signal_detected): a signal the pass pattern can never
-  /// detect records kMissed without constructing its RNG stream and
-  /// episode state machine. Byte-identical either way — arm() remains the
-  /// authority for every signal that survives the screen.
-  bool batch_episodes = true;
-
   // --- Fault injection (ISSUE 5). ---
   /// Scripted degradation clauses replayed once per replication, with
   /// clause times relative to the campaign origin (the replication's

@@ -11,7 +11,6 @@
 #include "fault/plan.hpp"
 #include "obs/ledger.hpp"
 #include "oaq/batch_episode.hpp"
-#include "oaq/pooled_episode.hpp"
 #include "orbit/shared_visibility_cache.hpp"
 
 namespace oaq {
@@ -132,10 +131,6 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
   OAQ_REQUIRE(config.k > 0, "need at least one satellite");
   OAQ_REQUIRE(config.episodes > 0, "need at least one episode");
   OAQ_REQUIRE(config.mu > Rate::zero(), "termination rate must be positive");
-  OAQ_REQUIRE(
-      config.interleave_width >= 0 &&
-          config.interleave_width <= kEpisodeBatchWidth,
-      "interleave width must be 0 (block width) or in [1, block width]");
 
   const Rng master(config.seed);
   const Rng episode_rng = master.fork(3);
@@ -147,7 +142,6 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
   // Fixed signal start well inside the horizon; the pass-pattern phase is
   // randomized instead (equivalent by stationarity).
   const TimePoint signal_start = TimePoint::at(Duration::minutes(60));
-  const Duration tr = config.geometry.tr(config.k);
 
   // Tracing: one ring buffer per shard, sized up front. A shard's stream
   // depends only on its episode indices (episodes within a shard run
@@ -177,8 +171,8 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
                              config.protocol.reliable_links ||
                              config.protocol.self_healing_links;
   const bool health_metrics = config.protocol.self_healing_links;
-  // Shared between the scalar loop and the batch engine's sink so both
-  // paths fold results — and observe metrics — in exactly the same order.
+  // Shared by the batch engine's sink and the geometric loop, so both
+  // fold results — and observe metrics — in episode order.
   const auto accumulate = [&](EpisodeAccum& acc, const EpisodeResult& r) {
     acc.level_pmf.add(to_int(r.alert_delivered ? r.level : QosLevel::kMissed));
     if (r.alerts_sent > 1) ++acc.duplicates;
@@ -194,46 +188,6 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
                              fault_metrics, health_metrics);
     }
   };
-  const auto run_episode = [&](std::int64_t e, EpisodeAccum& acc,
-                               ShardTraceBuffer* trace,
-                               const GeometricSchedule* geo_schedule) {
-    const Rng ep = episode_rng.fork(static_cast<std::uint64_t>(e));
-    Rng phase_rng = ep.fork(1);
-    Rng duration_rng = ep.fork(2);
-    Rng protocol_rng = ep.fork(3);
-    const Duration phase = phase_rng.uniform(
-        Duration::zero(),
-        // Jitter over the longest shell period so every shell's pass
-        // pattern is phase-randomized (= design().period single-shell).
-        geometric ? config.constellation->max_period() : tr);
-    const Duration duration = duration_law->sample(duration_rng);
-    EpisodeFaultHooks hooks;
-    hooks.plan = config.fault_plan;
-    hooks.invariants = config.check_invariants ? &acc.invariants : nullptr;
-    hooks.ledger = config.ledger != nullptr ? &acc.ledger : nullptr;
-    const EpisodeFaultHooks* hooks_ptr =
-        config.fault_plan != nullptr || config.check_invariants ||
-                config.ledger != nullptr
-            ? &hooks
-            : nullptr;
-    EpisodeResult r;
-    if (geometric) {
-      const EpisodeEngine engine(*geo_schedule, config.protocol,
-                                 config.opportunity_adaptive);
-      r = engine.run(signal_start + phase, duration, protocol_rng,
-                     /*faults=*/{}, /*known_failed=*/{}, trace,
-                     static_cast<int>(e), hooks_ptr);
-    } else {
-      const AnalyticSchedule schedule(config.geometry, config.k, phase);
-      const EpisodeEngine engine(schedule, config.protocol,
-                                 config.opportunity_adaptive);
-      r = engine.run(signal_start, duration, protocol_rng, /*faults=*/{},
-                     /*known_failed=*/{}, trace, static_cast<int>(e),
-                     hooks_ptr);
-    }
-
-    accumulate(acc, r);
-  };
 
   // The quantum is sized to cover every episode window (start jitter ≤ one
   // period, pass horizon ≤ signal cap + τ + post-roll), so virtually every
@@ -246,31 +200,18 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
                           config.protocol.tau + Duration::hours(2);
   }
 
-  // The satellite set every pooled shard registers — computed once on the
-  // calling thread (it is identical for every shard; the shards' dense
-  // network tables are still first-touched on their own threads).
-  std::vector<SatelliteId> pooled_satellites;
-  if (geometric && config.pooled_episodes) {
-    pooled_satellites = config.constellation->active_satellites();
-  }
-
   // Shared mode: that one sweep is computed ONCE on the calling thread
   // (seed), frozen, and then read lock-free by every shard — instead of
   // once per shard with private caches. Cached values are pure functions
   // of the query either way, so both modes are bit-identical at any jobs.
   std::optional<SharedVisibilityCache> shared_cache;
   SeedFreezeHook seed_hook;
-  int seed_executors = 0;
   if (geometric && config.shared_visibility) {
     shared_cache.emplace(*config.constellation, config.earth_rotation, vopt);
-    seed_hook.seed = [&shared_cache, &config, &vopt, &seed_executors,
-                      main_spans] {
+    seed_hook.seed = [&shared_cache, &config, &vopt, main_spans] {
       const ScopedSpan span(main_spans, "visibility_seed");
-      // Single-target runs seed serially (seed_windows degrades to the
-      // plain loop); the fan-out pays off for multi-target workloads.
-      seed_executors = shared_cache->seed_windows(
-          {config.target}, Duration::zero(), vopt.window_quantum,
-          config.jobs);
+      shared_cache->seed_window(config.target, Duration::zero(),
+                                vopt.window_quantum);
     };
     seed_hook.freeze = [&shared_cache, main_spans] {
       const ScopedSpan span(main_spans, "visibility_freeze");
@@ -288,23 +229,23 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
                                ? config.spans->shard_arena(shard)
                                : nullptr;
         const ScopedSpan shard_span(spans, "shard");
-        if (!geometric && config.batch_episodes) {
-          // SoA batch path: one reusable DES context per shard, closed-form
-          // escape retirement, results delivered in episode order — the
-          // same fold as the scalar loop below, byte for byte.
+        InvariantChecker* invariants =
+            config.check_invariants ? &acc.invariants : nullptr;
+        EpisodeLedger* ledger =
+            config.ledger != nullptr ? &acc.ledger : nullptr;
+        if (!geometric) {
+          // Closed-form escape prologue in front of one reused episode
+          // context per shard; results arrive in episode order.
           BatchEpisodeEngine engine(config.geometry, config.k,
                                     config.protocol,
                                     config.opportunity_adaptive,
                                     *duration_law, episode_rng, signal_start,
-                                    config.fault_plan,
-                                    config.interleave_width);
-          engine.run(begin, end, trace,
-                     config.check_invariants ? &acc.invariants : nullptr,
+                                    config.fault_plan);
+          engine.run(begin, end, trace, invariants,
                      [&](std::int64_t, const EpisodeResult& r) {
                        accumulate(acc, r);
                      },
-                     spans,
-                     config.ledger != nullptr ? &acc.ledger : nullptr);
+                     spans, ledger);
           if (want_metrics && config.batch_metrics) {
             const BatchEpisodeStats& bs = engine.stats();
             acc.metrics.add("sim.batch.batches",
@@ -331,7 +272,7 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
         std::optional<GeometricSchedule> geo_schedule;
         if (shared_cache) {
           geo_schedule.emplace(*shared_cache, config.target, &shared_stats);
-        } else if (geometric) {
+        } else {
           cache.emplace(*config.constellation, config.earth_rotation, vopt);
           geo_schedule.emplace(*cache, config.target);
         }
@@ -340,37 +281,25 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
         {
           const ScopedSpan episodes_span(spans, "episodes");
           if (spans != nullptr) spans->add_items(end - begin);
-          if (geo_schedule && config.pooled_episodes) {
-            // Pooled geometric path: one reusable DES context per shard
-            // (the geometric sibling of the batch engine above), fed the
-            // exact per-episode streams the scalar loop forks — the fold
-            // below is byte-identical to run_episode's.
-            PooledEpisodeRunner runner(*geo_schedule, pooled_satellites,
-                                       config.protocol,
-                                       config.opportunity_adaptive,
-                                       config.fault_plan);
-            InvariantChecker* inv =
-                config.check_invariants ? &acc.invariants : nullptr;
-            for (std::int64_t e = begin; e < end; ++e) {
-              const Rng ep = episode_rng.fork(static_cast<std::uint64_t>(e));
-              Rng phase_rng = ep.fork(1);
-              Rng duration_rng = ep.fork(2);
-              const Duration phase = phase_rng.uniform(
-                  Duration::zero(), config.constellation->max_period());
-              const Duration duration = duration_law->sample(duration_rng);
-              accumulate(acc,
-                         runner.run_episode(e, ep.fork(3),
-                                            signal_start + phase, duration,
-                                            trace, inv));
-            }
-          } else {
-            for (std::int64_t e = begin; e < end; ++e) {
-              run_episode(e, acc, trace,
-                          geo_schedule ? &*geo_schedule : nullptr);
-            }
+          // One reused episode context per shard, constructed on the
+          // shard's own thread (first touch keeps its arena local). The
+          // phase jitters the start over the longest shell period, so every
+          // shell's pass pattern is phase-randomized.
+          EpisodeContext context(*geo_schedule, config.protocol,
+                                 config.opportunity_adaptive,
+                                 config.fault_plan);
+          for (std::int64_t e = begin; e < end; ++e) {
+            const Rng ep = episode_rng.fork(static_cast<std::uint64_t>(e));
+            Rng phase_rng = ep.fork(1);
+            Rng duration_rng = ep.fork(2);
+            const Duration phase = phase_rng.uniform(
+                Duration::zero(), config.constellation->max_period());
+            const Duration duration = duration_law->sample(duration_rng);
+            accumulate(acc, context.run(e, ep.fork(3), signal_start + phase,
+                                        duration, trace, invariants, ledger));
           }
         }
-        if (geometric && want_metrics) {
+        if (want_metrics) {
           const VisibilityCacheStats& vs =
               shared_cache ? shared_stats : cache->stats();
           acc.metrics.add("visibility.pass_queries",
@@ -399,11 +328,6 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
         "visibility.cache_entries",
         static_cast<std::int64_t>(shared_cache->frozen_entries() +
                                   shared_cache->overflow_entries()));
-    if (seed_executors > 1) {
-      // Emitted only when the seed phase actually fanned out, so
-      // single-target runs — and the golden metrics files — see no new key.
-      total.metrics.add("visibility.seed_parallel", seed_executors);
-    }
   }
 
   if (want_metrics && config.check_invariants) {

@@ -69,34 +69,10 @@ struct QosSimulationConfig {
   /// golden metrics files predate these keys.
   bool queue_metrics = false;
 
-  /// Advance analytic-mode episodes through the SoA batch engine
-  /// (BatchEpisodeEngine, DESIGN.md §12): per-shard reusable DES contexts
-  /// and closed-form escape retirement instead of per-episode
-  /// construction. Results — counts, traces, metrics — are byte-identical
-  /// to the scalar loop for any `jobs` value; the scalar path is retained
-  /// as the oracle and still serves geometric mode (which has no
-  /// closed-form escape test).
-  bool batch_episodes = true;
-  /// Armed lanes multiplexed over one episode-tagged event timeline per
-  /// batch-engine group (DESIGN.md §15). 0 = the block width
-  /// (kEpisodeBatchWidth, the default), 1 = the sequential drain
-  /// (reset → drain one lane → reset), other values must lie in
-  /// [1, kEpisodeBatchWidth]. Output bytes are identical at every width.
-  /// Ignored unless `batch_episodes` applies.
-  int interleave_width = 0;
   /// Export the batch engine's `sim.batch.*` occupancy counters into
   /// `metrics`. Off by default, like queue_metrics: the golden metrics
   /// files predate these keys.
   bool batch_metrics = false;
-
-  /// Advance geometric-mode episodes through a per-shard pooled DES
-  /// context (PooledEpisodeRunner): one Simulator/CrosslinkNetwork/
-  /// TargetEpisode arena per shard, constructed on the shard's own thread
-  /// and reset per episode, instead of per-episode construction over one
-  /// growing slab. Results — counts, traces, metrics — are byte-identical
-  /// to the scalar loop for any `jobs` value; the scalar path is retained
-  /// as the oracle (bench/constellation_scale measures the gap).
-  bool pooled_episodes = true;
 
   // --- Fault injection (ISSUE 5). ---
   /// Scripted degradation clauses replayed inside every episode (times
@@ -132,12 +108,10 @@ struct QosSimulationConfig {
   /// --spans.
   SpanProfiler* spans = nullptr;
   /// Receives the merged per-episode attribution ledger: every final
-  /// drop, retry, and fault activation keyed by episode id. Served by the
-  /// scalar and batched analytic engines and the scalar geometric engine
-  /// (the pooled geometric arena does not attribute; disable
-  /// `pooled_episodes` to collect rows in geometric mode). Rows are
-  /// additive counters folded shard-wise in shard order, so the ledger
-  /// bytes are identical for any jobs value and any interleave width.
+  /// drop, retry, and fault activation keyed by episode id, in analytic
+  /// and geometric mode alike. Rows are additive counters folded
+  /// shard-wise in shard order, so the ledger bytes are identical for any
+  /// jobs value.
   EpisodeLedger* ledger = nullptr;
 };
 

@@ -405,8 +405,10 @@ bool TargetEpisode::arm(TimePoint signal_start, Duration signal_duration) {
       if (start >= sig_end_) break;
     }
   }
+  // An escaped signal leaves the default result — the value the batch
+  // engine's closed-form escape retires with.
+  if (!t0) return false;
   result_.horizon_passes = static_cast<int>(passes_.size());
-  if (!t0) return false;  // escapes surveillance
 
   t0_ = *t0;
   deadline_ = *t0 + cfg_->tau;
@@ -517,18 +519,6 @@ void TargetEpisode::finalize() {
       result_.all_participants_resolved = false;
     }
   }
-}
-
-std::vector<SatelliteId> TargetEpisode::horizon_satellites() const {
-  // Sorted-unique satellites of the armed pass horizon — the same set the
-  // horizon-wide agent pre-touch used to enumerate, now derived from the
-  // passes directly so agents_ can stay participants-only.
-  std::vector<SatelliteId> out;
-  out.reserve(passes_.size());
-  for (const auto& p : passes_) out.push_back(p.satellite);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 }  // namespace oaq

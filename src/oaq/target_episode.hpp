@@ -91,9 +91,9 @@ class TargetEpisode {
 
   [[nodiscard]] int target_id() const { return target_id_; }
   [[nodiscard]] const EpisodeResult& result() const { return result_; }
-  /// Satellites appearing in this episode's pass horizon (the owner
-  /// registers network handlers for them).
-  [[nodiscard]] std::vector<SatelliteId> horizon_satellites() const;
+  /// The armed episode's pass horizon; its satellites are the only ones the
+  /// episode ever addresses (the owner registers network handlers for them).
+  [[nodiscard]] const std::vector<Pass>& horizon() const { return passes_; }
 
  private:
   struct AgentState {

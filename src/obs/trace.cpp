@@ -92,15 +92,6 @@ void ShardTraceBuffer::push(const TraceEvent& event) {
   head_ = (head_ + 1) % capacity_;
 }
 
-void ShardTraceBuffer::drain_into(ShardTraceBuffer& dst) {
-  OAQ_REQUIRE(dropped() == 0, "drain_into requires a lossless staging buffer");
-  // No wrap happened (head_ is 0), so events_ is already in push order.
-  for (const TraceEvent& event : events_) dst.push(event);
-  events_.clear();
-  head_ = 0;
-  recorded_ = 0;
-}
-
 std::vector<TraceEvent> ShardTraceBuffer::events() const {
   std::vector<TraceEvent> out;
   out.reserve(events_.size());

@@ -127,21 +127,9 @@ struct TraceEvent {
 /// recent `capacity` events; `dropped()` counts overwritten ones.
 class ShardTraceBuffer {
  public:
-  /// Capacity sentinel for staging buffers that must never wrap (the
-  /// interleaved batch engine buffers one lane's events here before
-  /// resequencing them into the real shard ring in episode order).
-  static constexpr std::size_t kUnbounded = static_cast<std::size_t>(-1);
-
   explicit ShardTraceBuffer(std::size_t capacity);
 
   void push(const TraceEvent& event);
-
-  /// Replay every retained event into `dst` (in recording order) and clear
-  /// this buffer, keeping its grown storage. `dst` ends up byte-identical
-  /// to having received the pushes directly — including its ring-overflow
-  /// and recorded/dropped accounting. Requires that this buffer dropped
-  /// nothing (stage with kUnbounded capacity).
-  void drain_into(ShardTraceBuffer& dst);
 
   [[nodiscard]] std::size_t size() const { return events_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }

@@ -89,7 +89,7 @@ class VisibilityCache {
 
   /// Same clipped passes written into `out` (cleared first). Steady state
   /// (cached window, `out` capacity reused) performs no allocation — the
-  /// per-episode hot path of the pooled runners.
+  /// per-episode hot path of reused episode contexts.
   void passes_window_into(const GeoPoint& target, Duration from, Duration to,
                           std::vector<Pass>& out);
 

@@ -15,8 +15,7 @@ constexpr std::size_t kMaxRuns = 8;
 
 /// Largest tail segment flush_spill() will shift to fold a due spill into
 /// the sole run in place. The fold turns the schedule-one-pop-one steady
-/// state — and the interleaved multi-lane timeline, whose pending set is
-/// width times larger — into one long-lived sorted run (no per-event run
+/// state into one long-lived sorted run (no per-event run
 /// materialization, no tournaments, no k-way merges). The bound keeps the
 /// shift O(1): a deep pending set with near-head arrivals falls back to
 /// run creation instead of degrading into an O(pending) memmove per event.
@@ -34,10 +33,6 @@ constexpr std::size_t kMaxFoldTail = 64;
 constexpr std::size_t kMinCompactDead = 64;
 
 constexpr unsigned __int128 kNoKey = ~static_cast<unsigned __int128>(0);
-
-/// Scheduling-order counter budget under the 16-bit episode tag. A run
-/// between resets would need 2^48 schedules to exhaust it.
-constexpr std::uint64_t kSeqLimit = 1ull << 48;
 
 /// Time bits for the ordering key. Sim times are nonnegative (schedule_at
 /// requires t >= now and the clock starts at the origin), so the IEEE bit
@@ -108,9 +103,7 @@ void Simulator::flush_spill() {
   // In-place fold: with a single run, merge the sorted spill into it by a
   // backward shift instead of materializing a new run. Pop order is the
   // packed key order either way; this only changes where sorted entries
-  // live. The dead prefix [0, head) is never touched — a same-time entry
-  // from a lower episode tag may key below an already-popped entry, which
-  // is fine because pops are only time-ordered across tags (DESIGN.md §15).
+  // live. The dead prefix [0, head) is never read again.
   if (runs_.size() == 1) {
     Run& r = runs_.front();
     std::vector<QueueEntry>& dst = r.entries;
@@ -137,10 +130,8 @@ void Simulator::flush_spill() {
     // Left fold: when the whole spill fits in the gap before dst[pos]
     // (always true for the single-event spills the steady state produces),
     // reuse the dead prefix the pops have opened: everything in [head, pos)
-    // keys below the spill, so the fold is one shift plus one copy. Under
-    // the interleaved timeline — where the firing lane sits at the earliest
-    // virtual time and new events land near the merged head — this is the
-    // common case: the cost is O(spill), not O(pending lanes).
+    // keys below the spill, so the fold is one shift plus one copy: the
+    // cost is O(spill), not O(pending).
     const std::size_t left_cost = pos - r.head;
     if (r.head >= m && left_cost <= n - pos && left_cost <= kMaxFoldTail &&
         (pos == n || spill_.back().key() < dst[pos].key())) {
@@ -253,15 +244,14 @@ EventId Simulator::schedule_at(TimePoint t, Callback cb) {
     // drain) allocation-free.
     free_.reserve(slab_.capacity());
   }
-  OAQ_REQUIRE(next_seq_ < kSeqLimit, "scheduling-order counter exhausted");
   Event& ev = slab_[slot];
   ev.at = t;
-  ev.seq = tag_bits_ | next_seq_++;
+  ev.seq = next_seq_++;
   ev.callback = std::move(cb);
   ++ev.gen;  // arm: generation becomes odd
   QueueEntry entry{time_bits(t), ev.seq, slot, ev.gen};
   // Direct append: an event keying past the sole run's back (the far-future
-  // deadlines every lane arms) extends the run in place — it never rides
+  // deadlines every episode arms) extends the run in place — it never rides
   // the spill, so it never costs a sort or a fold shift. Tombstones keep
   // their key, so comparing against a cancelled back entry stays ordered.
   if (spill_.empty() && runs_.size() == 1 && !runs_.front().entries.empty() &&
@@ -274,10 +264,6 @@ EventId Simulator::schedule_at(TimePoint t, Callback cb) {
   ++scheduled_;
   ++live_;
   if (live_ > peak_pending_) peak_pending_ = live_;
-  LaneState& lane = lanes_[current_tag_];
-  ++lane.scheduled;
-  ++lane.live;
-  if (lane.live > lane.peak) lane.peak = lane.live;
   return pack(slot, ev.gen);
 }
 
@@ -296,9 +282,6 @@ bool Simulator::cancel(EventId id) {
   free_.push_back(slot);
   ++cancelled_;
   --live_;
-  LaneState& lane = lanes_[tag_of_seq(ev.seq)];
-  ++lane.cancelled;
-  --lane.live;
   return true;
 }
 
@@ -321,14 +304,6 @@ bool Simulator::step() {
   --live_;
   now_ = ev.at;
   ++processed_;
-  // The callback runs in the firing event's lane: its virtual clock
-  // advances and anything it schedules or cancels inherits the tag.
-  current_tag_ = tag_of_seq(top.seq);
-  tag_bits_ = top.seq & (0xFFFFull << 48);
-  LaneState& lane = lanes_[current_tag_];
-  lane.now = ev.at;
-  ++lane.processed;
-  --lane.live;
   cb();  // may grow the slab; `ev` must not be touched past this point
   return true;
 }
@@ -358,31 +333,6 @@ void Simulator::reserve(std::size_t events) {
   spill_.reserve(events);
 }
 
-void Simulator::set_episode_tag(std::uint16_t tag) {
-  current_tag_ = tag;
-  tag_bits_ = static_cast<std::uint64_t>(tag) << 48;
-  if (tag >= lanes_.size()) lanes_.resize(tag + 1);
-}
-
-void Simulator::reserve_episode_tags(std::size_t n) {
-  if (n > lanes_.size()) lanes_.resize(n);
-}
-
-SimAccounting Simulator::episode_accounting(std::uint16_t tag) const {
-  if (tag >= lanes_.size()) return {};
-  const LaneState& lane = lanes_[tag];
-  return {lane.scheduled, lane.processed, lane.cancelled,
-          static_cast<std::uint64_t>(lane.live)};
-}
-
-std::size_t Simulator::episode_peak_pending(std::uint16_t tag) const {
-  return tag < lanes_.size() ? lanes_[tag].peak : 0;
-}
-
-TimePoint Simulator::episode_now(std::uint16_t tag) const {
-  return tag < lanes_.size() ? lanes_[tag].now : TimePoint::origin();
-}
-
 void Simulator::reset() {
   OAQ_REQUIRE(live_ == 0, "reset with events still pending");
   now_ = TimePoint::origin();
@@ -391,9 +341,6 @@ void Simulator::reset() {
   scheduled_ = 0;
   cancelled_ = 0;
   peak_pending_ = 0;
-  current_tag_ = 0;
-  tag_bits_ = 0;
-  for (LaneState& lane : lanes_) lane = LaneState{};
   queue_stats_ = {};
   for (Run& r : runs_) buffer_pool_.push_back(std::move(r.entries));
   runs_.clear();

@@ -18,15 +18,6 @@
 // Cancelled events leave tombstones that pops skip and merges purge. All
 // buffers are recycled, so scheduling performs zero heap allocations once
 // the slab and run pool have grown to the episode's working set.
-//
-// Episode tags (ISSUE 9): the kernel can multiplex several independent
-// episodes over one event timeline. A 16-bit tag occupies the high bits of
-// the sequence word, so the packed key orders (time, tag, scheduling
-// order) with zero queue-machinery changes; per-tag lane accounting keeps
-// a virtual clock and scheduled/processed/cancelled/pending balances that
-// match what each episode would have seen in a dedicated simulator. Tag 0
-// is the default lane — untagged users produce bit-identical sequence
-// words to the pre-tag kernel.
 #pragma once
 
 #include <cstdint>
@@ -133,36 +124,6 @@ class Simulator {
             static_cast<std::uint64_t>(live_)};
   }
 
-  /// Maximum episode tag value (the tag rides in the top 16 bits of the
-  /// sequence word, leaving 48 bits of scheduling order).
-  static constexpr std::uint16_t kMaxEpisodeTag = 0xFFFF;
-
-  /// Select the episode lane that subsequently scheduled events belong to.
-  /// Events scheduled from inside a callback inherit the firing event's
-  /// tag automatically, so one explicit call while arming an episode is
-  /// enough; the whole cascade it spawns stays in its lane. Grows the lane
-  /// table on first use of a tag (reserve_episode_tags pre-sizes it).
-  void set_episode_tag(std::uint16_t tag);
-
-  /// Pre-size the lane table for tags [0, n) so arming never allocates.
-  void reserve_episode_tags(std::size_t n);
-
-  /// Currently selected episode lane (the firing event's lane during a
-  /// callback).
-  [[nodiscard]] std::uint16_t episode_tag() const { return current_tag_; }
-
-  /// Per-lane event balance — what `accounting()` would report had this
-  /// episode run in a dedicated simulator.
-  [[nodiscard]] SimAccounting episode_accounting(std::uint16_t tag) const;
-
-  /// Per-lane pending-event high-water mark.
-  [[nodiscard]] std::size_t episode_peak_pending(std::uint16_t tag) const;
-
-  /// Per-lane virtual clock: the timestamp of the lane's last fired event
-  /// (the origin before any fire). While a lane's own callback runs,
-  /// `now()` and `episode_now(tag)` agree.
-  [[nodiscard]] TimePoint episode_now(std::uint16_t tag) const;
-
  private:
   /// Slab entry. `gen` is odd while the slot is armed (event pending) and
   /// even while free; it increments on every arm and disarm, so an EventId
@@ -194,21 +155,6 @@ class Simulator {
     std::vector<QueueEntry> entries;
     std::size_t head = 0;
   };
-
-  /// Per-episode lane: virtual clock plus the event balance the episode
-  /// would have accumulated in a dedicated simulator.
-  struct LaneState {
-    TimePoint now = TimePoint::origin();
-    std::uint64_t scheduled = 0;
-    std::uint64_t processed = 0;
-    std::uint64_t cancelled = 0;
-    std::size_t live = 0;
-    std::size_t peak = 0;
-  };
-
-  [[nodiscard]] static constexpr std::uint16_t tag_of_seq(std::uint64_t seq) {
-    return static_cast<std::uint16_t>(seq >> 48);
-  }
 
   [[nodiscard]] static constexpr EventId pack(std::uint32_t slot,
                                               std::uint32_t gen) {
@@ -243,9 +189,6 @@ class Simulator {
   std::uint64_t cancelled_ = 0;
   std::size_t live_ = 0;
   std::size_t peak_pending_ = 0;
-  std::uint16_t current_tag_ = 0;
-  std::uint64_t tag_bits_ = 0;  ///< current_tag_ << 48, OR-ed into seq
-  std::vector<LaneState> lanes_ = std::vector<LaneState>(1);
   QueueStats queue_stats_;
   std::vector<Event> slab_;
   std::vector<std::uint32_t> free_;

@@ -1,8 +1,9 @@
 // Sharded-simulator campaigns at constellation scale (ISSUE 8 tentpole):
-// the pooled per-shard DES context must be byte-identical to the scalar
-// per-episode oracle — results, traces, and metrics — for any job count,
-// on the paper's reference preset, a published mega-constellation design
-// point, and a multi-shell composition.
+// the reused per-shard episode context must be byte-identical to the
+// scalar per-episode oracle — results, traces, ledger rows — and
+// simulate_qos must be byte-identical for any job count, on the paper's
+// reference preset, a published mega-constellation design point, and a
+// multi-shell composition.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -12,6 +13,8 @@
 #include "oaq/campaign.hpp"
 #include "oaq/montecarlo.hpp"
 #include "orbit/constellation_builder.hpp"
+#include "orbit/visibility_cache.hpp"
+#include "../oaq/scalar_oracle.hpp"
 
 namespace oaq {
 namespace {
@@ -21,7 +24,7 @@ QosSimulationConfig geometric_config(const Constellation& c) {
   cfg.constellation = &c;
   cfg.target = GeoPoint{0.0, 0.0};
   // More episodes than shards, so every shard drains several episodes
-  // through one pooled context — the reset path is what's under test.
+  // through one reused context — the reset path is what's under test.
   cfg.episodes = 130;
   cfg.seed = 19;
   cfg.protocol.computation_cap = cfg.protocol.tg;
@@ -82,19 +85,34 @@ Constellation two_shell_constellation() {
   return ConstellationBuilder().add_shell(low).add_shell(high).build();
 }
 
+/// 130 episodes over `c` through one reused context (simulate's per-shard
+/// path) and through a fresh EpisodeEngine::run each (the oracle).
+void expect_reuse_matches_oracle(const Constellation& c,
+                                  const FaultPlan* plan,
+                                  const std::string& label) {
+  oracle::Sequence s;
+  s.phase_span = c.max_period();
+  s.episodes = 130;
+  s.episode_rng = Rng(19).fork(3);
+  s.protocol.computation_cap = s.protocol.tg;
+  s.plan = plan;
+  VisibilityCache::Options vopt;
+  vopt.window_quantum = s.signal_start.since_origin() + c.max_period() +
+                        s.protocol.tau + Duration::hours(2);
+  VisibilityCache cache(c, /*earth_rotation=*/false, vopt);
+  const GeometricSchedule schedule(cache, GeoPoint{0.0, 0.0});
+  s.geometric = &schedule;
+  const oracle::EpisodeOutputs want = oracle::run_fresh(s);
+  oracle::expect_same_outputs(oracle::run_reused(s), want, label);
+  EXPECT_EQ(want.violations, 0u) << label;
+}
+
 TEST(PooledEpisodes, MatchesScalarOracleByteForByte) {
-  // The pooled path is a wall-clock optimization only: disabling it (the
-  // scalar per-episode oracle) must reproduce results, traces, and
-  // metrics byte-for-byte on the paper's reference design.
+  // Reuse is a wall-clock optimization only: it must reproduce the fresh
+  // per-episode oracle's results and traces byte-for-byte on the paper's
+  // reference design.
   const Constellation c = ConstellationBuilder::preset("reference").build();
-  QosSimulationConfig cfg = geometric_config(c);
-  cfg.jobs = 4;
-  cfg.pooled_episodes = true;
-  const RunOutput pooled = run(cfg);
-  cfg.pooled_episodes = false;
-  const RunOutput scalar = run(cfg);
-  EXPECT_GT(pooled.qos.episodes, 0);
-  expect_equal(pooled, scalar, "pooled vs scalar");
+  expect_reuse_matches_oracle(c, nullptr, "reference");
 }
 
 TEST(PooledEpisodes, MatchesScalarOracleUnderFaultPlan) {
@@ -114,16 +132,7 @@ TEST(PooledEpisodes, MatchesScalarOracleUnderFaultPlan) {
                                   Duration::minutes(20)));
   plan.add(FaultPlan::burst_loss(0.3, Duration::minutes(2),
                                  Duration::minutes(9)));
-  QosSimulationConfig cfg = geometric_config(c);
-  cfg.fault_plan = &plan;
-  cfg.check_invariants = true;
-  cfg.jobs = 4;
-  cfg.pooled_episodes = true;
-  const RunOutput pooled = run(cfg);
-  cfg.pooled_episodes = false;
-  const RunOutput scalar = run(cfg);
-  expect_equal(pooled, scalar, "pooled vs scalar under plan");
-  EXPECT_EQ(pooled.qos.invariant_violations, 0);
+  expect_reuse_matches_oracle(c, &plan, "one plane under plan");
 }
 
 TEST(PooledEpisodes, ResultsBitIdenticalAcrossJobsOnPresets) {
@@ -149,7 +158,7 @@ TEST(PooledEpisodes, ResultsBitIdenticalAcrossJobsOnPresets) {
 
 TEST(PooledEpisodes, MultiShellResultsBitIdenticalAcrossJobs) {
   // Shell-aware hot path: per-plane footprints in the visibility sweep
-  // and max_period phase jitter, under the pooled runner at any jobs.
+  // and max_period phase jitter, under the reused context at any jobs.
   const Constellation c = two_shell_constellation();
   RunOutput base;
   for (const int jobs : {1, 4, 8}) {
@@ -165,7 +174,7 @@ TEST(PooledEpisodes, MultiShellResultsBitIdenticalAcrossJobs) {
 }
 
 TEST(PooledEpisodes, WarmSharedCacheHitAccountingPreserved) {
-  // The pooled context must not change the visibility query pattern: with
+  // The reused context must not change the visibility query pattern: with
   // the run-covering quantum, all but each shard's first query hit.
   const Constellation c = ConstellationBuilder::preset("iridium-next").build();
   QosSimulationConfig cfg = geometric_config(c);

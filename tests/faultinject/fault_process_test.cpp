@@ -3,7 +3,7 @@
 // diagnostics, deterministic expansion of Gilbert–Elliott / outage-train /
 // lifecycle sample paths, CTMC cross-validation of the lifecycle renewal
 // process, the byte-identity contract of stochastic episodes across
-// worker counts and interleave widths, and health-aware chain re-routing
+// worker counts, and health-aware chain re-routing
 // around a demoted link.
 #include <gtest/gtest.h>
 
@@ -281,7 +281,7 @@ Rendered render(QosSimulationConfig cfg) {
   return out;
 }
 
-TEST(FaultProcessDeterminism, StochasticStormBitIdenticalAcrossJobsAndWidths) {
+TEST(FaultProcessDeterminism, StochasticStormBitIdenticalAcrossJobs) {
   const FaultPlan plan = storm_process_plan();
   QosSimulationConfig serial = storm_config(1);
   serial.fault_plan = &plan;
@@ -295,17 +295,6 @@ TEST(FaultProcessDeterminism, StochasticStormBitIdenticalAcrossJobsAndWidths) {
     EXPECT_EQ(wide.trace, golden.trace) << "trace drifted at jobs=" << jobs;
     EXPECT_EQ(wide.metrics, golden.metrics)
         << "metrics drifted at jobs=" << jobs;
-  }
-  // The interleaved drain must realise the same sample paths: expansion
-  // happens at arm() time from the reserved fork, before any lane events.
-  for (const int width : {1, 8}) {
-    QosSimulationConfig cfg = storm_config(4);
-    cfg.fault_plan = &plan;
-    cfg.interleave_width = width;
-    const Rendered wide = render(cfg);
-    EXPECT_EQ(wide.trace, golden.trace) << "trace drifted at width=" << width;
-    EXPECT_EQ(wide.metrics, golden.metrics)
-        << "metrics drifted at width=" << width;
   }
 }
 

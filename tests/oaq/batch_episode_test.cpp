@@ -1,8 +1,10 @@
-// SoA episode batching (ISSUE 6): the batched analytic path must be an
-// observationally perfect stand-in for the scalar per-episode loop —
-// identical trace bytes, metrics bytes, and aggregate statistics — and the
-// closed-form escape classifier must agree with TargetEpisode::arm() on
-// every sampled (phase, duration) pair.
+// SoA episode batching (ISSUE 6): the batch engine — the closed-form
+// escape prologue in front of one reused EpisodeContext — must be an
+// observationally perfect stand-in for the scalar per-episode oracle
+// (identical results, trace bytes, ledger rows and audits), simulate_qos
+// must stay byte-identical across worker counts, and the closed-form
+// escape classifier must agree with TargetEpisode::arm() on every sampled
+// (phase, duration) pair.
 #include "oaq/batch_episode.hpp"
 
 #include <gtest/gtest.h>
@@ -18,81 +20,88 @@
 #include "fault/plan.hpp"
 #include "oaq/montecarlo.hpp"
 #include "oaq/schedule.hpp"
+#include "scalar_oracle.hpp"
 
 namespace oaq {
 namespace {
 
 /// The golden-trace protocol shape: k = 9, bounded computations, nonzero
 /// messaging delays — the configuration whose DES path is busiest.
-QosSimulationConfig protocol_config(int episodes, bool oaq) {
-  QosSimulationConfig cfg;
-  cfg.k = 9;
-  cfg.episodes = episodes;
-  cfg.seed = 7;
-  cfg.opportunity_adaptive = oaq;
-  cfg.protocol.computation_cap = cfg.protocol.tg;
+ProtocolConfig protocol_shape() {
+  ProtocolConfig cfg;
+  cfg.computation_cap = cfg.tg;
   return cfg;
 }
 
-struct Snapshot {
-  SimulatedQos qos;
-  std::string trace;
-  std::string metrics;
-};
+oracle::Sequence analytic_sequence(std::int64_t episodes) {
+  oracle::Sequence s;
+  s.episodes = episodes;
+  s.episode_rng = Rng(7).fork(3);
+  s.protocol = protocol_shape();
+  return s;
+}
 
-Snapshot run(QosSimulationConfig cfg, bool batched) {
-  cfg.batch_episodes = batched;
+/// The batch engine over the sequence's episodes, in one call.
+oracle::EpisodeOutputs run_batched(const oracle::Sequence& s) {
+  oracle::EpisodeSinks sinks;
+  oracle::EpisodeOutputs out;
+  BatchEpisodeEngine engine(PlaneGeometry{}, s.k, s.protocol, s.oaq, *s.law,
+                            s.episode_rng, s.signal_start, s.plan);
+  engine.run(0, s.episodes, sinks.trace.shard(0), &sinks.invariants,
+             [&](std::int64_t, const EpisodeResult& r) {
+               out.results.push_back(r);
+             },
+             /*spans=*/nullptr, &sinks.ledger);
+  sinks.finish(out);
+  return out;
+}
+
+void expect_batched_matches_scalar(const oracle::Sequence& s,
+                                   const std::string& label) {
+  oracle::expect_same_outputs(run_batched(s), oracle::run_fresh(s), label);
+}
+
+/// Trace and metrics bytes of one simulate_qos run.
+std::pair<std::string, std::string> simulate_bytes(int jobs, bool oaq) {
+  QosSimulationConfig cfg;
+  cfg.k = 9;
+  cfg.episodes = 400;
+  cfg.seed = 7;
+  cfg.opportunity_adaptive = oaq;
+  cfg.protocol = protocol_shape();
+  cfg.jobs = jobs;
+  cfg.queue_metrics = true;
+  cfg.batch_metrics = true;
   TraceCollector trace;
   MetricsRegistry metrics;
   cfg.trace = &trace;
   cfg.metrics = &metrics;
-  Snapshot s;
-  s.qos = simulate_qos(cfg);
+  (void)simulate_qos(cfg);
   std::ostringstream ts;
   trace.write_jsonl(ts);
-  s.trace = ts.str();
   std::ostringstream ms;
   metrics.write_json(ms);
-  s.metrics = ms.str();
-  return s;
-}
-
-void expect_bitwise_equal(const QosSimulationConfig& cfg,
-                          const std::string& label) {
-  const Snapshot scalar = run(cfg, /*batched=*/false);
-  const Snapshot batched = run(cfg, /*batched=*/true);
-  EXPECT_EQ(batched.trace, scalar.trace) << label << ": trace drifted";
-  EXPECT_EQ(batched.metrics, scalar.metrics) << label << ": metrics drifted";
-  EXPECT_EQ(batched.qos.episodes, scalar.qos.episodes) << label;
-  EXPECT_EQ(batched.qos.duplicates, scalar.qos.duplicates) << label;
-  EXPECT_EQ(batched.qos.unresolved, scalar.qos.unresolved) << label;
-  EXPECT_EQ(batched.qos.untimely, scalar.qos.untimely) << label;
-  EXPECT_EQ(batched.qos.max_chain_length, scalar.qos.max_chain_length) << label;
-  EXPECT_EQ(batched.qos.mean_chain_length, scalar.qos.mean_chain_length)
-      << label;
-  EXPECT_EQ(batched.qos.invariant_violations, scalar.qos.invariant_violations)
-      << label;
-  for (int y = 0; y <= 3; ++y) {
-    EXPECT_EQ(batched.qos.level_pmf.probability(y),
-              scalar.qos.level_pmf.probability(y))
-        << label << ": level " << y;
-  }
+  return {ts.str(), ms.str()};
 }
 
 TEST(BatchEpisode, BitwiseEqualAcrossWorkerCounts) {
-  for (const int jobs : {1, 4, 8}) {
-    auto cfg = protocol_config(400, /*oaq=*/true);
-    cfg.jobs = jobs;
-    expect_bitwise_equal(cfg, "oaq jobs=" + std::to_string(jobs));
+  for (const bool oaq : {true, false}) {
+    const auto serial = simulate_bytes(1, oaq);
+    EXPECT_NE(serial.first.find("\"term_"), std::string::npos);
+    for (const int jobs : {4, 8}) {
+      const auto wide = simulate_bytes(jobs, oaq);
+      EXPECT_EQ(wide.first, serial.first) << "trace, jobs=" << jobs;
+      EXPECT_EQ(wide.second, serial.second) << "metrics, jobs=" << jobs;
+    }
   }
 }
 
 TEST(BatchEpisode, BitwiseEqualUnderBaq) {
-  for (const int jobs : {1, 4}) {
-    auto cfg = protocol_config(400, /*oaq=*/false);
-    cfg.jobs = jobs;
-    expect_bitwise_equal(cfg, "baq jobs=" + std::to_string(jobs));
-  }
+  oracle::Sequence s = analytic_sequence(400);
+  s.oaq = false;
+  expect_batched_matches_scalar(s, "baq");
+  s.oaq = true;
+  expect_batched_matches_scalar(s, "oaq");
 }
 
 TEST(BatchEpisode, BitwiseEqualAcrossDurationLaws) {
@@ -111,10 +120,9 @@ TEST(BatchEpisode, BitwiseEqualAcrossDurationLaws) {
                           Duration::seconds(5.0), Duration::minutes(10.0))},
       };
   for (const auto& [name, law] : laws) {
-    auto cfg = protocol_config(300, /*oaq=*/true);
-    cfg.duration_distribution = law;
-    cfg.jobs = 4;
-    expect_bitwise_equal(cfg, name);
+    oracle::Sequence s = analytic_sequence(300);
+    s.law = law;
+    expect_batched_matches_scalar(s, name);
   }
 }
 
@@ -126,58 +134,9 @@ TEST(BatchEpisode, BitwiseEqualWithFaultPlanAttached) {
                                   Duration::minutes(5.0)));
   plan.add(FaultPlan::burst_loss(0.3, Duration::minutes(0.0),
                                  Duration::minutes(2.0)));
-  for (const int jobs : {1, 4}) {
-    auto cfg = protocol_config(300, /*oaq=*/true);
-    cfg.fault_plan = &plan;
-    cfg.check_invariants = true;
-    cfg.jobs = jobs;
-    expect_bitwise_equal(cfg, "faults jobs=" + std::to_string(jobs));
-  }
-}
-
-// With interleaving default-on (interleave_width = 0 → block width) the
-// byte-identity suites above already drain merged timelines; these pin the
-// contract at every explicit width, including width 1 — the PR 6
-// sequential drain — which must remain reachable and identical.
-TEST(BatchEpisode, InterleavedDrainBitwiseEqualAcrossWidths) {
-  for (const int width : {1, 2, 4, kEpisodeBatchWidth}) {
-    auto cfg = protocol_config(400, /*oaq=*/true);
-    cfg.jobs = 1;
-    cfg.interleave_width = width;
-    expect_bitwise_equal(cfg, "width=" + std::to_string(width));
-  }
-}
-
-TEST(BatchEpisode, InterleavedDrainBitwiseEqualAcrossWorkerCounts) {
-  // Sharding composes with interleaving: each worker drains its own merged
-  // timeline, and the resequenced artifacts must still match the scalar
-  // oracle byte for byte at every jobs count.
-  for (const int jobs : {1, 4, 8}) {
-    auto cfg = protocol_config(400, /*oaq=*/true);
-    cfg.jobs = jobs;
-    cfg.interleave_width = kEpisodeBatchWidth;
-    expect_bitwise_equal(cfg, "interleave jobs=" + std::to_string(jobs));
-  }
-}
-
-TEST(BatchEpisode, InterleavedDrainBitwiseEqualWithFaultPlanAttached) {
-  // Fault storms schedule injector events on the shared timeline; the
-  // per-episode cancel namespace must keep them in their own lanes.
-  FaultPlan plan;
-  plan.add(FaultPlan::fail_silent({0, 2}, Duration::minutes(1.0)));
-  plan.add(FaultPlan::recover({0, 2}, Duration::minutes(4.0)));
-  plan.add(FaultPlan::delay_spike(3.0, Duration::minutes(1.0),
-                                  Duration::minutes(5.0)));
-  plan.add(FaultPlan::burst_loss(0.3, Duration::minutes(0.0),
-                                 Duration::minutes(2.0)));
-  for (const int width : {2, kEpisodeBatchWidth}) {
-    auto cfg = protocol_config(300, /*oaq=*/true);
-    cfg.fault_plan = &plan;
-    cfg.check_invariants = true;
-    cfg.jobs = 1;
-    cfg.interleave_width = width;
-    expect_bitwise_equal(cfg, "faults width=" + std::to_string(width));
-  }
+  oracle::Sequence s = analytic_sequence(300);
+  s.plan = &plan;
+  expect_batched_matches_scalar(s, "faults");
 }
 
 /// TargetEpisode::arm()'s detection decision, replayed over a materialized
@@ -241,7 +200,9 @@ TEST(BatchEpisode, ClassifierAgreesWithArmOnSampledEpisodes) {
 }
 
 TEST(BatchEpisode, StatsPartitionEpisodes) {
-  auto cfg = protocol_config(257, /*oaq=*/true);  // deliberately not 8-aligned
+  QosSimulationConfig cfg;
+  cfg.k = 9;
+  cfg.episodes = 257;  // deliberately not 8-aligned
   cfg.jobs = 1;
   cfg.batch_metrics = true;
   MetricsRegistry metrics;

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "oaq/montecarlo.hpp"
+#include "orbit/constellation_builder.hpp"
 
 namespace oaq {
 namespace {
@@ -129,14 +130,15 @@ TEST(SpanProfiler, ChromeExportShape) {
   EXPECT_NE(json.find("\"name\":\"shard-0\""), std::string::npos);
 }
 
-/// Zero-wall span export of one simulate_qos run.
-std::string span_export(int jobs, bool batch) {
+/// Zero-wall span export of one simulate_qos run; `constellation` (null =
+/// analytic) selects geometric mode.
+std::string span_export(int jobs, const Constellation* constellation) {
   QosSimulationConfig cfg;
   cfg.k = 9;
-  cfg.episodes = 2000;
+  cfg.episodes = constellation != nullptr ? 300 : 2000;
   cfg.seed = 11;
   cfg.jobs = jobs;
-  cfg.batch_episodes = batch;
+  cfg.constellation = constellation;
   SpanProfiler profiler;
   cfg.spans = &profiler;
   const SimulatedQos qos = simulate_qos(cfg);
@@ -147,14 +149,18 @@ std::string span_export(int jobs, bool batch) {
 }
 
 TEST(SpanDeterminism, TreeIsByteIdenticalAcrossWorkerCounts) {
-  for (const bool batch : {true, false}) {
-    const std::string serial = span_export(1, batch);
-    EXPECT_EQ(serial, span_export(4, batch)) << "batch=" << batch;
-    EXPECT_EQ(serial, span_export(8, batch)) << "batch=" << batch;
+  const Constellation iridium =
+      ConstellationBuilder::preset("iridium-next").build();
+  for (const Constellation* c : {static_cast<const Constellation*>(nullptr),
+                                 &iridium}) {
+    const bool geometric = c != nullptr;
+    const std::string serial = span_export(1, c);
+    EXPECT_EQ(serial, span_export(4, c)) << "geometric=" << geometric;
+    EXPECT_EQ(serial, span_export(8, c)) << "geometric=" << geometric;
     // The tree is non-trivial: harness phases plus per-shard work.
     EXPECT_NE(serial.find("simulate_qos"), std::string::npos);
     EXPECT_NE(serial.find("merge"), std::string::npos);
-    EXPECT_NE(serial.find(batch ? "prologue" : "episodes"),
+    EXPECT_NE(serial.find(geometric ? "episodes" : "prologue"),
               std::string::npos);
   }
 }

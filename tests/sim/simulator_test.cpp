@@ -317,8 +317,8 @@ TEST(Simulator, IdsStayDistinctAcrossHeavyChurn) {
   EXPECT_EQ(fired, 200 * 4);
 }
 
-// --- reset() equivalence property (ISSUE 9). The batch engine leans on
-// reset() between lanes, so a reused kernel must be indistinguishable
+// --- reset() equivalence property (ISSUE 9). The episode context leans
+// on reset() between episodes, so a reused kernel must be indistinguishable
 // from a fresh one — same event order AND same queue-maintenance
 // counters, since QueueStats feeds the deterministic metrics export. ---
 
@@ -407,136 +407,6 @@ TEST(Simulator, ResetEquivalentToFreshAcrossRandomizedCycles) {
 
     reused.reset();
   }
-}
-
-// --- Episode tags (ISSUE 9): one kernel multiplexing independent lanes. ---
-
-TEST(Simulator, EpisodeTagOrdersEqualTimesByTagThenSequence) {
-  // At equal timestamps the packed key orders by tag first, then by
-  // scheduling order within the tag — even when the lower tag scheduled
-  // its events later in wall order.
-  Simulator sim;
-  const auto t = TimePoint::at(Duration::minutes(1));
-  std::vector<int> order;
-  sim.set_episode_tag(3);
-  sim.schedule_at(t, [&] { order.push_back(30); });
-  sim.schedule_at(t, [&] { order.push_back(31); });
-  sim.set_episode_tag(1);
-  sim.schedule_at(t, [&] { order.push_back(10); });
-  sim.set_episode_tag(0);
-  sim.schedule_at(t, [&] { order.push_back(0); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 10, 30, 31}));
-}
-
-TEST(Simulator, CallbacksInheritTheFiringEventsTag) {
-  Simulator sim;
-  std::vector<std::uint16_t> seen;
-  sim.set_episode_tag(5);
-  sim.schedule_after(Duration::minutes(1), [&] {
-    seen.push_back(sim.episode_tag());
-    sim.schedule_after(Duration::minutes(1),
-                       [&] { seen.push_back(sim.episode_tag()); });
-  });
-  sim.set_episode_tag(2);
-  sim.schedule_after(Duration::minutes(1),
-                     [&] { seen.push_back(sim.episode_tag()); });
-  sim.run();
-  // Tag 2 fires before tag 5 at the shared timestamp; the chained event
-  // stays in lane 5 without any explicit set_episode_tag call.
-  EXPECT_EQ(seen, (std::vector<std::uint16_t>{2, 5, 5}));
-}
-
-TEST(Simulator, PerLaneAccountingMatchesDedicatedSimulators) {
-  // Two interleaved lanes must report the same per-lane balances and
-  // virtual clocks as two dedicated simulators running the same episodes.
-  const auto drive = [](Simulator& sim, std::uint16_t tag, int events,
-                        double spacing_min) {
-    sim.set_episode_tag(tag);
-    std::vector<EventId> ids;
-    for (int i = 0; i < events; ++i) {
-      ids.push_back(
-          sim.schedule_after(Duration::minutes((i + 1) * spacing_min), [] {}));
-    }
-    sim.cancel(ids.front());
-    return ids;
-  };
-  Simulator merged;
-  merged.reserve_episode_tags(3);
-  drive(merged, 1, 6, 1.0);
-  drive(merged, 2, 9, 0.5);
-  merged.run();
-
-  Simulator solo1;
-  drive(solo1, 0, 6, 1.0);
-  solo1.run();
-  Simulator solo2;
-  drive(solo2, 0, 9, 0.5);
-  solo2.run();
-
-  const SimAccounting a1 = merged.episode_accounting(1);
-  const SimAccounting s1 = solo1.accounting();
-  EXPECT_EQ(a1.scheduled, s1.scheduled);
-  EXPECT_EQ(a1.processed, s1.processed);
-  EXPECT_EQ(a1.cancelled, s1.cancelled);
-  EXPECT_EQ(a1.pending, 0u);
-  EXPECT_EQ(merged.episode_peak_pending(1), solo1.peak_pending_count());
-  EXPECT_EQ(merged.episode_now(1).since_origin().to_minutes(),
-            solo1.now().since_origin().to_minutes());
-
-  const SimAccounting a2 = merged.episode_accounting(2);
-  const SimAccounting s2 = solo2.accounting();
-  EXPECT_EQ(a2.scheduled, s2.scheduled);
-  EXPECT_EQ(a2.processed, s2.processed);
-  EXPECT_EQ(a2.cancelled, s2.cancelled);
-  EXPECT_EQ(merged.episode_peak_pending(2), solo2.peak_pending_count());
-  EXPECT_EQ(merged.episode_now(2).since_origin().to_minutes(),
-            solo2.now().since_origin().to_minutes());
-
-  // The merged totals partition into the lanes (lane 0 idle here).
-  const SimAccounting total = merged.accounting();
-  EXPECT_EQ(total.scheduled, a1.scheduled + a2.scheduled);
-  EXPECT_EQ(total.processed, a1.processed + a2.processed);
-  EXPECT_EQ(total.cancelled, a1.cancelled + a2.cancelled);
-}
-
-TEST(Simulator, CancelNamespacesStayPerEpisode) {
-  // Ids minted in one lane must not alias or disturb another lane's
-  // events, and cancelling from a different current tag still works (ids
-  // are global; tags only affect ordering and accounting).
-  Simulator sim;
-  sim.set_episode_tag(1);
-  bool fired1 = false;
-  const auto id1 = sim.schedule_after(Duration::minutes(1),
-                                      [&] { fired1 = true; });
-  sim.set_episode_tag(2);
-  bool fired2 = false;
-  (void)sim.schedule_after(Duration::minutes(1), [&] { fired2 = true; });
-  EXPECT_TRUE(sim.cancel(id1));
-  sim.run();
-  EXPECT_FALSE(fired1);
-  EXPECT_TRUE(fired2);
-  EXPECT_EQ(sim.episode_accounting(1).cancelled, 1u);
-  EXPECT_EQ(sim.episode_accounting(2).processed, 1u);
-}
-
-TEST(Simulator, TagZeroSequencesMatchUntaggedKernel) {
-  // The default lane produces bit-identical sequence words to a kernel
-  // that never called set_episode_tag: identical event order on ties.
-  Simulator tagged;
-  tagged.reserve_episode_tags(4);
-  tagged.set_episode_tag(0);
-  Simulator plain;
-  std::vector<int> order_tagged;
-  std::vector<int> order_plain;
-  const auto t = TimePoint::at(Duration::minutes(2));
-  for (int i = 0; i < 6; ++i) {
-    tagged.schedule_at(t, [&order_tagged, i] { order_tagged.push_back(i); });
-    plain.schedule_at(t, [&order_plain, i] { order_plain.push_back(i); });
-  }
-  tagged.run();
-  plain.run();
-  EXPECT_EQ(order_tagged, order_plain);
 }
 
 }  // namespace

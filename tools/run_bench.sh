@@ -5,9 +5,9 @@
 # (fault-injection engine, ISSUE 5), BENCH_6.json (SoA episode batching,
 # ISSUE 6), BENCH_7.json (episode batching + span-profiler overhead,
 # ISSUE 7), BENCH_8.json (BENCH_7's pair + the mega-constellation
-# scale-out, ISSUE 8), BENCH_9.json (the same trio, with
-# episode_batch now also emitting its episode_interleave payload,
-# ISSUE 9), and BENCH_10.json (BENCH_9's trio plus the chaos_soak
+# scale-out, ISSUE 8), BENCH_9.json (the same trio; the committed
+# snapshot also holds the retired episode_interleave payload, ISSUE 9),
+# and BENCH_10.json (BENCH_9's trio plus the chaos_soak
 # stochastic-fault / self-healing-link harness, ISSUE 10) at the repo
 # root.
 #
@@ -84,7 +84,7 @@ echo "== episode_batch + span_overhead + constellation_scale ==" >&2
 "${build_dir}/bench/constellation_scale" | tee -a "${log8}" >&2
 aggregate "${log8}" "${repo_root}/BENCH_8.json"
 
-echo "== episode_batch (interleave) + span_overhead + constellation_scale ==" >&2
+echo "== episode_batch + span_overhead + constellation_scale (BENCH_9) ==" >&2
 "${build_dir}/bench/episode_batch" | tee -a "${log9}" >&2
 "${build_dir}/bench/span_overhead" | tee -a "${log9}" >&2
 "${build_dir}/bench/constellation_scale" | tee -a "${log9}" >&2
