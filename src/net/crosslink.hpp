@@ -155,6 +155,16 @@ class CrosslinkNetwork {
 
   [[nodiscard]] bool is_failed(const Address& node) const;
 
+  /// True when `node` has a handler, live or fail-silent. Inline: the
+  /// episode context asks once per horizon pass, every episode.
+  [[nodiscard]] bool has_handler(const Address& node) const {
+    if (node.kind == Address::Kind::kGround) return ground_.handler != nullptr;
+    const auto plane = static_cast<std::size_t>(node.satellite.plane);
+    const auto slot = static_cast<std::size_t>(node.satellite.slot);
+    return plane < sats_.size() && slot < sats_[plane].size() &&
+           sats_[plane][slot].handler != nullptr;
+  }
+
   /// Queue a message. It is delivered after a random delay unless lost or
   /// either endpoint is fail-silent at the relevant moment (send checks the
   /// sender now; delivery checks the receiver then). `episode` tags the

@@ -114,13 +114,25 @@ TEST(CrosslinkNetwork, ReregisteringRevivesNode) {
   CrosslinkNetwork net(sim, tight_options(), Rng(6));
   const auto b = Address::sat({0, 1});
   int received = 0;
+  EXPECT_FALSE(net.has_handler(b));
   net.register_node(b, [&](const Envelope&) { ++received; });
+  EXPECT_TRUE(net.has_handler(b));
   net.fail_silent(b);
+  EXPECT_TRUE(net.has_handler(b));  // fail-silent keeps the handler
   net.register_node(b, [&](const Envelope&) { ++received; });
   EXPECT_FALSE(net.is_failed(b));
   net.send(Address::sat({0, 0}), b, Ping{});
   sim.run();
   EXPECT_EQ(received, 1);
+  // Handlers survive reset(); a never-registered address has none, even
+  // one marked fail-silent, and so has one outside the tables.
+  net.fail_silent(Address::sat({3, 7}));
+  net.reset(Rng(7));
+  EXPECT_TRUE(net.has_handler(b));
+  EXPECT_FALSE(net.has_handler(Address::sat({3, 7})));
+  EXPECT_FALSE(net.has_handler(Address::sat({0, 0})));
+  EXPECT_FALSE(net.has_handler(Address::sat({-1, 0})));
+  EXPECT_FALSE(net.has_handler(Address::ground()));
 }
 
 TEST(CrosslinkNetwork, RejectsDuplicateRegistrationOfLiveAddress) {
