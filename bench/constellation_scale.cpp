@@ -27,7 +27,7 @@
 #include "oaq/montecarlo.hpp"
 #include "oaq/schedule.hpp"
 #include "orbit/constellation_builder.hpp"
-#include "orbit/visibility.hpp"
+#include "orbit/shared_visibility_cache.hpp"
 
 using namespace oaq;
 
@@ -60,6 +60,17 @@ QosSimulationConfig scale_config(const Constellation& c, int episodes) {
   return cfg;
 }
 
+/// The frozen visibility cache simulate_qos seeds for `cfg` over `c`.
+SharedVisibilityCache seeded_cache(const Constellation& c,
+                                   const QosSimulationConfig& cfg) {
+  SharedVisibilityCache::Options vopt;
+  vopt.window_quantum = simulate_visibility_quantum(c, cfg.protocol.tau);
+  SharedVisibilityCache cache(c, cfg.earth_rotation, vopt);
+  cache.seed_window(cfg.target, Duration::zero(), vopt.window_quantum);
+  cache.freeze();
+  return cache;
+}
+
 double episodes_per_sec(const QosSimulationConfig& base, int jobs) {
   QosSimulationConfig cfg = base;
   cfg.jobs = jobs;
@@ -70,22 +81,19 @@ double episodes_per_sec(const QosSimulationConfig& base, int jobs) {
   return static_cast<double>(cfg.episodes) / elapsed;
 }
 
-/// Drive one reused EpisodeContext directly, feeding it the exact
-/// per-episode streams simulate_qos forks: a warm-up block grows every
-/// reusable buffer (event slab, envelope pool, dense per-node tables,
-/// lazily registered handlers, episode storage) and populates the covering
-/// visibility window, then the allocation delta over the following
-/// episodes must be zero.
+/// Drive one reused EpisodeContext directly over a seeded, frozen
+/// visibility cache, feeding it the exact per-episode streams simulate_qos
+/// forks: a warm-up block grows every reusable buffer (event slab,
+/// envelope pool, dense per-node tables, lazily registered handlers,
+/// episode storage and pass buffer), then the allocation delta over the
+/// following episodes must be zero.
 std::uint64_t reused_steady_state_allocs(const Constellation& c,
                                          std::int64_t warm,
                                          std::int64_t total) {
   const QosSimulationConfig cfg = scale_config(c, 1);
   const TimePoint signal_start = TimePoint::at(Duration::minutes(60));
-  VisibilityCache::Options vopt;
-  vopt.window_quantum = signal_start.since_origin() + c.max_period() +
-                        cfg.protocol.tau + Duration::hours(2);
-  VisibilityCache cache(c, cfg.earth_rotation, vopt);
-  GeometricSchedule schedule(cache, cfg.target);
+  const SharedVisibilityCache cache = seeded_cache(c, cfg);
+  const GeometricSchedule schedule(cache, cfg.target);
   EpisodeContext context(schedule, cfg.protocol, cfg.opportunity_adaptive);
   const ExponentialDuration duration_law(cfg.mu);
   const Rng episode_rng = Rng(cfg.seed).fork(3);
@@ -114,7 +122,7 @@ struct AbThroughput {
 };
 
 /// Reused-vs-fresh per-episode throughput, both driven directly over one
-/// pre-warmed VisibilityCache so the timed regions contain pure episode
+/// seeded, frozen visibility cache so the timed regions contain pure episode
 /// work: the naive path is EpisodeEngine::run, which constructs a fresh
 /// EpisodeContext (simulator, network, handler registrations) per
 /// episode; the pooled path resets one reused context. Measuring this
@@ -125,11 +133,8 @@ AbThroughput pooled_vs_naive(const Constellation& c, std::int64_t naive_n,
                              std::int64_t pooled_n) {
   const QosSimulationConfig cfg = scale_config(c, 1);
   const TimePoint signal_start = TimePoint::at(Duration::minutes(60));
-  VisibilityCache::Options vopt;
-  vopt.window_quantum = signal_start.since_origin() + c.max_period() +
-                        cfg.protocol.tau + Duration::hours(2);
-  VisibilityCache cache(c, cfg.earth_rotation, vopt);
-  GeometricSchedule schedule(cache, cfg.target);
+  const SharedVisibilityCache cache = seeded_cache(c, cfg);
+  const GeometricSchedule schedule(cache, cfg.target);
   EpisodeContext context(schedule, cfg.protocol, cfg.opportunity_adaptive);
   const EpisodeEngine engine(schedule, cfg.protocol,
                              cfg.opportunity_adaptive);
@@ -159,8 +164,7 @@ AbThroughput pooled_vs_naive(const Constellation& c, std::int64_t naive_n,
         context.run(e, protocol, signal_start + phase, duration);
     level_sink += static_cast<std::uint64_t>(to_int(r.level));
   };
-  // Warm-up: populates the covering cache window and grows every reused
-  // buffer to steady state.
+  // Warm-up: grows every reused buffer to steady state.
   for (std::int64_t e = 0; e < 64; ++e) {
     run_naive(e);
     run_pooled(e);

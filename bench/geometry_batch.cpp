@@ -1,12 +1,10 @@
 // Batched geometry engine harness (ISSUE 4 tentpole): scalar-vs-batched
-// Kepler margin-sweep throughput, solve-only throughput, the warm-up wall
-// of private per-shard visibility caches vs the seeded shared cache, and
-// the frozen cache's steady-state allocation count. Prints a human table
+// Kepler margin-sweep throughput, solve-only throughput, and the frozen
+// visibility cache's steady-state allocation count. Prints a human table
 // plus one BENCH_JSON line (aggregated into BENCH_4.json by
 // tools/run_bench.sh).
 //
 //   geometry_batch [samples] [reps]
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -18,7 +16,6 @@
 #include "alloc_counter.hpp"
 #include "common/table.hpp"
 #include "geom/geodesy.hpp"
-#include "oaq/montecarlo.hpp"
 #include "orbit/batch_kepler.hpp"
 #include "orbit/shared_visibility_cache.hpp"
 
@@ -127,45 +124,6 @@ ThroughputPair solve_throughput(int samples, int reps) {
   return out;
 }
 
-struct WarmupRow {
-  int jobs = 0;
-  double legacy_s = 0.0;
-  double shared_s = 0.0;
-  [[nodiscard]] double speedup() const { return legacy_s / shared_s; }
-};
-
-/// Wall clock of a geometric Monte-Carlo run whose cost is dominated by
-/// cache warm-up: with private caches every one of the 64 shards redoes
-/// the same quantum-window Kepler sweep; the shared cache seeds it once.
-/// The ratio is work elimination (64 sweeps -> 1), so it holds on a
-/// single-core runner too.
-WarmupRow warmup_wall(const Constellation& c, int jobs) {
-  QosSimulationConfig cfg;
-  cfg.constellation = &c;
-  cfg.target = GeoPoint{0.0, 0.0};
-  cfg.episodes = 2 * kQosEpisodeShards;  // every shard participates
-  cfg.seed = 7;
-  cfg.protocol.computation_cap = cfg.protocol.tg;
-  cfg.jobs = jobs;
-
-  WarmupRow row;
-  row.jobs = jobs;
-  // Untimed warm-up so one-time costs (thread-pool spin-up at this jobs
-  // level, page faults) don't land in whichever timed run goes first.
-  cfg.shared_visibility = false;
-  (void)simulate_qos(cfg);
-
-  auto t0 = Clock::now();
-  (void)simulate_qos(cfg);
-  row.legacy_s = seconds_since(t0);
-
-  cfg.shared_visibility = true;
-  t0 = Clock::now();
-  (void)simulate_qos(cfg);
-  row.shared_s = seconds_since(t0);
-  return row;
-}
-
 /// Steady-state allocations per frozen-cache query: seed, freeze, warm the
 /// output vector's capacity once, then count operator-new calls across
 /// repeated sub-window queries (all frozen hits). The acceptance gate is
@@ -218,8 +176,6 @@ int main(int argc, char** argv) {
   const ThroughputPair solves = solve_throughput(samples, reps);
 
   const Constellation c = bench_constellation();
-  std::vector<WarmupRow> warmup;
-  for (const int jobs : {1, 4, 8}) warmup.push_back(warmup_wall(c, jobs));
   const std::uint64_t steady_allocs = frozen_query_allocs(c, 4096);
 
   TablePrinter kernels({"kernel", "scalar/s", "batched/s", "speedup"}, 2);
@@ -228,16 +184,6 @@ int main(int argc, char** argv) {
   kernels.add_row({std::string("kepler solve"), solves.scalar_per_sec,
                    solves.batch_per_sec, solves.speedup()});
   kernels.print(std::cout);
-
-  std::cout << "\n";
-  TablePrinter walls({"jobs", "private caches (s)", "shared cache (s)",
-                      "speedup"},
-                     3);
-  for (const auto& row : warmup) {
-    walls.add_row({static_cast<long long>(row.jobs), row.legacy_s,
-                   row.shared_s, row.speedup()});
-  }
-  walls.print(std::cout);
   std::cout << "\nfrozen-cache steady-state allocations over 4096 queries: "
             << steady_allocs << "\n";
 
@@ -251,32 +197,15 @@ int main(int argc, char** argv) {
        << "},\"kepler_solve\":{\"scalar_solves_per_sec\":"
        << solves.scalar_per_sec
        << ",\"batch_solves_per_sec\":" << solves.batch_per_sec
-       << ",\"speedup\":" << solves.speedup() << "},\"warmup\":[";
-  for (std::size_t i = 0; i < warmup.size(); ++i) {
-    const auto& row = warmup[i];
-    json << (i > 0 ? "," : "") << "{\"jobs\":" << row.jobs
-         << ",\"private_s\":" << row.legacy_s
-         << ",\"shared_s\":" << row.shared_s
-         << ",\"speedup\":" << row.speedup() << "}";
-  }
-  json << "],\"frozen_steady_state_allocs\":" << steady_allocs << "}";
+       << ",\"speedup\":" << solves.speedup()
+       << "},\"frozen_steady_state_allocs\":" << steady_allocs << "}";
   std::cout << "BENCH_JSON " << json.str() << "\n";
 
   // Regression gates (ISSUE 4 acceptance): >= 2x batched margin-sweep
-  // throughput, >= 2x lower warm-up wall at jobs 4 with the shared cache,
-  // zero steady-state allocations on the frozen read path.
+  // throughput, zero steady-state allocations on the frozen read path.
   bool ok = true;
   if (margins.speedup() < 2.0) {
     std::cout << "REGRESSION: margin-sweep speedup " << margins.speedup()
-              << " < 2.0\n";
-    ok = false;
-  }
-  const auto jobs4 =
-      std::find_if(warmup.begin(), warmup.end(),
-                   [](const WarmupRow& r) { return r.jobs == 4; });
-  if (jobs4 == warmup.end() || jobs4->speedup() < 2.0) {
-    std::cout << "REGRESSION: shared-cache warm-up speedup at jobs 4 "
-              << (jobs4 == warmup.end() ? 0.0 : jobs4->speedup())
               << " < 2.0\n";
     ok = false;
   }

@@ -13,7 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "orbit/kepler.hpp"
-#include "orbit/visibility_cache.hpp"
+#include "orbit/shared_visibility_cache.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -249,8 +249,8 @@ void BM_DesCancelHeavy(benchmark::State& state) {
 BENCHMARK(BM_DesCancelHeavy<Simulator>)->Arg(256);
 BENCHMARK(BM_DesCancelHeavy<legacy::Simulator>)->Arg(256);
 
-// Pass-window queries through a warm VisibilityCache vs a cold
-// PassPredictor sweep — the per-episode geometry cost in geometric
+// Pass-window queries through a seeded, frozen SharedVisibilityCache vs a
+// cold PassPredictor sweep — the per-episode geometry cost in geometric
 // Monte-Carlo mode.
 void BM_VisibilityCachedQuery(benchmark::State& state) {
   ConstellationDesign d;
@@ -258,8 +258,12 @@ void BM_VisibilityCachedQuery(benchmark::State& state) {
   d.sats_per_plane = 10;
   d.inclination_rad = deg2rad(90.0);
   const Constellation c(d);
-  VisibilityCache cache(c);
+  SharedVisibilityCache::Options opt;
+  opt.window_quantum = Duration::hours(6);  // covers every queried window
+  SharedVisibilityCache cache(c, false, opt);
   const GeoPoint target{0.0, 0.0};
+  cache.seed_window(target, Duration::zero(), opt.window_quantum);
+  cache.freeze();
   std::uint64_t salt = 1;
   for (auto _ : state) {
     salt = salt * 2862933555777941757ull + 3037000493ull;

@@ -1,6 +1,5 @@
 #include "oaq/campaign.hpp"
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -60,12 +59,13 @@ struct CampaignAccum {
   }
 };
 
-/// One replication: the pre-parallel run_campaign body, seeded by `master`.
-/// `trace` is this replication's shard buffer (null = tracing disabled);
-/// `want_metrics` fills the accumulator's registry.
+/// One replication, seeded by `master`. `trace` is this replication's
+/// shard buffer (null = tracing disabled); `want_metrics` fills the
+/// accumulator's registry; `cache` is the run's frozen visibility cache
+/// (null in analytic mode).
 CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
                                   ShardTraceBuffer* trace, bool want_metrics,
-                                  const SharedVisibilityCache* shared_cache,
+                                  const SharedVisibilityCache* cache,
                                   SpanArena* spans) {
   const ScopedSpan replication_span(spans, "replication");
   Rng arrivals_rng = master.fork(1);
@@ -97,11 +97,8 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
   // One pass pattern for the whole campaign; signal arrival times are
   // uniform over the pattern period by Poisson stationarity. Geometric
   // mode swaps the analytic plane for real constellation geometry, read
-  // either from the run-wide frozen shared cache (replication-local hit
-  // stats) or from a replication-private cache; both use the
-  // horizon-covering quantum, so a replication needs one Kepler sweep.
-  std::optional<VisibilityCache> vis_cache;
-  VisibilityCacheStats shared_stats;
+  // from the run-wide frozen cache with replication-local hit stats.
+  VisibilityCacheStats vis_stats;
   std::unique_ptr<const CoverageSchedule> schedule;
   const bool analytic = config.constellation == nullptr;
   // The campaign-wide pass phase, hoisted so the arrival pre-screen below
@@ -110,16 +107,9 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
       analytic ? phase_rng.uniform(Duration::zero(),
                                    config.geometry.tr(config.k))
                : Duration::zero();
-  if (shared_cache != nullptr) {
-    schedule = std::make_unique<GeometricSchedule>(*shared_cache,
-                                                   config.target,
-                                                   &shared_stats);
-  } else if (config.constellation != nullptr) {
-    VisibilityCache::Options vopt;
-    vopt.window_quantum = campaign_visibility_quantum(config);
-    vis_cache.emplace(*config.constellation, config.earth_rotation, vopt);
-    schedule =
-        std::make_unique<GeometricSchedule>(*vis_cache, config.target);
+  if (cache != nullptr) {
+    schedule = std::make_unique<GeometricSchedule>(*cache, config.target,
+                                                   &vis_stats);
   } else {
     schedule = std::make_unique<AnalyticSchedule>(config.geometry, config.k,
                                                   phase);
@@ -324,17 +314,11 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
       m.observe("sim.queue.max_run_length",
                 static_cast<double>(qs.max_run_length));
     }
-    if (shared_cache != nullptr || vis_cache) {
-      const VisibilityCacheStats& vs =
-          shared_cache != nullptr ? shared_stats : vis_cache->stats();
+    if (cache != nullptr) {
       m.add("visibility.pass_queries",
-            static_cast<std::int64_t>(vs.pass_queries));
+            static_cast<std::int64_t>(vis_stats.pass_queries));
       m.add("visibility.pass_hits",
-            static_cast<std::int64_t>(vs.pass_hits));
-      if (vis_cache) {
-        m.add("visibility.cache_entries",
-              static_cast<std::int64_t>(vis_cache->entry_count()));
-      }
+            static_cast<std::int64_t>(vis_stats.pass_hits));
     }
     m.observe("compute.queueing_delay_s", out.queueing_delay_s);
     for (auto& ep : episodes) {
@@ -379,82 +363,61 @@ CampaignResult run_campaign(const CampaignConfig& config) {
                                    : nullptr;
   };
 
-  // Run-wide shared cache: the horizon window is seeded once on the
+  // Run-wide visibility cache: the horizon window is seeded once on the
   // calling thread and frozen before any replication runs — every
   // replication then reads the same sweep lock-free.
-  std::optional<SharedVisibilityCache> shared_cache;
+  std::optional<SharedVisibilityCache> cache;
   SeedFreezeHook seed_hook;
-  if (config.constellation != nullptr && config.shared_visibility) {
-    VisibilityCache::Options vopt;
+  if (config.constellation != nullptr) {
+    SharedVisibilityCache::Options vopt;
     vopt.window_quantum = campaign_visibility_quantum(config);
-    shared_cache.emplace(*config.constellation, config.earth_rotation, vopt);
-    // `vopt` dies with this block but the lambda runs later (inside
-    // parallel_reduce), so capture it by value.
-    seed_hook.seed = [&shared_cache, &config, vopt, main_spans] {
+    cache.emplace(*config.constellation, config.earth_rotation, vopt);
+    seed_hook.seed = [&cache, &config, main_spans] {
       const ScopedSpan span(main_spans, "visibility_seed");
-      shared_cache->seed_window(config.target, Duration::zero(),
-                                vopt.window_quantum);
+      cache->seed_window(config.target, Duration::zero(),
+                         cache->options().window_quantum);
     };
-    seed_hook.freeze = [&shared_cache, main_spans] {
+    seed_hook.freeze = [&cache, main_spans] {
       const ScopedSpan span(main_spans, "visibility_freeze");
-      shared_cache->freeze();
+      cache->freeze();
     };
   }
-  const SharedVisibilityCache* shared_ptr =
-      shared_cache ? &*shared_cache : nullptr;
+  const SharedVisibilityCache* cache_ptr = cache ? &*cache : nullptr;
 
-  CampaignAccum total;
-  if (config.replications == 1) {
-    using Clock = std::chrono::steady_clock;
-    const auto t_start = Clock::now();
-    if (shared_cache) {
-      seed_hook.seed();
-      seed_hook.freeze();
-    }
-    total =
-        run_single_campaign(config, Rng(config.seed), shard_trace(0),
-                            want_metrics, shared_ptr, shard_spans(0));
-    if (config.profile != nullptr) {
-      // No fan-out: a one-shard profile keeps the BENCH_JSON shape.
-      config.profile->jobs_resolved = 1;
-      config.profile->shards_used = 1;
-      config.profile->merge_s = 0.0;
-      config.profile->shards.assign(1, {});
-      config.profile->shards[0].run_s = config.profile->total_s =
-          std::chrono::duration<double>(Clock::now() - t_start).count();
-    }
-  } else {
-    // One shard per replication, merged in replication order, so the
-    // aggregate is bit-identical for any jobs value. Child seeds are
-    // forked from a dedicated stream so they cannot collide with the
-    // per-process streams a single run forks from Rng(seed) itself.
-    const Rng replication_seeds = Rng(config.seed).fork(5);
-    total = parallel_reduce<CampaignAccum>(
-        config.replications, config.replications, config.jobs,
-        [&](std::int64_t begin, std::int64_t end, int shard) {
-          CampaignAccum acc;
-          for (std::int64_t r = begin; r < end; ++r) {
-            acc.merge(run_single_campaign(
-                config, replication_seeds.fork(static_cast<std::uint64_t>(r)),
-                shard_trace(shard), want_metrics, shared_ptr,
-                shard_spans(shard)));
-          }
-          return acc;
-        },
-        [main_spans](CampaignAccum& into, CampaignAccum&& from) {
-          // Calling thread in both the inline and pooled paths — the span
-          // count (replications - 1) is jobs-independent.
-          const ScopedSpan span(main_spans, "merge");
-          into.merge(from);
-        },
-        config.profile, shared_cache ? &seed_hook : nullptr);
-  }
-  if (shared_cache && want_metrics) {
+  // One shard per replication, merged in replication order, so the
+  // aggregate is bit-identical for any jobs value. A single replication
+  // runs on Rng(seed) itself; more fork child seeds from a dedicated
+  // stream so they cannot collide with the per-process streams a single
+  // run forks from Rng(seed).
+  const Rng master(config.seed);
+  const Rng replication_seeds = master.fork(5);
+  const auto replication_master = [&](std::int64_t r) {
+    return config.replications == 1
+               ? master
+               : replication_seeds.fork(static_cast<std::uint64_t>(r));
+  };
+  CampaignAccum total = parallel_reduce<CampaignAccum>(
+      config.replications, config.replications, config.jobs,
+      [&](std::int64_t begin, std::int64_t end, int shard) {
+        CampaignAccum acc;
+        for (std::int64_t r = begin; r < end; ++r) {
+          acc.merge(run_single_campaign(config, replication_master(r),
+                                        shard_trace(shard), want_metrics,
+                                        cache_ptr, shard_spans(shard)));
+        }
+        return acc;
+      },
+      [main_spans](CampaignAccum& into, CampaignAccum&& from) {
+        // Calling thread in both the inline and pooled paths — the span
+        // count (replications - 1) is jobs-independent.
+        const ScopedSpan span(main_spans, "merge");
+        into.merge(from);
+      },
+      config.profile, cache ? &seed_hook : nullptr);
+  if (cache && want_metrics) {
     // Global cache size, once — not per replication.
-    total.metrics.add(
-        "visibility.cache_entries",
-        static_cast<std::int64_t>(shared_cache->frozen_entries() +
-                                  shared_cache->overflow_entries()));
+    total.metrics.add("visibility.cache_entries",
+                      static_cast<std::int64_t>(cache->frozen_entries()));
   }
   if (want_metrics && config.check_invariants) {
     total.metrics.add(

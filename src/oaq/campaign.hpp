@@ -52,16 +52,11 @@ struct CampaignConfig {
   // --- Geometric mode (optional). When `constellation` is set, the
   // campaign runs against real orbital geometry over `target` instead of
   // the analytic plane. The visibility cache quantum is derived from the
-  // horizon (one Kepler sweep covers every episode window of a
-  // replication), and by default one seed-then-frozen cache is shared by
-  // all replications. ---
+  // horizon, so one Kepler sweep — seeded once, then frozen and shared by
+  // all replications — covers every episode window of the run. ---
   const Constellation* constellation = nullptr;
   GeoPoint target{};
   bool earth_rotation = false;
-  /// Share one frozen visibility cache across replications instead of one
-  /// private cache per replication. Results are bit-identical either way;
-  /// the knob exists for A/B benchmarking (see montecarlo).
-  bool shared_visibility = true;
 
   /// Export `sim.queue.*` DES ready-queue telemetry into `metrics` (off by
   /// default: the golden metrics files predate these keys).

@@ -16,6 +16,9 @@
 namespace oaq {
 namespace {
 
+/// Start of every episode's signal before its phase jitter.
+constexpr Duration kSignalStart = Duration::minutes(60);
+
 std::int64_t checked_add(std::int64_t a, std::int64_t b) {
   std::int64_t out = 0;
   OAQ_REQUIRE(!__builtin_add_overflow(a, b, &out),
@@ -141,7 +144,7 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
 
   // Fixed signal start well inside the horizon; the pass-pattern phase is
   // randomized instead (equivalent by stationarity).
-  const TimePoint signal_start = TimePoint::at(Duration::minutes(60));
+  const TimePoint signal_start = TimePoint::at(kSignalStart);
 
   // Tracing: one ring buffer per shard, sized up front. A shard's stream
   // depends only on its episode indices (episodes within a shard run
@@ -164,8 +167,8 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
   // noise) derives from episode_rng.fork(e): episode e's outcome does not
   // depend on which shard — or thread — runs it, making the reduction
   // bit-identical for any jobs value. In geometric mode the schedule is
-  // shard-shared (backed by the shard's VisibilityCache) and the phase
-  // jitters the episode's start time instead of the pass pattern.
+  // shard-shared (backed by the run's frozen visibility cache) and the
+  // phase jitters the episode's start time instead of the pass pattern.
   const bool geometric = config.constellation != nullptr;
   const bool fault_metrics = config.fault_plan != nullptr ||
                              config.protocol.reliable_links ||
@@ -189,33 +192,26 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
     }
   };
 
-  // The quantum is sized to cover every episode window (start jitter ≤ one
-  // period, pass horizon ≤ signal cap + τ + post-roll), so virtually every
-  // episode query quantizes to the same [0, quantum] window — one Kepler
-  // sweep serves the whole run.
-  VisibilityCache::Options vopt;
-  if (geometric) {
-    vopt.window_quantum = signal_start.since_origin() +
-                          config.constellation->max_period() +
-                          config.protocol.tau + Duration::hours(2);
-  }
-
-  // Shared mode: that one sweep is computed ONCE on the calling thread
-  // (seed), frozen, and then read lock-free by every shard — instead of
-  // once per shard with private caches. Cached values are pure functions
-  // of the query either way, so both modes are bit-identical at any jobs.
-  std::optional<SharedVisibilityCache> shared_cache;
+  // Geometric runs answer every episode's pass query from one Kepler
+  // sweep: the quantum covers every episode window, the sweep is seeded
+  // ONCE on the calling thread, frozen, and then read lock-free by every
+  // shard. Cached values are pure functions of the query, so results are
+  // bit-identical at any jobs.
+  std::optional<SharedVisibilityCache> cache;
   SeedFreezeHook seed_hook;
-  if (geometric && config.shared_visibility) {
-    shared_cache.emplace(*config.constellation, config.earth_rotation, vopt);
-    seed_hook.seed = [&shared_cache, &config, &vopt, main_spans] {
+  if (geometric) {
+    SharedVisibilityCache::Options vopt;
+    vopt.window_quantum = simulate_visibility_quantum(*config.constellation,
+                                                      config.protocol.tau);
+    cache.emplace(*config.constellation, config.earth_rotation, vopt);
+    seed_hook.seed = [&cache, &config, main_spans] {
       const ScopedSpan span(main_spans, "visibility_seed");
-      shared_cache->seed_window(config.target, Duration::zero(),
-                                vopt.window_quantum);
+      cache->seed_window(config.target, Duration::zero(),
+                         cache->options().window_quantum);
     };
-    seed_hook.freeze = [&shared_cache, main_spans] {
+    seed_hook.freeze = [&cache, main_spans] {
       const ScopedSpan span(main_spans, "visibility_freeze");
-      shared_cache->freeze();
+      cache->freeze();
     };
   }
 
@@ -264,18 +260,11 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
           }
           return acc;
         }
-        // Per-shard schedule over either the frozen shared cache (with
-        // shard-local stats — hit accounting is per-shard deterministic)
-        // or a shard-private VisibilityCache.
-        VisibilityCacheStats shared_stats;
-        std::optional<VisibilityCache> cache;
-        std::optional<GeometricSchedule> geo_schedule;
-        if (shared_cache) {
-          geo_schedule.emplace(*shared_cache, config.target, &shared_stats);
-        } else {
-          cache.emplace(*config.constellation, config.earth_rotation, vopt);
-          geo_schedule.emplace(*cache, config.target);
-        }
+        // Per-shard schedule over the frozen cache, with shard-local stats
+        // (hit accounting is per-shard deterministic).
+        VisibilityCacheStats vis_stats;
+        const GeometricSchedule geo_schedule(*cache, config.target,
+                                             &vis_stats);
         // One "episodes" span per shard, items = episode count: per-episode
         // spans would cost two clock reads each (the span_overhead gate).
         {
@@ -285,7 +274,7 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
           // shard's own thread (first touch keeps its arena local). The
           // phase jitters the start over the longest shell period, so every
           // shell's pass pattern is phase-randomized.
-          EpisodeContext context(*geo_schedule, config.protocol,
+          EpisodeContext context(geo_schedule, config.protocol,
                                  config.opportunity_adaptive,
                                  config.fault_plan);
           for (std::int64_t e = begin; e < end; ++e) {
@@ -300,16 +289,10 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
           }
         }
         if (want_metrics) {
-          const VisibilityCacheStats& vs =
-              shared_cache ? shared_stats : cache->stats();
           acc.metrics.add("visibility.pass_queries",
-                          static_cast<std::int64_t>(vs.pass_queries));
+                          static_cast<std::int64_t>(vis_stats.pass_queries));
           acc.metrics.add("visibility.pass_hits",
-                          static_cast<std::int64_t>(vs.pass_hits));
-          if (!shared_cache) {
-            acc.metrics.add("visibility.cache_entries",
-                            static_cast<std::int64_t>(cache->entry_count()));
-          }
+                          static_cast<std::int64_t>(vis_stats.pass_hits));
         }
         return acc;
       },
@@ -319,15 +302,13 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
         const ScopedSpan span(main_spans, "merge");
         into.merge(std::move(from));
       },
-      config.profile, shared_cache ? &seed_hook : nullptr);
+      config.profile, cache ? &seed_hook : nullptr);
 
-  if (shared_cache && want_metrics) {
+  if (cache && want_metrics) {
     // Global cache size, added once after the reduce (a per-shard export
     // would multiply the shared count by the shard count).
-    total.metrics.add(
-        "visibility.cache_entries",
-        static_cast<std::int64_t>(shared_cache->frozen_entries() +
-                                  shared_cache->overflow_entries()));
+    total.metrics.add("visibility.cache_entries",
+                      static_cast<std::int64_t>(cache->frozen_entries()));
   }
 
   if (want_metrics && config.check_invariants) {
@@ -360,6 +341,14 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
                 static_cast<double>(total.detected)
           : 0.0;
   return out;
+}
+
+Duration simulate_visibility_quantum(const Constellation& constellation,
+                                     Duration tau) {
+  // An episode arms at most one period after kSignalStart and queries
+  // passes up to min(d, 30 min) + τ + 60 min past its start; two hours of
+  // post-roll bound that.
+  return kSignalStart + constellation.max_period() + tau + Duration::hours(2);
 }
 
 }  // namespace oaq

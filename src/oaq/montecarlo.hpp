@@ -48,21 +48,16 @@ struct QosSimulationConfig {
   // --- Geometric mode (optional). When `constellation` is set, episodes
   // run against real orbital geometry (GeometricSchedule over `target`)
   // instead of the analytic timing diagram; `geometry`/`k` no longer
-  // shape the pass pattern. Each shard owns a VisibilityCache, so the
-  // Kepler-heavy pass extraction is paid per distinct (quantized) window
-  // rather than per episode — and results stay bit-identical for any
-  // `jobs` value because cached results are pure functions of the query.
-  // Episode start times are jittered uniformly over one orbital period
-  // (the PASTA phase randomization of the analytic mode). ---
+  // shape the pass pattern. One SharedVisibilityCache is seeded with the
+  // window of simulate_visibility_quantum() before the shards fan out and
+  // read frozen by all of them, so the Kepler-heavy pass extraction runs
+  // once per run — and results stay bit-identical for any `jobs` value
+  // because cached results are pure functions of the query. Episode start
+  // times are jittered uniformly over one orbital period (the PASTA phase
+  // randomization of the analytic mode). ---
   const Constellation* constellation = nullptr;
   GeoPoint target{};
   bool earth_rotation = false;
-  /// Share one seed-then-frozen visibility cache across all shards (the
-  /// common episode window is computed once per run instead of once per
-  /// shard). `false` restores the shard-private VisibilityCache path —
-  /// results are bit-identical either way (both caches quantize and
-  /// compute windows identically); the knob exists for A/B benchmarking.
-  bool shared_visibility = true;
 
   /// Export the DES ready-queue telemetry (`sim.queue.*` counters:
   /// run/merge/tombstone accounting) into `metrics`. Off by default: the
@@ -140,5 +135,12 @@ struct SimulatedQos {
 /// Run the experiment. Signal phases are uniform over the revisit period
 /// (PASTA); durations are Exp(µ).
 [[nodiscard]] SimulatedQos simulate_qos(const QosSimulationConfig& config);
+
+/// Visibility-window quantum of a geometric simulate_qos run over
+/// `constellation`: it covers the signal start, one longest-shell period of
+/// start jitter, τ and the episode's pass post-roll, so every episode's
+/// pass query quantizes to [0, quantum] and one seeded sweep serves the run.
+[[nodiscard]] Duration simulate_visibility_quantum(
+    const Constellation& constellation, Duration tau);
 
 }  // namespace oaq

@@ -48,23 +48,18 @@ GeometricSchedule::GeometricSchedule(const Constellation& constellation,
     : constellation_(&constellation), target_(target),
       earth_rotation_(earth_rotation) {}
 
-GeometricSchedule::GeometricSchedule(VisibilityCache& cache, GeoPoint target)
-    : constellation_(cache.constellation()), target_(target),
-      earth_rotation_(cache.earth_rotation()), cache_(&cache) {}
-
 GeometricSchedule::GeometricSchedule(const SharedVisibilityCache& cache,
                                      GeoPoint target,
                                      VisibilityCacheStats* stats)
     : constellation_(cache.constellation()), target_(target),
-      earth_rotation_(cache.earth_rotation()), shared_cache_(&cache),
-      shared_stats_(stats) {}
+      earth_rotation_(cache.earth_rotation()), cache_(&cache),
+      stats_(stats) {}
 
 std::vector<Pass> GeometricSchedule::passes(Duration from, Duration to) const {
   OAQ_REQUIRE(to > from, "pass window must be nonempty");
-  if (shared_cache_ != nullptr) {
-    return shared_cache_->passes_window(target_, from, to, shared_stats_);
+  if (cache_ != nullptr) {
+    return cache_->passes_window(target_, from, to, stats_);
   }
-  if (cache_ != nullptr) return cache_->passes_window(target_, from, to);
   const PassPredictor predictor(*constellation_, earth_rotation_);
   // PassPredictor requires a nonnegative horizon start.
   const Duration t0 = std::max(from, Duration::zero());
@@ -74,12 +69,8 @@ std::vector<Pass> GeometricSchedule::passes(Duration from, Duration to) const {
 
 void GeometricSchedule::passes_into(Duration from, Duration to,
                                     std::vector<Pass>& out) const {
-  if (shared_cache_ != nullptr) {
-    shared_cache_->passes_window_into(target_, from, to, out, shared_stats_);
-    return;
-  }
   if (cache_ != nullptr) {
-    cache_->passes_window_into(target_, from, to, out);
+    cache_->passes_window_into(target_, from, to, out, stats_);
     return;
   }
   out = passes(from, to);

@@ -18,7 +18,6 @@
 #include "analytic/geometry.hpp"
 #include "orbit/shared_visibility_cache.hpp"
 #include "orbit/visibility.hpp"
-#include "orbit/visibility_cache.hpp"
 
 namespace oaq {
 
@@ -69,28 +68,22 @@ class GeometricSchedule final : public CoverageSchedule {
   GeometricSchedule(const Constellation& constellation, GeoPoint target,
                     bool earth_rotation = false);
 
-  /// Cached variant: queries go through `cache` (quantized windows, see
-  /// VisibilityCache::passes_window), so many episodes sharing one
-  /// schedule pay the Kepler cost per distinct window instead of per
-  /// call. The cache must outlive the schedule; the schedule is intended
-  /// for single-threaded (per-shard) use, like the cache itself.
-  GeometricSchedule(VisibilityCache& cache, GeoPoint target);
-
-  /// Shared-cache variant: queries hit the frozen cross-shard cache
-  /// lock-free (hot-path callers that want the allocation-free form use
-  /// SharedVisibilityCache::passes_window_into directly). The cache must
-  /// be frozen before the first passes() call and outlive the schedule.
-  /// Create one schedule per shard; `stats`, when given, accumulates that
-  /// shard's deterministic hit/miss counts and must outlive the schedule.
+  /// Cached variant: queries read the frozen shared cache (quantized
+  /// windows, see SharedVisibilityCache::passes_window), so every episode
+  /// of a run is served from the sweep seeded once before fan-out. The
+  /// cache must be frozen before the first passes() call and outlive the
+  /// schedule. Create one schedule per shard; `stats`, when given,
+  /// accumulates that shard's deterministic hit/miss counts and must
+  /// outlive the schedule.
   GeometricSchedule(const SharedVisibilityCache& cache, GeoPoint target,
                     VisibilityCacheStats* stats = nullptr);
 
   [[nodiscard]] std::vector<Pass> passes(Duration from,
                                          Duration to) const override;
 
-  /// Allocation-free in the steady state when backed by either cache (the
-  /// quantized window is served from the cached sweep into `out`'s reused
-  /// capacity); the uncached predictor fallback delegates to passes().
+  /// Allocation-free in the steady state when backed by the cache (the
+  /// quantized window is served from the seeded sweep into `out`'s reused
+  /// capacity); the uncached predictor variant delegates to passes().
   void passes_into(Duration from, Duration to,
                    std::vector<Pass>& out) const override;
 
@@ -98,9 +91,8 @@ class GeometricSchedule final : public CoverageSchedule {
   const Constellation* constellation_;
   GeoPoint target_;
   bool earth_rotation_;
-  VisibilityCache* cache_ = nullptr;
-  const SharedVisibilityCache* shared_cache_ = nullptr;
-  VisibilityCacheStats* shared_stats_ = nullptr;
+  const SharedVisibilityCache* cache_ = nullptr;
+  VisibilityCacheStats* stats_ = nullptr;
 };
 
 /// Overlap windows (≥2 satellites simultaneously covering) in a pass list.

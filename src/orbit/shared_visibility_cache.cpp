@@ -1,18 +1,25 @@
 #include "orbit/shared_visibility_cache.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 
 namespace oaq {
 namespace {
 
-/// Quantized enclosing window — identical arithmetic to
-/// VisibilityCache::passes_window, so the two caches key (and therefore
-/// compute) exactly the same windows and return exactly the same clipped
-/// passes for any request.
+/// splitmix64 finalizer — a fast, well-distributed 64-bit mixer.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// Quantized enclosing window shared by seeding and queries, so a query
+/// keys (and therefore finds) exactly the window a seed with the same
+/// bounds computed.
 struct QuantizedWindow {
   Duration f;       ///< request start clamped to >= 0
   Duration q_from;  ///< window start rounded down to the quantum grid
@@ -44,6 +51,22 @@ void append_clipped(const std::vector<Pass>& all, Duration f, Duration to,
 
 }  // namespace
 
+std::size_t VisibilityKeyHash::operator()(const VisibilityKey& k) const {
+  std::uint64_t h = mix64(k.lat);
+  h = mix64(h ^ k.lon);
+  h = mix64(h ^ k.t0);
+  h = mix64(h ^ k.t1);
+  return static_cast<std::size_t>(h);
+}
+
+VisibilityKey make_visibility_key(const GeoPoint& target, Duration t0,
+                                  Duration t1) {
+  return VisibilityKey{std::bit_cast<std::uint64_t>(target.lat_rad),
+                       std::bit_cast<std::uint64_t>(target.lon_rad),
+                       std::bit_cast<std::uint64_t>(t0.to_seconds()),
+                       std::bit_cast<std::uint64_t>(t1.to_seconds())};
+}
+
 SharedVisibilityCache::SharedVisibilityCache(const Constellation& constellation,
                                              bool earth_rotation,
                                              Options options)
@@ -58,51 +81,19 @@ SharedVisibilityCache::SharedVisibilityCache(const Constellation& constellation,
 
 void SharedVisibilityCache::seed_window(const GeoPoint& target, Duration from,
                                         Duration to) {
-  OAQ_REQUIRE(!frozen(), "seed_window after freeze");
+  OAQ_REQUIRE(!frozen_, "seed_window after freeze");
   const QuantizedWindow w = quantize(from, to, options_.window_quantum);
   if (w.empty) return;
-  const VisibilityKey key = make_visibility_key(target, w.q_from, w.q_to);
-  Stripe& s = stripe_of(key);
-  // The stripe lock is held across the compute: a concurrent seeder of the
-  // SAME window blocks instead of duplicating the sweep, which is the
-  // whole point of seeding. Distinct windows usually land on distinct
-  // stripes and proceed in parallel.
-  const std::lock_guard<std::mutex> lock(s.mu);
-  const auto [it, inserted] = s.map.try_emplace(key);
+  const auto [it, inserted] =
+      map_.try_emplace(make_visibility_key(target, w.q_from, w.q_to));
   if (inserted) {
     it->second = predictor_.passes(target, w.q_from, w.q_to, options_.tol);
-    seed_computes_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-int SharedVisibilityCache::seed_windows(const std::vector<GeoPoint>& targets,
-                                        Duration from, Duration to, int jobs) {
-  OAQ_REQUIRE(!frozen(), "seed_windows after freeze");
-  if (targets.empty()) return 0;
-  const int n = static_cast<int>(targets.size());
-  const int executors = std::min(resolve_jobs(jobs), n);
-  if (executors <= 1) {
-    for (const GeoPoint& target : targets) seed_window(target, from, to);
-    return 1;
-  }
-  // One shard per target: each sweep is Kepler-heavy and seed_window is
-  // striped-lock thread-safe, so target granularity balances well without
-  // oversubscribing the stripes. for_each_shard joins every executor
-  // before returning, preserving the seeds-happen-before-freeze contract.
-  ThreadPool::global().for_each_shard(n, executors, [&](int i) {
-    seed_window(targets[static_cast<std::size_t>(i)], from, to);
-  });
-  return executors;
 }
 
 void SharedVisibilityCache::freeze() {
-  OAQ_REQUIRE(!frozen(), "freeze called twice");
-  for (Stripe& s : stripes_) {
-    const std::lock_guard<std::mutex> lock(s.mu);
-    frozen_map_.merge(s.map);
-    s.map.clear();
-  }
-  frozen_.store(true, std::memory_order_release);
+  OAQ_REQUIRE(!frozen_, "freeze called twice");
+  frozen_ = true;
 }
 
 void SharedVisibilityCache::passes_window_into(const GeoPoint& target,
@@ -110,30 +101,21 @@ void SharedVisibilityCache::passes_window_into(const GeoPoint& target,
                                                std::vector<Pass>& out,
                                                VisibilityCacheStats* stats)
     const {
-  OAQ_REQUIRE(frozen(), "passes_window before freeze");
+  OAQ_REQUIRE(frozen_, "passes_window before freeze");
   out.clear();
   const QuantizedWindow w = quantize(from, to, options_.window_quantum);
   if (w.empty) return;
   if (stats != nullptr) ++stats->pass_queries;
-  const VisibilityKey key = make_visibility_key(target, w.q_from, w.q_to);
-  const auto it = frozen_map_.find(key);
-  if (it != frozen_map_.end()) {
+  const auto it = map_.find(make_visibility_key(target, w.q_from, w.q_to));
+  if (it != map_.end()) {
     if (stats != nullptr) ++stats->pass_hits;
     append_clipped(it->second, w.f, to, out);
     return;
   }
-  // Overflow: an un-seeded window. Compute-once under the stripe lock; the
-  // value is a pure function of the key, so whichever shard computes it the
-  // entry is identical. Deliberately NOT a stats hit even when present —
-  // hit counts must not depend on cross-shard timing.
-  Stripe& s = stripe_of(key);
-  const std::lock_guard<std::mutex> lock(s.mu);
-  const auto [oit, inserted] = s.map.try_emplace(key);
-  if (inserted) {
-    oit->second = predictor_.passes(target, w.q_from, w.q_to, options_.tol);
-    overflow_computes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  append_clipped(oit->second, w.f, to, out);
+  // Unseeded window: the same sweep seed_window would have stored, computed
+  // for this query only (the map is read-only once frozen).
+  append_clipped(predictor_.passes(target, w.q_from, w.q_to, options_.tol),
+                 w.f, to, out);
 }
 
 std::vector<Pass> SharedVisibilityCache::passes_window(
@@ -145,17 +127,8 @@ std::vector<Pass> SharedVisibilityCache::passes_window(
 }
 
 std::size_t SharedVisibilityCache::frozen_entries() const {
-  OAQ_REQUIRE(frozen(), "frozen_entries before freeze");
-  return frozen_map_.size();
-}
-
-std::size_t SharedVisibilityCache::overflow_entries() const {
-  std::size_t n = 0;
-  for (const Stripe& s : stripes_) {
-    const std::lock_guard<std::mutex> lock(s.mu);
-    n += s.map.size();
-  }
-  return n;
+  OAQ_REQUIRE(frozen_, "frozen_entries before freeze");
+  return map_.size();
 }
 
 }  // namespace oaq

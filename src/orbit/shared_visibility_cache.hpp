@@ -1,43 +1,74 @@
-// Cross-shard shared visibility cache (ISSUE 4 tentpole).
+// Shared visibility cache: one seed → freeze pass cache per run.
 //
-// VisibilityCache is deliberately single-threaded: every Monte-Carlo shard
-// builds its own and recomputes the same (target, window) pass sweeps — at
-// 64 episode shards the identical sweep can run 64×. SharedVisibilityCache
-// is the cross-shard replacement, built around a two-phase protocol:
+// PassPredictor::passes solves Kepler's equation tens of thousands of
+// times per query (a sampling sweep plus root refinement per boundary).
+// Geometric Monte-Carlo shards and campaign replications ask for passes
+// over one target and near-identical windows once per episode; this cache
+// answers all of them from the sweeps seeded before the run fans out.
 //
-//   1. SEED (writable): seed_window() computes quantum-aligned enclosing
-//      windows compute-if-absent under striped locks. Thread-safe; the
+// Queries are quantized: passes_window() rounds the request OUT to a grid
+// of `options.window_quantum`, looks up the enclosing window, and clips the
+// result to the request. The clipped result is a pure function of the
+// request — never of cache state, thread, or call order — so sharded runs
+// stay bit-identical for any worker count.
+//
+// Two phases:
+//   1. SEED: seed_window() computes a quantum-aligned enclosing window and
+//      stores it in the map freeze() publishes. Single-threaded: the
 //      engines run it on the calling thread through the parallel_reduce
-//      seed/freeze hook before workers fan out, so the common windows are
-//      paid for exactly once per run instead of once per shard.
-//   2. FROZEN (read-mostly): freeze() consolidates the stripes into one
-//      immutable map that every shard then queries lock-free — and, via
-//      passes_window_into(), allocation-free in the steady state. Queries
-//      whose quantized window was not seeded fall back to per-stripe
-//      overflow maps (compute-once under the stripe lock).
+//      SeedFreezeHook, before any shard starts.
+//   2. FROZEN: freeze() publishes the map read-only; any number of threads
+//      then query it without locks and — via passes_window_into() —
+//      without allocating in the steady state. A query whose quantized
+//      window was not seeded computes PassPredictor::passes over that
+//      window without caching it and counts as a miss. The engines size
+//      their quantum so one seeded window covers every episode window
+//      (simulate and campaign runs report visibility.cache_entries = 1 and
+//      pass_hits = pass_queries), so that path stays cold.
 //
-// Determinism: every cached value is a pure function of its key — the
-// PassPredictor output for the quantized window — so query results never
-// depend on which thread computed an entry or in what order. Per-shard hit
-// counters stay deterministic too: a query counts as a hit iff its key is
-// in the frozen map, a set fixed at freeze(), never on overflow-map state
-// (overflow queries always count as misses, even when another shard has
-// already computed the entry).
-//
-// Synchronization contract: all seed_window() calls must happen-before
-// freeze() (join the seeding threads first); queries require frozen().
+// Synchronization contract: seed_window() and freeze() run on one thread
+// before any query, and reader threads must be started (or handed work)
+// after freeze() returns — parallel_reduce's dispatch provides that
+// happens-before edge. Queries require frozen().
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
-#include "orbit/visibility_cache.hpp"
+#include "orbit/visibility.hpp"
 
 namespace oaq {
+
+/// Per-reader hit/miss counters; exported by the engines into the metrics
+/// registry (`visibility.pass_queries`, `visibility.pass_hits`).
+struct VisibilityCacheStats {
+  std::uint64_t pass_queries = 0;
+  std::uint64_t pass_hits = 0;
+};
+
+/// Bit-exact cache key: hashing the IEEE-754 patterns makes 'same inputs'
+/// mean 'same bits' — no epsilon surprises, no false hits.
+struct VisibilityKey {
+  std::uint64_t lat = 0, lon = 0, t0 = 0, t1 = 0;
+  friend bool operator==(const VisibilityKey&, const VisibilityKey&) = default;
+};
+struct VisibilityKeyHash {
+  std::size_t operator()(const VisibilityKey& k) const;
+};
+[[nodiscard]] VisibilityKey make_visibility_key(const GeoPoint& target,
+                                                Duration t0, Duration t1);
+
+/// Tuning knobs of a SharedVisibilityCache (namespace-scope so it can
+/// serve as a defaulted constructor argument).
+struct VisibilityCacheOptions {
+  /// Boundary-refinement tolerance used for every sweep (part of the
+  /// cache's identity rather than the key).
+  Duration tol = Duration::seconds(0.01);
+  /// Grid for passes_window(): requests are rounded out to multiples of
+  /// this quantum, so nearby windows share one seeded sweep.
+  Duration window_quantum = Duration::hours(1);
+};
 
 /// Seed-then-freeze pass cache shared by all shards of a parallel run.
 class SharedVisibilityCache {
@@ -50,35 +81,22 @@ class SharedVisibilityCache {
 
   /// Seed phase: compute (if absent) the quantum-aligned window enclosing
   /// [from, to] — the same quantization passes_window() uses, so a later
-  /// query with these bounds is guaranteed a frozen-map hit. Thread-safe;
-  /// must not race with freeze().
+  /// query with these bounds is guaranteed a hit. Single-threaded; must
+  /// precede freeze().
   void seed_window(const GeoPoint& target, Duration from, Duration to);
 
-  /// Seed many targets' windows, fanning the per-target Kepler sweeps
-  /// across the global thread pool with at most `jobs` concurrent
-  /// executors (0 = auto; the caller participates). Blocks until every
-  /// sweep completed, so all seeds still happen-before a subsequent
-  /// freeze() — the barrier the two-phase protocol requires. Returns the
-  /// executor count actually used (1 = ran serially); cached entries are
-  /// pure functions of their keys, so the result set is identical for any
-  /// value.
-  int seed_windows(const std::vector<GeoPoint>& targets, Duration from,
-                   Duration to, int jobs = 0);
-
-  /// Consolidate seeded entries into the immutable lock-free map and enter
-  /// the frozen phase. Call exactly once, after all seeders have joined.
+  /// Publish the seeded entries read-only and enter the frozen phase.
+  /// Call exactly once, on the seeding thread.
   void freeze();
 
-  [[nodiscard]] bool frozen() const {
-    return frozen_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] bool frozen() const { return frozen_; }
 
   /// Frozen phase: passes intersecting [from, to] (negative `from` clamped
-  /// to 0), clipped to the window — same values, same quantization as
-  /// VisibilityCache::passes_window. Appends nothing on an empty window.
-  /// Steady state (frozen-map hit, `out` capacity reused) performs no
-  /// allocation. `stats` (optional, per-shard) counts one pass query and,
-  /// on a frozen-map hit, one pass hit.
+  /// to 0), clipped to the window. Appends nothing on an empty window.
+  /// Steady state (seeded hit, `out` capacity reused) performs no
+  /// allocation. `stats` (optional, per reader) counts one pass query and,
+  /// on a seeded hit, one pass hit; an unseeded window is computed
+  /// uncached and counts as a miss.
   void passes_window_into(const GeoPoint& target, Duration from, Duration to,
                           std::vector<Pass>& out,
                           VisibilityCacheStats* stats = nullptr) const;
@@ -94,39 +112,17 @@ class SharedVisibilityCache {
   [[nodiscard]] bool earth_rotation() const { return earth_rotation_; }
   [[nodiscard]] const Options& options() const { return options_; }
 
-  /// Entries consolidated at freeze(); requires frozen().
+  /// Seeded windows published at freeze(); requires frozen().
   [[nodiscard]] std::size_t frozen_entries() const;
-  /// Entries computed on the post-freeze miss path (locks the stripes).
-  [[nodiscard]] std::size_t overflow_entries() const;
-  /// Windows actually computed by seed_window (excludes seed-phase dedup).
-  [[nodiscard]] std::uint64_t seed_computes() const {
-    return seed_computes_.load(std::memory_order_relaxed);
-  }
 
  private:
-  static constexpr std::size_t kStripes = 16;
-
-  struct Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<VisibilityKey, std::vector<Pass>, VisibilityKeyHash>
-        map;
-  };
-
-  [[nodiscard]] Stripe& stripe_of(const VisibilityKey& key) const {
-    return stripes_[VisibilityKeyHash{}(key) % kStripes];
-  }
-
   const Constellation* constellation_;
   bool earth_rotation_;
   Options options_;
   PassPredictor predictor_;
-  /// Seed-phase entries before freeze(); overflow entries after.
-  mutable std::array<Stripe, kStripes> stripes_;
   std::unordered_map<VisibilityKey, std::vector<Pass>, VisibilityKeyHash>
-      frozen_map_;
-  std::atomic<bool> frozen_{false};
-  std::atomic<std::uint64_t> seed_computes_{0};
-  mutable std::atomic<std::uint64_t> overflow_computes_{0};
+      map_;
+  bool frozen_ = false;
 };
 
 }  // namespace oaq

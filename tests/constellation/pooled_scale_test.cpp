@@ -13,7 +13,7 @@
 #include "oaq/campaign.hpp"
 #include "oaq/montecarlo.hpp"
 #include "orbit/constellation_builder.hpp"
-#include "orbit/visibility_cache.hpp"
+#include "orbit/shared_visibility_cache.hpp"
 #include "../oaq/scalar_oracle.hpp"
 
 namespace oaq {
@@ -96,10 +96,12 @@ void expect_reuse_matches_oracle(const Constellation& c,
   s.episode_rng = Rng(19).fork(3);
   s.protocol.computation_cap = s.protocol.tg;
   s.plan = plan;
-  VisibilityCache::Options vopt;
-  vopt.window_quantum = s.signal_start.since_origin() + c.max_period() +
-                        s.protocol.tau + Duration::hours(2);
-  VisibilityCache cache(c, /*earth_rotation=*/false, vopt);
+  SharedVisibilityCache::Options vopt;
+  vopt.window_quantum = simulate_visibility_quantum(c, s.protocol.tau);
+  SharedVisibilityCache cache(c, /*earth_rotation=*/false, vopt);
+  cache.seed_window(GeoPoint{0.0, 0.0}, Duration::zero(),
+                    vopt.window_quantum);
+  cache.freeze();
   const GeometricSchedule schedule(cache, GeoPoint{0.0, 0.0});
   s.geometric = &schedule;
   const oracle::EpisodeOutputs want = oracle::run_fresh(s);
@@ -175,7 +177,7 @@ TEST(PooledEpisodes, MultiShellResultsBitIdenticalAcrossJobs) {
 
 TEST(PooledEpisodes, WarmSharedCacheHitAccountingPreserved) {
   // The reused context must not change the visibility query pattern: with
-  // the run-covering quantum, all but each shard's first query hit.
+  // the run-covering quantum, every query hits the seeded window.
   const Constellation c = ConstellationBuilder::preset("iridium-next").build();
   QosSimulationConfig cfg = geometric_config(c);
   cfg.jobs = 1;
@@ -186,9 +188,8 @@ TEST(PooledEpisodes, WarmSharedCacheHitAccountingPreserved) {
   ASSERT_TRUE(counters.contains("visibility.pass_queries"));
   ASSERT_TRUE(counters.contains("visibility.pass_hits"));
   EXPECT_GT(counters.at("visibility.pass_queries"), 0);
-  EXPECT_GT(counters.at("visibility.pass_hits"), 0);
-  EXPECT_GE(counters.at("visibility.pass_queries"),
-            counters.at("visibility.pass_hits"));
+  EXPECT_EQ(counters.at("visibility.pass_hits"),
+            counters.at("visibility.pass_queries"));
 }
 
 TEST(GeometricCampaign, PresetReplicationsBitIdenticalAcrossJobs) {

@@ -12,9 +12,10 @@
 #include <string>
 
 #include "fault/plan.hpp"
+#include "oaq/montecarlo.hpp"
 #include "oaq/schedule.hpp"
 #include "orbit/constellation_builder.hpp"
-#include "orbit/visibility_cache.hpp"
+#include "orbit/shared_visibility_cache.hpp"
 #include "scalar_oracle.hpp"
 
 namespace oaq {
@@ -79,10 +80,12 @@ TEST(EpisodeContext, ReusedMatchesFreshGeometric) {
   const Constellation c = ConstellationBuilder::preset("iridium-next").build();
   const TimePoint signal_start = TimePoint::at(Duration::minutes(60));
   ProtocolConfig protocol;
-  VisibilityCache::Options vopt;
-  vopt.window_quantum = signal_start.since_origin() + c.max_period() +
-                        protocol.tau + Duration::hours(2);
-  VisibilityCache cache(c, /*earth_rotation=*/false, vopt);
+  SharedVisibilityCache::Options vopt;
+  vopt.window_quantum = simulate_visibility_quantum(c, protocol.tau);
+  SharedVisibilityCache cache(c, /*earth_rotation=*/false, vopt);
+  cache.seed_window(GeoPoint{0.0, 0.0}, Duration::zero(),
+                    vopt.window_quantum);
+  cache.freeze();
   const GeometricSchedule schedule(cache, GeoPoint{0.0, 0.0});
   for (const bool oaq : {true, false}) {
     for (const bool storm : {false, true}) {

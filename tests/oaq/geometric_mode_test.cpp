@@ -1,11 +1,15 @@
-// Geometric Monte-Carlo / campaign mode (ISSUE 3): episodes against real
-// constellation geometry through per-shard VisibilityCaches. The contract
-// under test: the cache changes wall-clock cost only — results stay
-// bit-identical for any worker count, and cached schedules agree with a
-// fresh cache answering the same windows.
+// Geometric Monte-Carlo / campaign mode: episodes against real
+// constellation geometry through one seeded, frozen SharedVisibilityCache.
+// The contract under test: the cache changes wall-clock cost only —
+// results stay bit-identical for any worker count, cached schedules agree
+// with an uncached sweep of the same windows, and one seeded window serves
+// every pass query of a run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "oaq/campaign.hpp"
 #include "oaq/montecarlo.hpp"
@@ -33,19 +37,32 @@ QosSimulationConfig geometric_config(const Constellation& c) {
 
 TEST(GeometricMonteCarlo, CachedScheduleMatchesFreshCache) {
   const Constellation c = small_polar_plane();
-  VisibilityCache cache(c);
-  const GeometricSchedule cached(cache, GeoPoint{0.0, 0.0});
-  VisibilityCache reference(c);
-  const auto expect = reference.passes_window(
-      GeoPoint{0.0, 0.0}, Duration::minutes(5), Duration::minutes(85));
-  const auto got = cached.passes(Duration::minutes(5), Duration::minutes(85));
+  const GeoPoint target{0.0, 0.0};
+  SharedVisibilityCache cache(c);
+  cache.seed_window(target, Duration::zero(), Duration::hours(1));
+  cache.freeze();
+  VisibilityCacheStats stats;
+  const GeometricSchedule cached(cache, target, &stats);
+  // Reference: the seeded hour, swept without a cache and clipped.
+  const Duration from = Duration::minutes(5);
+  const Duration to = Duration::minutes(55);
+  std::vector<Pass> expect;
+  for (const Pass& p : PassPredictor(c).passes(target, Duration::zero(),
+                                               Duration::hours(1))) {
+    if (p.end <= from || p.start >= to) continue;
+    expect.push_back(
+        {p.satellite, std::max(p.start, from), std::min(p.end, to)});
+  }
+  const auto got = cached.passes(from, to);
+  ASSERT_FALSE(got.empty());
   ASSERT_EQ(got.size(), expect.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].satellite, expect[i].satellite);
     EXPECT_EQ(got[i].start.to_seconds(), expect[i].start.to_seconds());
     EXPECT_EQ(got[i].end.to_seconds(), expect[i].end.to_seconds());
   }
-  EXPECT_GT(cache.stats().pass_queries, 0u);
+  EXPECT_EQ(stats.pass_queries, 1u);
+  EXPECT_EQ(stats.pass_hits, 1u);
 }
 
 TEST(GeometricMonteCarlo, ResultsAreBitIdenticalAcrossJobs) {
@@ -87,61 +104,39 @@ TEST(GeometricMonteCarlo, ResultsAreBitIdenticalAcrossJobs) {
   }
 }
 
-TEST(GeometricMonteCarlo, SharedCacheMatchesPrivateCachesExactly) {
-  // The shared frozen cache is a wall-clock optimization only: cached pass
-  // lists are pure functions of the query window, so disabling it (one
-  // private VisibilityCache per shard) must reproduce results and traces
-  // byte-for-byte.
-  const Constellation c = small_polar_plane();
-  SimulatedQos base;
-  std::string base_trace;
-  for (const bool shared : {true, false}) {
-    QosSimulationConfig cfg = geometric_config(c);
-    cfg.jobs = 4;
-    cfg.shared_visibility = shared;
-    TraceCollector trace;
-    cfg.trace = &trace;
-    const SimulatedQos r = simulate_qos(cfg);
-    std::ostringstream os;
-    trace.write_jsonl(os);
-    if (shared) {
-      base = r;
-      base_trace = os.str();
-      continue;
-    }
-    for (int y = 0; y <= 3; ++y) {
-      EXPECT_EQ(r.level_pmf.probability(y), base.level_pmf.probability(y))
-          << "level " << y;
-    }
-    EXPECT_EQ(r.duplicates, base.duplicates);
-    EXPECT_EQ(r.unresolved, base.unresolved);
-    EXPECT_EQ(r.untimely, base.untimely);
-    EXPECT_EQ(r.mean_chain_length, base.mean_chain_length);
-    EXPECT_EQ(r.max_chain_length, base.max_chain_length);
-    EXPECT_EQ(os.str(), base_trace);
-  }
+/// The invariant the single seeded window relies on: every pass query of
+/// a run hits it, and it is the cache's only entry.
+void expect_single_window_hits(const MetricsRegistry& metrics,
+                               const std::string& label) {
+  const auto& counters = metrics.counters();
+  ASSERT_TRUE(counters.contains("visibility.pass_queries")) << label;
+  ASSERT_TRUE(counters.contains("visibility.pass_hits")) << label;
+  ASSERT_TRUE(counters.contains("visibility.cache_entries")) << label;
+  EXPECT_GT(counters.at("visibility.pass_queries"), 0) << label;
+  EXPECT_EQ(counters.at("visibility.pass_hits"),
+            counters.at("visibility.pass_queries"))
+      << label;
+  EXPECT_EQ(counters.at("visibility.cache_entries"), 1) << label;
 }
 
 TEST(GeometricMonteCarlo, ExportsCacheHitMetrics) {
   const Constellation c = small_polar_plane();
-  QosSimulationConfig cfg = geometric_config(c);
-  // More episodes than shards, so shards hold several episodes and the
-  // shard-wide quantum turns all but the first query into hits.
-  cfg.episodes = 130;
-  cfg.jobs = 1;
-  MetricsRegistry metrics;
-  cfg.metrics = &metrics;
-  (void)simulate_qos(cfg);
-  const auto& counters = metrics.counters();
-  ASSERT_TRUE(counters.contains("visibility.pass_queries"));
-  ASSERT_TRUE(counters.contains("visibility.pass_hits"));
-  ASSERT_TRUE(counters.contains("visibility.cache_entries"));
-  const auto queries = counters.at("visibility.pass_queries");
-  const auto hits = counters.at("visibility.pass_hits");
-  EXPECT_GT(queries, 0);
-  EXPECT_GE(queries, hits);
-  // Quantized windows make most of a shard's episodes share entries.
-  EXPECT_GT(hits, 0);
+  // On the equator without Earth rotation, and off-equator with it: the
+  // simulate quantum must cover every episode window either way.
+  for (const bool rotating : {false, true}) {
+    QosSimulationConfig cfg = geometric_config(c);
+    cfg.episodes = 130;
+    cfg.jobs = 1;
+    if (rotating) {
+      cfg.target = GeoPoint::from_degrees(45.0, 10.0);
+      cfg.earth_rotation = true;
+    }
+    MetricsRegistry metrics;
+    cfg.metrics = &metrics;
+    (void)simulate_qos(cfg);
+    expect_single_window_hits(metrics, rotating ? "45N 10E rotating"
+                                                : "equator inertial");
+  }
 }
 
 TEST(GeometricCampaign, RunsOnRealGeometryAndReportsCacheStats) {
@@ -159,9 +154,36 @@ TEST(GeometricCampaign, RunsOnRealGeometryAndReportsCacheStats) {
   const CampaignResult r = run_campaign(cfg);
   EXPECT_GT(r.signals, 0);
   EXPECT_GT(r.delivered, 0);
-  const auto& counters = metrics.counters();
-  ASSERT_TRUE(counters.contains("visibility.pass_queries"));
-  EXPECT_GT(counters.at("visibility.pass_hits"), 0);
+  expect_single_window_hits(metrics, "equator inertial");
+
+  cfg.target = GeoPoint::from_degrees(45.0, 10.0);
+  cfg.earth_rotation = true;
+  cfg.replications = 3;
+  MetricsRegistry rotating;
+  cfg.metrics = &rotating;
+  (void)run_campaign(cfg);
+  expect_single_window_hits(rotating, "45N 10E rotating, 3 replications");
+}
+
+TEST(GeometricCampaign, SingleReplicationProfileReportsTheSeed) {
+  // A one-replication run goes through the same seed/freeze hook as any
+  // other count, so its profile splits the seed sweep from the run.
+  const Constellation c = small_polar_plane();
+  CampaignConfig cfg;
+  cfg.constellation = &c;
+  cfg.target = GeoPoint{0.0, 0.0};
+  cfg.k = 10;
+  cfg.signal_arrival_rate = Rate::per_hour(4.0);
+  cfg.horizon = Duration::hours(3);
+  cfg.seed = 9;
+  cfg.jobs = 1;
+  ReduceProfile profile;
+  cfg.profile = &profile;
+  (void)run_campaign(cfg);
+  ASSERT_EQ(profile.shards.size(), 1u);
+  EXPECT_EQ(profile.shards_used, 1);
+  EXPECT_GT(profile.seed_s, 0.0);
+  EXPECT_LT(profile.shards[0].run_s, profile.total_s);
 }
 
 TEST(GeometricCampaign, ReplicationsAreBitIdenticalAcrossJobs) {
@@ -184,36 +206,6 @@ TEST(GeometricCampaign, ReplicationsAreBitIdenticalAcrossJobs) {
     }
     EXPECT_EQ(r.signals, base.signals);
     EXPECT_EQ(r.delivered, base.delivered);
-    EXPECT_EQ(r.mean_latency_min, base.mean_latency_min);
-    for (int y = 0; y <= 3; ++y) {
-      EXPECT_EQ(r.levels.probability(y), base.levels.probability(y));
-    }
-  }
-}
-
-TEST(GeometricCampaign, SharedCacheMatchesPrivateCachesExactly) {
-  const Constellation c = small_polar_plane();
-  CampaignConfig cfg;
-  cfg.constellation = &c;
-  cfg.target = GeoPoint{0.0, 0.0};
-  cfg.k = 10;
-  cfg.signal_arrival_rate = Rate::per_hour(4.0);
-  cfg.horizon = Duration::hours(3);
-  cfg.seed = 9;
-  cfg.replications = 3;
-  cfg.jobs = 3;
-  CampaignResult base;
-  for (const bool shared : {true, false}) {
-    cfg.shared_visibility = shared;
-    const CampaignResult r = run_campaign(cfg);
-    if (shared) {
-      base = r;
-      continue;
-    }
-    EXPECT_EQ(r.signals, base.signals);
-    EXPECT_EQ(r.delivered, base.delivered);
-    EXPECT_EQ(r.untimely, base.untimely);
-    EXPECT_EQ(r.duplicates, base.duplicates);
     EXPECT_EQ(r.mean_latency_min, base.mean_latency_min);
     for (int y = 0; y <= 3; ++y) {
       EXPECT_EQ(r.levels.probability(y), base.levels.probability(y));
