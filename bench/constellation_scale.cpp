@@ -63,10 +63,10 @@ QosSimulationConfig scale_config(const Constellation& c, int episodes) {
 /// The frozen visibility cache simulate_qos seeds for `cfg` over `c`.
 SharedVisibilityCache seeded_cache(const Constellation& c,
                                    const QosSimulationConfig& cfg) {
-  SharedVisibilityCache::Options vopt;
-  vopt.window_quantum = simulate_visibility_quantum(c, cfg.protocol.tau);
-  SharedVisibilityCache cache(c, cfg.earth_rotation, vopt);
-  cache.seed_window(cfg.target, Duration::zero(), vopt.window_quantum);
+  const Duration quantum =
+      visibility_quantum(kSignalStart + c.max_period(), cfg.protocol.tau);
+  SharedVisibilityCache cache(c, cfg.earth_rotation, {quantum});
+  cache.seed_window(cfg.target, Duration::zero(), quantum);
   cache.freeze();
   return cache;
 }
@@ -91,9 +91,9 @@ std::uint64_t reused_steady_state_allocs(const Constellation& c,
                                          std::int64_t warm,
                                          std::int64_t total) {
   const QosSimulationConfig cfg = scale_config(c, 1);
-  const TimePoint signal_start = TimePoint::at(Duration::minutes(60));
+  const TimePoint signal_start = TimePoint::at(kSignalStart);
   const SharedVisibilityCache cache = seeded_cache(c, cfg);
-  const GeometricSchedule schedule(cache, cfg.target);
+  const GeometricSchedule schedule(cache);
   EpisodeContext context(schedule, cfg.protocol, cfg.opportunity_adaptive);
   const ExponentialDuration duration_law(cfg.mu);
   const Rng episode_rng = Rng(cfg.seed).fork(3);
@@ -132,9 +132,9 @@ struct AbThroughput {
 AbThroughput pooled_vs_naive(const Constellation& c, std::int64_t naive_n,
                              std::int64_t pooled_n) {
   const QosSimulationConfig cfg = scale_config(c, 1);
-  const TimePoint signal_start = TimePoint::at(Duration::minutes(60));
+  const TimePoint signal_start = TimePoint::at(kSignalStart);
   const SharedVisibilityCache cache = seeded_cache(c, cfg);
-  const GeometricSchedule schedule(cache, cfg.target);
+  const GeometricSchedule schedule(cache);
   EpisodeContext context(schedule, cfg.protocol, cfg.opportunity_adaptive);
   const EpisodeEngine engine(schedule, cfg.protocol,
                              cfg.opportunity_adaptive);

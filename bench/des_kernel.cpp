@@ -154,7 +154,7 @@ VisibilityNumbers visibility_cached_vs_uncached(int queries) {
   opt.window_quantum = Duration::hours(6);
   SharedVisibilityCache cache(c, false, opt);
   VisibilityCacheStats stats;
-  const GeometricSchedule cached(cache, target, &stats);
+  const GeometricSchedule cached(cache, &stats);
 
   VisibilityNumbers out;
   std::uint64_t salt = 1;

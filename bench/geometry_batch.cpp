@@ -126,7 +126,7 @@ ThroughputPair solve_throughput(int samples, int reps) {
 
 /// Steady-state allocations per frozen-cache query: seed, freeze, warm the
 /// output vector's capacity once, then count operator-new calls across
-/// repeated sub-window queries (all frozen hits). The acceptance gate is
+/// repeated sub-window queries of the seeded table. The acceptance gate is
 /// exactly zero.
 std::uint64_t frozen_query_allocs(const Constellation& c, int queries) {
   SharedVisibilityCache::Options opt;
@@ -140,7 +140,7 @@ std::uint64_t frozen_query_allocs(const Constellation& c, int queries) {
   std::vector<Pass> out;
   std::size_t sink = 0;
   // Jittered sub-windows of the seeded quantum — the Monte-Carlo access
-  // pattern; every one quantizes to the frozen entry.
+  // pattern; every one lies inside the seeded table.
   std::uint64_t salt = 1;
   const auto window = [&salt] {
     salt = salt * 2862933555777941757ull + 3037000493ull;

@@ -10,21 +10,9 @@
 #include "fault/invariants.hpp"
 #include "fault/plan.hpp"
 #include "oaq/batch_episode.hpp"
-#include "orbit/shared_visibility_cache.hpp"
 
 namespace oaq {
 namespace {
-
-/// Visibility-window quantum covering every episode a replication can arm:
-/// arrivals start 60 min into the run, the horizon bounds the last start,
-/// and an episode's pass queries extend at most τ plus post-roll past it.
-/// One quantized window — one Kepler sweep — therefore serves the whole
-/// replication, where the former fixed 1 h default recomputed a sweep per
-/// hour of horizon.
-Duration campaign_visibility_quantum(const CampaignConfig& config) {
-  return Duration::minutes(60) + config.horizon + config.protocol.tau +
-         Duration::hours(2);
-}
 
 /// Mergeable tallies for one or more campaign replications. Counters and
 /// pmf weights are integral, so any grouping merges exactly; the latency
@@ -61,8 +49,8 @@ struct CampaignAccum {
 
 /// One replication, seeded by `master`. `trace` is this replication's
 /// shard buffer (null = tracing disabled); `want_metrics` fills the
-/// accumulator's registry; `cache` is the run's frozen visibility cache
-/// (null in analytic mode).
+/// accumulator's registry; `cache` is the run's frozen pass table (null
+/// in analytic mode).
 CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
                                   ShardTraceBuffer* trace, bool want_metrics,
                                   const SharedVisibilityCache* cache,
@@ -108,8 +96,7 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
                                    config.geometry.tr(config.k))
                : Duration::zero();
   if (cache != nullptr) {
-    schedule = std::make_unique<GeometricSchedule>(*cache, config.target,
-                                                   &vis_stats);
+    schedule = std::make_unique<GeometricSchedule>(*cache, &vis_stats);
   } else {
     schedule = std::make_unique<AnalyticSchedule>(config.geometry, config.k,
                                                   phase);
@@ -123,7 +110,7 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
   // schedules its own detection event).
   std::vector<std::unique_ptr<Rng>> episode_rngs;
   std::vector<std::unique_ptr<TargetEpisode>> episodes;
-  TimePoint t = TimePoint::origin() + Duration::minutes(60);
+  TimePoint t = TimePoint::origin() + kSignalStart;
   const TimePoint end = TimePoint::origin() + config.horizon;
   int target_id = 0;
   // The arrivals span brackets the Poisson draw + arm loop; items = the
@@ -274,7 +261,10 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
           static_cast<std::int64_t>(net_stats.dropped_dead_sender +
                                     net_stats.dropped_dead_receiver +
                                     net_stats.dropped_unregistered));
-    if (config.protocol.reliable_links || plan != nullptr) {
+    // The fault and health families use simulate_qos's gates and keys, so
+    // one flag set yields one link/health key set in either engine.
+    if (config.fault_plan != nullptr || config.protocol.reliable_links ||
+        config.protocol.self_healing_links) {
       // Gated like sim.queue.*: the golden metrics files predate these.
       m.add("xlink.dropped_link",
             static_cast<std::int64_t>(net_stats.dropped_link));
@@ -297,8 +287,14 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
             static_cast<std::int64_t>(net_stats.link_probes));
       m.add("net.health.probations",
             static_cast<std::int64_t>(net_stats.link_probations));
-      m.add("net.health.reroutes",
+      m.add("episodes.reroutes",
             static_cast<std::int64_t>(net_stats.reroutes));
+      m.add("net.lifecycle.deaths",
+            static_cast<std::int64_t>(
+                injector ? injector->stats().lifecycle_deaths : 0));
+      m.add("net.lifecycle.spares",
+            static_cast<std::int64_t>(
+                injector ? injector->stats().lifecycle_spares : 0));
     }
     m.add("sim.events", static_cast<std::int64_t>(sim.processed_count()));
     m.observe("sim.peak_pending",
@@ -363,26 +359,17 @@ CampaignResult run_campaign(const CampaignConfig& config) {
                                    : nullptr;
   };
 
-  // Run-wide visibility cache: the horizon window is seeded once on the
-  // calling thread and frozen before any replication runs — every
-  // replication then reads the same sweep lock-free.
-  std::optional<SharedVisibilityCache> cache;
-  SeedFreezeHook seed_hook;
+  // Run-wide pass table: the horizon window is seeded once on the calling
+  // thread and frozen before any replication runs — every replication then
+  // reads the same sweep lock-free.
+  std::optional<RunPassTable> table;
   if (config.constellation != nullptr) {
-    SharedVisibilityCache::Options vopt;
-    vopt.window_quantum = campaign_visibility_quantum(config);
-    cache.emplace(*config.constellation, config.earth_rotation, vopt);
-    seed_hook.seed = [&cache, &config, main_spans] {
-      const ScopedSpan span(main_spans, "visibility_seed");
-      cache->seed_window(config.target, Duration::zero(),
-                         cache->options().window_quantum);
-    };
-    seed_hook.freeze = [&cache, main_spans] {
-      const ScopedSpan span(main_spans, "visibility_freeze");
-      cache->freeze();
-    };
+    table.emplace(*config.constellation, config.earth_rotation, config.target,
+                  visibility_quantum(kSignalStart + config.horizon,
+                                     config.protocol.tau),
+                  main_spans);
   }
-  const SharedVisibilityCache* cache_ptr = cache ? &*cache : nullptr;
+  const SharedVisibilityCache* cache_ptr = table ? &table->cache : nullptr;
 
   // One shard per replication, merged in replication order, so the
   // aggregate is bit-identical for any jobs value. A single replication
@@ -413,11 +400,12 @@ CampaignResult run_campaign(const CampaignConfig& config) {
         const ScopedSpan span(main_spans, "merge");
         into.merge(from);
       },
-      config.profile, cache ? &seed_hook : nullptr);
-  if (cache && want_metrics) {
-    // Global cache size, once — not per replication.
-    total.metrics.add("visibility.cache_entries",
-                      static_cast<std::int64_t>(cache->frozen_entries()));
+      config.profile, table ? &table->hook : nullptr);
+  if (table && want_metrics) {
+    // Global table count, once — not per replication.
+    total.metrics.add(
+        "visibility.cache_entries",
+        static_cast<std::int64_t>(table->cache.frozen_entries()));
   }
   if (want_metrics && config.check_invariants) {
     total.metrics.add(

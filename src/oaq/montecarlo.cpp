@@ -11,13 +11,10 @@
 #include "fault/plan.hpp"
 #include "obs/ledger.hpp"
 #include "oaq/batch_episode.hpp"
-#include "orbit/shared_visibility_cache.hpp"
+#include "oaq/schedule.hpp"
 
 namespace oaq {
 namespace {
-
-/// Start of every episode's signal before its phase jitter.
-constexpr Duration kSignalStart = Duration::minutes(60);
 
 std::int64_t checked_add(std::int64_t a, std::int64_t b) {
   std::int64_t out = 0;
@@ -192,27 +189,19 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
     }
   };
 
-  // Geometric runs answer every episode's pass query from one Kepler
-  // sweep: the quantum covers every episode window, the sweep is seeded
-  // ONCE on the calling thread, frozen, and then read lock-free by every
-  // shard. Cached values are pure functions of the query, so results are
-  // bit-identical at any jobs.
-  std::optional<SharedVisibilityCache> cache;
-  SeedFreezeHook seed_hook;
+  // Geometric runs answer every episode's pass query from one pass table:
+  // its window covers every episode window (the phase jitters starts over
+  // one longest-shell period), it is seeded ONCE on the calling thread,
+  // frozen, and then read lock-free by every shard. Clipped table values
+  // are pure functions of the query, so results are bit-identical at any
+  // jobs.
+  std::optional<RunPassTable> table;
   if (geometric) {
-    SharedVisibilityCache::Options vopt;
-    vopt.window_quantum = simulate_visibility_quantum(*config.constellation,
-                                                      config.protocol.tau);
-    cache.emplace(*config.constellation, config.earth_rotation, vopt);
-    seed_hook.seed = [&cache, &config, main_spans] {
-      const ScopedSpan span(main_spans, "visibility_seed");
-      cache->seed_window(config.target, Duration::zero(),
-                         cache->options().window_quantum);
-    };
-    seed_hook.freeze = [&cache, main_spans] {
-      const ScopedSpan span(main_spans, "visibility_freeze");
-      cache->freeze();
-    };
+    table.emplace(*config.constellation, config.earth_rotation, config.target,
+                  visibility_quantum(kSignalStart +
+                                         config.constellation->max_period(),
+                                     config.protocol.tau),
+                  main_spans);
   }
 
   EpisodeAccum total = parallel_reduce<EpisodeAccum>(
@@ -260,11 +249,10 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
           }
           return acc;
         }
-        // Per-shard schedule over the frozen cache, with shard-local stats
-        // (hit accounting is per-shard deterministic).
+        // Per-shard schedule over the frozen table, with shard-local stats
+        // (query accounting is per-shard deterministic).
         VisibilityCacheStats vis_stats;
-        const GeometricSchedule geo_schedule(*cache, config.target,
-                                             &vis_stats);
+        const GeometricSchedule geo_schedule(table->cache, &vis_stats);
         // One "episodes" span per shard, items = episode count: per-episode
         // spans would cost two clock reads each (the span_overhead gate).
         {
@@ -302,13 +290,14 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
         const ScopedSpan span(main_spans, "merge");
         into.merge(std::move(from));
       },
-      config.profile, cache ? &seed_hook : nullptr);
+      config.profile, table ? &table->hook : nullptr);
 
-  if (cache && want_metrics) {
-    // Global cache size, added once after the reduce (a per-shard export
+  if (table && want_metrics) {
+    // Global table count, added once after the reduce (a per-shard export
     // would multiply the shared count by the shard count).
-    total.metrics.add("visibility.cache_entries",
-                      static_cast<std::int64_t>(cache->frozen_entries()));
+    total.metrics.add(
+        "visibility.cache_entries",
+        static_cast<std::int64_t>(table->cache.frozen_entries()));
   }
 
   if (want_metrics && config.check_invariants) {
@@ -341,14 +330,6 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
                 static_cast<double>(total.detected)
           : 0.0;
   return out;
-}
-
-Duration simulate_visibility_quantum(const Constellation& constellation,
-                                     Duration tau) {
-  // An episode arms at most one period after kSignalStart and queries
-  // passes up to min(d, 30 min) + τ + 60 min past its start; two hours of
-  // post-roll bound that.
-  return kSignalStart + constellation.max_period() + tau + Duration::hours(2);
 }
 
 }  // namespace oaq

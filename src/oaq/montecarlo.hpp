@@ -48,13 +48,13 @@ struct QosSimulationConfig {
   // --- Geometric mode (optional). When `constellation` is set, episodes
   // run against real orbital geometry (GeometricSchedule over `target`)
   // instead of the analytic timing diagram; `geometry`/`k` no longer
-  // shape the pass pattern. One SharedVisibilityCache is seeded with the
-  // window of simulate_visibility_quantum() before the shards fan out and
+  // shape the pass pattern. One pass table (RunPassTable over
+  // [0, visibility_quantum()]) is seeded before the shards fan out and
   // read frozen by all of them, so the Kepler-heavy pass extraction runs
   // once per run — and results stay bit-identical for any `jobs` value
-  // because cached results are pure functions of the query. Episode start
-  // times are jittered uniformly over one orbital period (the PASTA phase
-  // randomization of the analytic mode). ---
+  // because clipped table values are pure functions of the query. Episode
+  // start times are jittered uniformly over one orbital period (the PASTA
+  // phase randomization of the analytic mode). ---
   const Constellation* constellation = nullptr;
   GeoPoint target{};
   bool earth_rotation = false;
@@ -135,12 +135,5 @@ struct SimulatedQos {
 /// Run the experiment. Signal phases are uniform over the revisit period
 /// (PASTA); durations are Exp(µ).
 [[nodiscard]] SimulatedQos simulate_qos(const QosSimulationConfig& config);
-
-/// Visibility-window quantum of a geometric simulate_qos run over
-/// `constellation`: it covers the signal start, one longest-shell period of
-/// start jitter, τ and the episode's pass post-roll, so every episode's
-/// pass query quantizes to [0, quantum] and one seeded sweep serves the run.
-[[nodiscard]] Duration simulate_visibility_quantum(
-    const Constellation& constellation, Duration tau);
 
 }  // namespace oaq

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "obs/span.hpp"
 
 namespace oaq {
 
@@ -49,16 +50,13 @@ GeometricSchedule::GeometricSchedule(const Constellation& constellation,
       earth_rotation_(earth_rotation) {}
 
 GeometricSchedule::GeometricSchedule(const SharedVisibilityCache& cache,
-                                     GeoPoint target,
                                      VisibilityCacheStats* stats)
-    : constellation_(cache.constellation()), target_(target),
-      earth_rotation_(cache.earth_rotation()), cache_(&cache),
-      stats_(stats) {}
+    : cache_(&cache), stats_(stats) {}
 
 std::vector<Pass> GeometricSchedule::passes(Duration from, Duration to) const {
   OAQ_REQUIRE(to > from, "pass window must be nonempty");
   if (cache_ != nullptr) {
-    return cache_->passes_window(target_, from, to, stats_);
+    return cache_->passes_window(cache_->target(), from, to, stats_);
   }
   const PassPredictor predictor(*constellation_, earth_rotation_);
   // PassPredictor requires a nonnegative horizon start.
@@ -70,10 +68,28 @@ std::vector<Pass> GeometricSchedule::passes(Duration from, Duration to) const {
 void GeometricSchedule::passes_into(Duration from, Duration to,
                                     std::vector<Pass>& out) const {
   if (cache_ != nullptr) {
-    cache_->passes_window_into(target_, from, to, out, stats_);
+    cache_->passes_window_into(cache_->target(), from, to, out, stats_);
     return;
   }
   out = passes(from, to);
+}
+
+Duration visibility_quantum(Duration latest_start, Duration tau) {
+  return latest_start + tau + Duration::hours(2);
+}
+
+RunPassTable::RunPassTable(const Constellation& constellation,
+                           bool earth_rotation, GeoPoint target,
+                           Duration quantum, SpanArena* spans)
+    : cache(constellation, earth_rotation, {quantum}) {
+  hook.seed = [this, target, quantum, spans] {
+    const ScopedSpan span(spans, "visibility_seed");
+    cache.seed_window(target, Duration::zero(), quantum);
+  };
+  hook.freeze = [this, spans] {
+    const ScopedSpan span(spans, "visibility_freeze");
+    cache.freeze();
+  };
 }
 
 std::optional<Duration> first_overlap_start(const std::vector<Pass>& passes,

@@ -16,10 +16,13 @@
 #include <vector>
 
 #include "analytic/geometry.hpp"
+#include "common/parallel.hpp"
 #include "orbit/shared_visibility_cache.hpp"
 #include "orbit/visibility.hpp"
 
 namespace oaq {
+
+class SpanArena;  // src/obs/span.hpp
 
 /// Abstract source of satellite passes over one target.
 class CoverageSchedule {
@@ -68,31 +71,59 @@ class GeometricSchedule final : public CoverageSchedule {
   GeometricSchedule(const Constellation& constellation, GeoPoint target,
                     bool earth_rotation = false);
 
-  /// Cached variant: queries read the frozen shared cache (quantized
-  /// windows, see SharedVisibilityCache::passes_window), so every episode
-  /// of a run is served from the sweep seeded once before fan-out. The
-  /// cache must be frozen before the first passes() call and outlive the
-  /// schedule. Create one schedule per shard; `stats`, when given,
-  /// accumulates that shard's deterministic hit/miss counts and must
-  /// outlive the schedule.
-  GeometricSchedule(const SharedVisibilityCache& cache, GeoPoint target,
-                    VisibilityCacheStats* stats = nullptr);
+  /// Cached variant over the table's seeded target: queries clip the
+  /// frozen pass table (see SharedVisibilityCache::passes_window), so every
+  /// episode of a run is served from the sweep seeded once before fan-out.
+  /// The cache must be frozen before the first passes() call and outlive
+  /// the schedule. Create one schedule per shard; `stats`, when given,
+  /// accumulates that shard's deterministic query counts and must outlive
+  /// the schedule.
+  explicit GeometricSchedule(const SharedVisibilityCache& cache,
+                             VisibilityCacheStats* stats = nullptr);
 
   [[nodiscard]] std::vector<Pass> passes(Duration from,
                                          Duration to) const override;
 
   /// Allocation-free in the steady state when backed by the cache (the
-  /// quantized window is served from the seeded sweep into `out`'s reused
+  /// window is clipped from the seeded table into `out`'s reused
   /// capacity); the uncached predictor variant delegates to passes().
   void passes_into(Duration from, Duration to,
                    std::vector<Pass>& out) const override;
 
  private:
-  const Constellation* constellation_;
-  GeoPoint target_;
-  bool earth_rotation_;
+  const Constellation* constellation_ = nullptr;
+  GeoPoint target_{};
+  bool earth_rotation_ = false;
   const SharedVisibilityCache* cache_ = nullptr;
   VisibilityCacheStats* stats_ = nullptr;
+};
+
+/// Earliest signal start of a geometric run: simulate_qos starts every
+/// signal here before its phase jitter, and run_campaign draws its
+/// arrivals after it.
+inline constexpr Duration kSignalStart = Duration::minutes(60);
+
+/// Pass-table quantum of a geometric run whose signals start no later
+/// than `latest_start`: an episode queries passes up to min(d, 30 min) + τ
+/// + 60 min past its start, which two hours of post-roll bound, so every
+/// query of the run lies in the seeded window [0, quantum]. simulate_qos
+/// passes kSignalStart plus the longest shell period (its start jitter),
+/// run_campaign kSignalStart plus the horizon.
+[[nodiscard]] Duration visibility_quantum(Duration latest_start,
+                                          Duration tau);
+
+/// A geometric run's pass table over `target` and [0, quantum], with the
+/// parallel_reduce hook that seeds it (span `visibility_seed`) and freezes
+/// it (span `visibility_freeze`) on the calling thread before any shard
+/// starts. Not copyable: the hook refers to the table.
+struct RunPassTable {
+  RunPassTable(const Constellation& constellation, bool earth_rotation,
+               GeoPoint target, Duration quantum, SpanArena* spans);
+  RunPassTable(const RunPassTable&) = delete;
+  RunPassTable& operator=(const RunPassTable&) = delete;
+
+  SharedVisibilityCache cache;
+  SeedFreezeHook hook;
 };
 
 /// Overlap windows (≥2 satellites simultaneously covering) in a pass list.

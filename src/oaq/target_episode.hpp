@@ -1,6 +1,6 @@
-// Per-target protocol state machine — the engine behind EpisodeEngine
-// (single signal) and MultiTargetEngine (concurrent signals with compute
-// contention).
+// Per-target protocol state machine — the engine behind EpisodeContext
+// (one signal per episode) and run_campaign (concurrent signals with
+// compute contention).
 //
 // A TargetEpisode owns one signal's protocol lifecycle over a Simulator
 // and CrosslinkNetwork it does NOT own; several episodes can share both.

@@ -87,8 +87,12 @@ std::vector<Pass> PassPredictor::passes(const GeoPoint& target, Duration t0,
     }
   }
 
+  // Total order: passes that start together (e.g. every satellite already
+  // covering the target at t0) sort by satellite, so the table never
+  // depends on the standard library's unstable sort.
   std::sort(result.begin(), result.end(), [](const Pass& a, const Pass& b) {
-    return a.start < b.start;
+    if (a.start != b.start) return a.start < b.start;
+    return a.satellite < b.satellite;
   });
   return result;
 }

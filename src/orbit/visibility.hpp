@@ -54,7 +54,8 @@ class PassPredictor {
   explicit PassPredictor(const Constellation& constellation,
                          bool earth_rotation = false);
 
-  /// All passes over `target` within [t0, t1], sorted by start time.
+  /// All passes over `target` within [t0, t1], sorted by start time, then
+  /// by satellite (plane, slot).
   /// Boundary crossings are refined to `tol` by bisection/Brent.
   [[nodiscard]] std::vector<Pass> passes(const GeoPoint& target, Duration t0,
                                          Duration t1,

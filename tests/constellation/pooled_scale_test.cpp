@@ -96,13 +96,12 @@ void expect_reuse_matches_oracle(const Constellation& c,
   s.episode_rng = Rng(19).fork(3);
   s.protocol.computation_cap = s.protocol.tg;
   s.plan = plan;
-  SharedVisibilityCache::Options vopt;
-  vopt.window_quantum = simulate_visibility_quantum(c, s.protocol.tau);
-  SharedVisibilityCache cache(c, /*earth_rotation=*/false, vopt);
-  cache.seed_window(GeoPoint{0.0, 0.0}, Duration::zero(),
-                    vopt.window_quantum);
+  const Duration quantum =
+      visibility_quantum(kSignalStart + c.max_period(), s.protocol.tau);
+  SharedVisibilityCache cache(c, /*earth_rotation=*/false, {quantum});
+  cache.seed_window(GeoPoint{0.0, 0.0}, Duration::zero(), quantum);
   cache.freeze();
-  const GeometricSchedule schedule(cache, GeoPoint{0.0, 0.0});
+  const GeometricSchedule schedule(cache);
   s.geometric = &schedule;
   const oracle::EpisodeOutputs want = oracle::run_fresh(s);
   oracle::expect_same_outputs(oracle::run_reused(s), want, label);

@@ -1,7 +1,9 @@
 // Golden-file equivalence with the seed DES kernel (ISSUE 3).
 //
 // tests/data/golden_* were captured from the pre-pooling kernel with the
-// exact oaqctl invocations documented in tests/data/README.md. The pooled
+// oaqctl invocations documented in tests/data/README.md; the metrics
+// goldens hold the library-default key set of the configurations below
+// (tests/data/README.md lists what today's oaqctl adds). The pooled
 // kernel, flat network dispatch, and any future hot-path change must
 // reproduce those bytes exactly — trace JSONL and metrics JSON are fully
 // deterministic for a fixed seed at any worker count. A mismatch here

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "common/error.hpp"
 #include "oaq/montecarlo.hpp"
 
@@ -102,5 +105,44 @@ TEST(Campaign, RejectsBadConfig) {
   EXPECT_THROW((void)run_campaign(cfg), PreconditionError);
 }
 
+
+/// The crosslink, net.* and re-route counters of a registry: the link and
+/// health keys both engines export.
+std::set<std::string> link_keys(const MetricsRegistry& m) {
+  std::set<std::string> keys;
+  for (const auto& [name, value] : m.counters()) {
+    if (name.starts_with("xlink.") || name.starts_with("net.") ||
+        name == "episodes.reroutes") {
+      keys.insert(name);
+    }
+  }
+  return keys;
+}
+
+TEST(Campaign, SelfHealingExportsTheSimulateLinkKeySet) {
+  // One flag set, one key set: a self-healing campaign exports the same
+  // link and health counters as a self-healing simulate_qos run.
+  auto cfg = base_config();
+  cfg.horizon = Duration::hours(10);
+  cfg.protocol.self_healing_links = true;
+  MetricsRegistry campaign_metrics;
+  cfg.metrics = &campaign_metrics;
+  (void)run_campaign(cfg);
+
+  QosSimulationConfig sim;
+  sim.k = 9;
+  sim.episodes = 200;
+  sim.protocol.self_healing_links = true;
+  MetricsRegistry simulate_metrics;
+  sim.metrics = &simulate_metrics;
+  (void)simulate_qos(sim);
+
+  const std::set<std::string> keys = link_keys(simulate_metrics);
+  EXPECT_TRUE(keys.contains("xlink.dropped_link"));
+  EXPECT_TRUE(keys.contains("net.fault.injected"));
+  EXPECT_TRUE(keys.contains("net.lifecycle.deaths"));
+  EXPECT_TRUE(keys.contains("episodes.reroutes"));
+  EXPECT_EQ(link_keys(campaign_metrics), keys);
+}
 }  // namespace
 }  // namespace oaq

@@ -78,15 +78,14 @@ TEST(EpisodeContext, ReusedMatchesFreshAnalytic) {
 
 TEST(EpisodeContext, ReusedMatchesFreshGeometric) {
   const Constellation c = ConstellationBuilder::preset("iridium-next").build();
-  const TimePoint signal_start = TimePoint::at(Duration::minutes(60));
+  const TimePoint signal_start = TimePoint::at(kSignalStart);
   ProtocolConfig protocol;
-  SharedVisibilityCache::Options vopt;
-  vopt.window_quantum = simulate_visibility_quantum(c, protocol.tau);
-  SharedVisibilityCache cache(c, /*earth_rotation=*/false, vopt);
-  cache.seed_window(GeoPoint{0.0, 0.0}, Duration::zero(),
-                    vopt.window_quantum);
+  const Duration quantum =
+      visibility_quantum(kSignalStart + c.max_period(), protocol.tau);
+  SharedVisibilityCache cache(c, /*earth_rotation=*/false, {quantum});
+  cache.seed_window(GeoPoint{0.0, 0.0}, Duration::zero(), quantum);
   cache.freeze();
-  const GeometricSchedule schedule(cache, GeoPoint{0.0, 0.0});
+  const GeometricSchedule schedule(cache);
   for (const bool oaq : {true, false}) {
     for (const bool storm : {false, true}) {
       oracle::Sequence s;

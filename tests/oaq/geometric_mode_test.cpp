@@ -42,7 +42,7 @@ TEST(GeometricMonteCarlo, CachedScheduleMatchesFreshCache) {
   cache.seed_window(target, Duration::zero(), Duration::hours(1));
   cache.freeze();
   VisibilityCacheStats stats;
-  const GeometricSchedule cached(cache, target, &stats);
+  const GeometricSchedule cached(cache, &stats);
   // Reference: the seeded hour, swept without a cache and clipped.
   const Duration from = Duration::minutes(5);
   const Duration to = Duration::minutes(55);

@@ -1,7 +1,8 @@
-// SharedVisibilityCache seed/freeze contract: seeded windows and uncached
-// post-freeze misses both equal an uncached PassPredictor sweep of the
-// quantized window, clipped to the request, and hit accounting is
-// independent of cross-thread timing. Built into test_geometry, which the
+// SharedVisibilityCache pass-table contract: every query equals an
+// uncached PassPredictor sweep of the seeded window, clipped to the
+// request; queries for another target or outside the seeded window, and a
+// second seed, are precondition errors; query accounting is independent of
+// cross-thread timing. Built into test_geometry, which the
 // ThreadSanitizer CI job runs to certify concurrent frozen reads
 // data-race-free.
 #include <gtest/gtest.h>
@@ -26,25 +27,14 @@ Constellation test_constellation() {
   return Constellation(design);
 }
 
-std::vector<GeoPoint> test_targets() {
-  return {{0.1, 0.2}, {0.8, -1.1}, {-0.5, 2.4}, {1.2, 0.0},
-          {0.0, -2.9}, {0.4, 1.7}, {-1.0, -0.3}, {0.9, 3.0}};
-}
-
-/// Reference answer: PassPredictor::passes over the quantum-aligned window
-/// enclosing [from, to] (from clamped to 0), clipped to the request.
+/// Reference answer: PassPredictor::passes over the seeded (quantum-
+/// aligned) window [q_from, q_to], clipped to [max(from, 0), to].
 std::vector<Pass> reference_passes(const PassPredictor& predictor,
-                                   const VisibilityCacheOptions& opt,
-                                   const GeoPoint& target, Duration from,
-                                   Duration to) {
+                                   const GeoPoint& target, Duration q_from,
+                                   Duration q_to, Duration from, Duration to) {
   const Duration f = std::max(from, Duration::zero());
-  if (to <= f) return {};
-  const double q = opt.window_quantum.to_seconds();
-  const Duration q_from =
-      Duration::seconds(std::floor(f.to_seconds() / q) * q);
-  const Duration q_to = Duration::seconds(std::ceil(to.to_seconds() / q) * q);
   std::vector<Pass> out;
-  for (const Pass& p : predictor.passes(target, q_from, q_to, opt.tol)) {
+  for (const Pass& p : predictor.passes(target, q_from, q_to)) {
     if (p.end <= f || p.start >= to) continue;
     out.push_back({p.satellite, std::max(p.start, f), std::min(p.end, to)});
   }
@@ -71,35 +61,35 @@ TEST(SharedVisibilityCache, MatchesFreshVisibilityCacheExactly) {
   SharedVisibilityCache shared(c, true, opt);
   const PassPredictor predictor(c, true);
 
+  // [10 min, 2 h] rounds out to the 45 min grid: [0, 135 min].
   const GeoPoint target{0.3, -0.7};
-  shared.seed_window(target, Duration::zero(), Duration::hours(2));
+  shared.seed_window(target, Duration::minutes(10), Duration::hours(2));
   shared.freeze();
   EXPECT_TRUE(shared.frozen());
   EXPECT_EQ(shared.frozen_entries(), 1u);
+  EXPECT_EQ(shared.target().lat_rad, target.lat_rad);
 
-  // Two queries quantize to the seeded window (hits); the short
-  // clamped-negative one and the shifted one quantize to different keys
-  // (uncached misses) — all must equal the reference sweep either way.
+  // Every window inside the seeded one is clipped from the same sweep,
+  // including a clamped-negative start and windows off the 45 min grid.
   const std::vector<std::pair<Duration, Duration>> windows = {
-      {Duration::zero(), Duration::hours(2)},
+      {Duration::zero(), Duration::minutes(135)},
       {Duration::minutes(10), Duration::minutes(95)},
       {Duration::seconds(-50.0), Duration::minutes(30)},
-      {Duration::hours(3), Duration::hours(5)},
+      {Duration::minutes(100), Duration::minutes(135)},
   };
   VisibilityCacheStats stats;
   std::size_t total = 0;
   for (const auto& [from, to] : windows) {
     const std::vector<Pass> got = shared.passes_window(target, from, to, &stats);
     const std::vector<Pass> want =
-        reference_passes(predictor, opt, target, from, to);
+        reference_passes(predictor, target, Duration::zero(),
+                         Duration::minutes(135), from, to);
     EXPECT_TRUE(same_passes(got, want)) << "window " << from.to_seconds();
     total += want.size();
   }
   EXPECT_GT(total, 0u);
   EXPECT_EQ(stats.pass_queries, 4u);
-  EXPECT_EQ(stats.pass_hits, 2u);
-  // Misses are not cached: the published map is exactly the seeded set.
-  EXPECT_EQ(shared.frozen_entries(), 1u);
+  EXPECT_EQ(stats.pass_hits, 4u);
 }
 
 TEST(SharedVisibilityCache, EmptyWindowAfterClampReturnsNothing) {
@@ -118,17 +108,18 @@ TEST(SharedVisibilityCache, RejectsBadOptionsAndPhaseOrder) {
   VisibilityCacheOptions bad;
   bad.window_quantum = Duration::zero();
   EXPECT_THROW(SharedVisibilityCache(c, false, bad), PreconditionError);
-  bad = {};
-  bad.tol = Duration::zero();
-  EXPECT_THROW(SharedVisibilityCache(c, false, bad), PreconditionError);
 
   SharedVisibilityCache shared(c, false);
   const GeoPoint target{0.0, 0.0};
+  EXPECT_THROW(
+      shared.seed_window(target, Duration::seconds(-9.0), Duration::zero()),
+      PreconditionError);  // empty after clamping to 0
   EXPECT_THROW((void)shared.passes_window(target, Duration::zero(),
                                           Duration::hours(1)),
                PreconditionError);  // query before freeze
   EXPECT_THROW((void)shared.frozen_entries(), PreconditionError);
   shared.freeze();
+  EXPECT_EQ(shared.frozen_entries(), 0u);
   EXPECT_THROW(shared.freeze(), PreconditionError);
   EXPECT_THROW(
       shared.seed_window(target, Duration::zero(), Duration::hours(1)),
@@ -136,6 +127,56 @@ TEST(SharedVisibilityCache, RejectsBadOptionsAndPhaseOrder) {
   EXPECT_THROW((void)shared.passes_window(target, Duration::minutes(5),
                                           Duration::minutes(5)),
                PreconditionError);  // empty request
+  EXPECT_THROW((void)shared.passes_window(target, Duration::zero(),
+                                          Duration::hours(1)),
+               PreconditionError);  // nothing seeded
+}
+
+TEST(SharedVisibilityCache, SeedsExactlyOnce) {
+  const Constellation c = test_constellation();
+  SharedVisibilityCache shared(c, false);
+  const GeoPoint target{0.1, 0.2};
+  shared.seed_window(target, Duration::zero(), Duration::hours(1));
+  // Neither a second target nor a wider window adds a table.
+  EXPECT_THROW(shared.seed_window({0.8, -1.1}, Duration::zero(),
+                                  Duration::hours(1)),
+               PreconditionError);
+  EXPECT_THROW(
+      shared.seed_window(target, Duration::zero(), Duration::hours(2)),
+      PreconditionError);
+  shared.freeze();
+  EXPECT_EQ(shared.frozen_entries(), 1u);
+}
+
+TEST(SharedVisibilityCache, RejectsQueriesOutsideTheTable) {
+  const Constellation c = test_constellation();
+  VisibilityCacheOptions opt;
+  opt.window_quantum = Duration::minutes(30);
+  SharedVisibilityCache shared(c, false, opt);
+  const GeoPoint target{0.1, 0.2};
+  shared.seed_window(target, Duration::zero(), Duration::hours(1));
+  shared.freeze();
+
+  VisibilityCacheStats stats;
+  EXPECT_NO_THROW((void)shared.passes_window(target, Duration::zero(),
+                                             Duration::hours(1), &stats));
+  // Past the seeded hour, entirely or in part.
+  EXPECT_THROW((void)shared.passes_window(target, Duration::hours(2),
+                                          Duration::hours(3), &stats),
+               PreconditionError);
+  EXPECT_THROW((void)shared.passes_window(target, Duration::minutes(40),
+                                          Duration::minutes(61), &stats),
+               PreconditionError);
+  // Another target, and one a rounding step away from the seeded one.
+  EXPECT_THROW((void)shared.passes_window({0.8, -1.1}, Duration::zero(),
+                                          Duration::hours(1), &stats),
+               PreconditionError);
+  const GeoPoint nudged{std::nextafter(target.lat_rad, 1.0), target.lon_rad};
+  EXPECT_THROW((void)shared.passes_window(nudged, Duration::zero(),
+                                          Duration::hours(1), &stats),
+               PreconditionError);
+  EXPECT_EQ(stats.pass_queries, 1u);
+  EXPECT_EQ(stats.pass_hits, 1u);
 }
 
 TEST(SharedVisibilityCache, SeedThenConcurrentFrozenReads) {
@@ -144,19 +185,20 @@ TEST(SharedVisibilityCache, SeedThenConcurrentFrozenReads) {
   opt.window_quantum = Duration::minutes(30);
   SharedVisibilityCache shared(c, true, opt);
   const PassPredictor predictor(c, true);
-  const std::vector<GeoPoint> targets = test_targets();
+  const GeoPoint target{0.8, -1.1};
 
-  // Phase 1: single-threaded seeding; a repeated window is computed once.
-  for (const GeoPoint& target : targets) {
-    shared.seed_window(target, Duration::zero(), Duration::hours(1));
-    shared.seed_window(target, Duration::minutes(10), Duration::minutes(50));
-  }
+  // Phase 1: single-threaded seeding of [0, 2 h].
+  shared.seed_window(target, Duration::zero(), Duration::hours(2));
   shared.freeze();
-  ASSERT_EQ(shared.frozen_entries(), targets.size());
+  ASSERT_EQ(shared.frozen_entries(), 1u);
 
-  // Phase 2: concurrent frozen reads (hits) plus uncached misses beyond the
-  // seeded horizon. Every thread must observe the reference values, with
-  // per-thread stats counting hits only for seeded windows.
+  // Phase 2: concurrent frozen reads of jittered sub-windows. Every thread
+  // must observe the reference values, and count every query as a hit.
+  std::vector<std::pair<Duration, Duration>> windows;
+  for (int i = 0; i < 8; ++i) {
+    windows.emplace_back(Duration::minutes(7.0 * i),
+                         Duration::minutes(7.0 * i + 60.0));
+  }
   std::vector<VisibilityCacheStats> stats(4);
   std::vector<int> mismatches(4, 0);
   {
@@ -165,20 +207,12 @@ TEST(SharedVisibilityCache, SeedThenConcurrentFrozenReads) {
       readers.emplace_back([&, th] {
         std::vector<Pass> got;
         for (int rep = 0; rep < 3; ++rep) {
-          for (const GeoPoint& target : targets) {
-            shared.passes_window_into(target, Duration::minutes(5),
-                                      Duration::minutes(50), got, &stats[th]);
-            if (!same_passes(got, reference_passes(predictor, opt, target,
-                                                   Duration::minutes(5),
-                                                   Duration::minutes(50)))) {
-              ++mismatches[th];
-            }
-            // Miss: same shape, shifted past the seeded hour.
-            shared.passes_window_into(target, Duration::hours(2),
-                                      Duration::hours(3), got, &stats[th]);
-            if (!same_passes(got, reference_passes(predictor, opt, target,
-                                                   Duration::hours(2),
-                                                   Duration::hours(3)))) {
+          for (const auto& [from, to] : windows) {
+            shared.passes_window_into(target, from, to, got, &stats[th]);
+            if (!same_passes(got, reference_passes(predictor, target,
+                                                   Duration::zero(),
+                                                   Duration::hours(2), from,
+                                                   to))) {
               ++mismatches[th];
             }
           }
@@ -189,11 +223,9 @@ TEST(SharedVisibilityCache, SeedThenConcurrentFrozenReads) {
   }
   for (int th = 0; th < 4; ++th) {
     EXPECT_EQ(mismatches[th], 0) << "thread " << th;
-    EXPECT_EQ(stats[th].pass_queries, 3u * 2u * targets.size());
-    // Seeded windows hit, the shifted windows miss — on every thread.
-    EXPECT_EQ(stats[th].pass_hits, 3u * targets.size());
+    EXPECT_EQ(stats[th].pass_queries, 3u * windows.size());
+    EXPECT_EQ(stats[th].pass_hits, 3u * windows.size());
   }
-  EXPECT_EQ(shared.frozen_entries(), targets.size());
 }
 
 }  // namespace

@@ -135,5 +135,28 @@ TEST(PassPredictor, RejectsEmptyHorizon) {
       PreconditionError);
 }
 
+
+TEST(PassPredictor, PassesThatStartTogetherSortBySatellite) {
+  // Near the pole of the default Walker-star design many footprints already
+  // cover the target at t0, so their passes all start at t0. The tie must
+  // resolve by (plane, slot), whatever the standard library's unstable
+  // sort would do with it.
+  const Constellation c{ConstellationDesign{}};
+  const PassPredictor pred(c);
+  const auto passes = pred.passes(GeoPoint::from_degrees(88.0, 0.0),
+                                  Duration::zero(), Duration::minutes(90.0));
+  int at_t0 = 0;
+  for (const Pass& p : passes) {
+    if (p.start == Duration::zero()) ++at_t0;
+  }
+  EXPECT_GE(at_t0, 3);
+  for (std::size_t i = 1; i < passes.size(); ++i) {
+    const Pass& a = passes[i - 1];
+    const Pass& b = passes[i];
+    EXPECT_TRUE(a.start < b.start ||
+                (a.start == b.start && a.satellite < b.satellite))
+        << "pass " << i;
+  }
+}
 }  // namespace
 }  // namespace oaq
