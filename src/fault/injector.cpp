@@ -61,8 +61,11 @@ void FaultInjector::arm(TimePoint anchor) {
       owned_expander_ = std::make_unique<FaultProcessExpander>();
       expander_ = owned_expander_.get();
     }
+    const std::uint64_t truncated = expander_->stats().truncated_clauses;
     plan_ = &expander_->expand(*plan_, rng_);
     stats_.expanded_clauses = plan_->size();
+    stats_.truncated_clauses =
+        expander_->stats().truncated_clauses - truncated;
   }
   stats_.clauses_armed = plan_->size();
   if (plan_->empty()) return;

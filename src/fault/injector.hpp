@@ -41,6 +41,9 @@ class FaultInjector {
     std::uint64_t activations = 0;  ///< fired activate events (a = +1)
     /// Scripted clauses after stochastic expansion (0 for scripted plans).
     std::uint64_t expanded_clauses = 0;
+    /// Stochastic clauses whose sample path this arm cut short at
+    /// FaultProcessExpander::kMaxIntervalsPerClause.
+    std::uint64_t truncated_clauses = 0;
     std::uint64_t lifecycle_deaths = 0;  ///< fired lifecycle fail_silents
     std::uint64_t lifecycle_spares = 0;  ///< fired lifecycle recovers
   };

@@ -4,10 +4,10 @@
 // The paper evaluates one signal at a time. In operation, emitters appear
 // as a Poisson stream and several coordinations can be in flight at once —
 // a satellite asked to join two chains must serialize its geolocation
-// computations. This engine runs all signals in ONE simulator over ONE
-// crosslink network, with a FIFO per-satellite compute calendar, and
-// reports the QoS distribution as a function of load
-// (bench/ext_load_curve).
+// computations. Each replication runs all its signals as the targets of
+// ONE EpisodeContext run — one simulator, one crosslink network — with a
+// FIFO per-satellite compute calendar, and the engine reports the QoS
+// distribution as a function of load (bench/ext_load_curve).
 #pragma once
 
 #include <cstdint>
@@ -18,7 +18,8 @@
 #include "common/distribution.hpp"
 #include "common/parallel.hpp"
 #include "common/stats.hpp"
-#include "oaq/target_episode.hpp"
+#include "oaq/episode.hpp"
+#include "oaq/schedule.hpp"
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -117,6 +118,9 @@ struct CampaignResult {
   /// Invariant-checker findings (0 unless check_invariants was set).
   std::int64_t invariant_violations = 0;
   std::vector<std::string> invariant_samples;  ///< capped descriptions
+  /// Stochastic fault clauses cut short at the expander's interval cap,
+  /// summed over replications: the run saw less fault activity than planned.
+  std::int64_t fault_truncations = 0;
 
   [[nodiscard]] double probability(QosLevel level) const {
     return levels.probability(to_int(level));

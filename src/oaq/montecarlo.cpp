@@ -35,6 +35,7 @@ struct EpisodeAccum {
   std::int64_t detected = 0;
   std::int64_t chain_sum = 0;
   int max_chain_length = 0;
+  std::int64_t fault_truncations = 0;
   MetricsRegistry metrics;  ///< shard-local; empty when metrics are off
   InvariantChecker invariants;  ///< shard-local; idle when checks are off
   EpisodeLedger ledger;  ///< shard-local; untouched when no sink is attached
@@ -47,20 +48,19 @@ struct EpisodeAccum {
     detected = checked_add(detected, other.detected);
     chain_sum = checked_add(chain_sum, other.chain_sum);
     max_chain_length = std::max(max_chain_length, other.max_chain_length);
+    fault_truncations =
+        checked_add(fault_truncations, other.fault_truncations);
     metrics.merge(other.metrics);
     invariants.merge(other.invariants);
     ledger.merge(other.ledger);
   }
 };
 
-/// Record one episode's outcome into a shard-local registry. Every value
-/// derives from the episode result / telemetry (simulation time), so the
-/// merged registry is deterministic for any worker count. `queue_metrics`
-/// additionally exports the DES ready-queue telemetry (off by default: the
-/// golden metrics files predate the sim.queue.* keys).
-void record_episode_metrics(MetricsRegistry& m, const EpisodeResult& r,
-                            bool queue_metrics, bool fault_metrics,
-                            bool health_metrics) {
+/// Record one episode's outcome keys into a shard-local registry (its link
+/// and kernel keys come from record_link_metrics). Every value derives
+/// from the episode result (simulation time), so the merged registry is
+/// deterministic for any worker count.
+void record_episode_metrics(MetricsRegistry& m, const EpisodeResult& r) {
   m.add("episodes", 1);
   if (r.detected) m.add("episodes.detected", 1);
   if (r.alert_delivered) m.add("alerts.delivered", 1);
@@ -70,55 +70,6 @@ void record_episode_metrics(MetricsRegistry& m, const EpisodeResult& r,
   if (!r.all_participants_resolved) m.add("episodes.unresolved", 1);
   m.add("alerts.sent", r.alerts_sent);
   m.add("coordination.requests", r.coordination_requests);
-  m.add("xlink.sent", static_cast<std::int64_t>(r.telemetry.messages_sent));
-  m.add("xlink.delivered",
-        static_cast<std::int64_t>(r.telemetry.messages_delivered));
-  m.add("xlink.dropped_loss",
-        static_cast<std::int64_t>(r.telemetry.messages_dropped_loss));
-  m.add("xlink.dropped_dead",
-        static_cast<std::int64_t>(r.telemetry.messages_dropped_dead));
-  m.add("sim.events", static_cast<std::int64_t>(r.telemetry.sim_events));
-  m.observe("sim.peak_pending",
-            static_cast<double>(r.telemetry.sim_peak_pending));
-  if (queue_metrics) {
-    m.add("sim.queue.runs_created",
-          static_cast<std::int64_t>(r.telemetry.sim_runs_created));
-    m.add("sim.queue.run_merges",
-          static_cast<std::int64_t>(r.telemetry.sim_run_merges));
-    m.add("sim.queue.tombstones_purged",
-          static_cast<std::int64_t>(r.telemetry.sim_tombstones_purged));
-    m.observe("sim.queue.max_run_length",
-              static_cast<double>(r.telemetry.sim_max_run_length));
-  }
-  if (fault_metrics) {
-    // Gated like sim.queue.*: only fault-plan / reliable-link runs emit
-    // these, so the golden metrics files stay byte-identical.
-    m.add("xlink.dropped_link",
-          static_cast<std::int64_t>(r.telemetry.messages_dropped_link));
-    m.add("net.retry.attempts",
-          static_cast<std::int64_t>(r.telemetry.retries));
-    m.add("net.retry.exhausted",
-          static_cast<std::int64_t>(r.telemetry.retries_exhausted));
-    m.add("net.fault.injected",
-          static_cast<std::int64_t>(r.telemetry.faults_injected));
-  }
-  if (health_metrics) {
-    // Gated on self-healing links (opt-in): the pre-ISSUE-10 golden
-    // metrics files — including reliable-mode ones — predate these keys.
-    m.add("net.health.demoted",
-          static_cast<std::int64_t>(r.telemetry.links_demoted));
-    m.add("net.health.restored",
-          static_cast<std::int64_t>(r.telemetry.links_restored));
-    m.add("net.health.probes",
-          static_cast<std::int64_t>(r.telemetry.link_probes));
-    m.add("net.health.probations",
-          static_cast<std::int64_t>(r.telemetry.link_probations));
-    m.add("episodes.reroutes", static_cast<std::int64_t>(r.reroutes));
-    m.add("net.lifecycle.deaths",
-          static_cast<std::int64_t>(r.telemetry.lifecycle_deaths));
-    m.add("net.lifecycle.spares",
-          static_cast<std::int64_t>(r.telemetry.lifecycle_spares));
-  }
   if (r.detected) {
     m.observe("chain.length", static_cast<double>(r.chain_length));
     m.observe("alerts.reported_error_km", r.reported_error_km);
@@ -167,10 +118,6 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
   // shard-shared (backed by the run's frozen visibility cache) and the
   // phase jitters the episode's start time instead of the pass pattern.
   const bool geometric = config.constellation != nullptr;
-  const bool fault_metrics = config.fault_plan != nullptr ||
-                             config.protocol.reliable_links ||
-                             config.protocol.self_healing_links;
-  const bool health_metrics = config.protocol.self_healing_links;
   // Shared by the batch engine's sink and the geometric loop, so both
   // fold results — and observe metrics — in episode order.
   const auto accumulate = [&](EpisodeAccum& acc, const EpisodeResult& r) {
@@ -183,9 +130,13 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
       acc.chain_sum = checked_add(acc.chain_sum, r.chain_length);
       acc.max_chain_length = std::max(acc.max_chain_length, r.chain_length);
     }
+    acc.fault_truncations = checked_add(
+        acc.fault_truncations,
+        static_cast<std::int64_t>(r.telemetry.fault_truncations));
     if (want_metrics) {
-      record_episode_metrics(acc.metrics, r, config.queue_metrics,
-                             fault_metrics, health_metrics);
+      record_episode_metrics(acc.metrics, r);
+      record_link_metrics(acc.metrics, r.telemetry, config.protocol,
+                          config.fault_plan, config.queue_metrics);
     }
   };
 
@@ -324,6 +275,7 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
   out.invariant_violations =
       static_cast<std::int64_t>(total.invariants.violations());
   out.invariant_samples = total.invariants.samples();
+  out.fault_truncations = total.fault_truncations;
   out.mean_chain_length =
       total.detected > 0
           ? static_cast<double>(total.chain_sum) /

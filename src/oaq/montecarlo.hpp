@@ -123,6 +123,9 @@ struct SimulatedQos {
   /// Invariant-checker findings (0 unless check_invariants was set).
   std::int64_t invariant_violations = 0;
   std::vector<std::string> invariant_samples;  ///< capped descriptions
+  /// Stochastic fault clauses cut short at the expander's interval cap,
+  /// summed over episodes: the run saw less fault activity than planned.
+  std::int64_t fault_truncations = 0;
 
   [[nodiscard]] double probability(QosLevel level) const {
     return level_pmf.probability(to_int(level));

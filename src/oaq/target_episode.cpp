@@ -6,19 +6,6 @@
 
 namespace oaq {
 
-TimePoint ComputeCalendar::schedule(SatelliteId sat, TimePoint ready,
-                                    Duration work) {
-  OAQ_REQUIRE(work >= Duration::zero(), "work must be nonnegative");
-  auto& free_at = free_at_[sat];
-  const TimePoint start = std::max(ready, free_at);
-  if (start > ready) {
-    ++contended_;
-    queueing_ += start - ready;
-  }
-  free_at = start + work;
-  return free_at;
-}
-
 TargetEpisode::TargetEpisode(int target_id, Simulator& sim,
                              CrosslinkNetwork& net,
                              const CoverageSchedule& schedule,

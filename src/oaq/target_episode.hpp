@@ -1,14 +1,14 @@
-// Per-target protocol state machine — the engine behind EpisodeContext
-// (one signal per episode) and run_campaign (concurrent signals with
-// compute contention).
+// Per-target protocol state machine behind EpisodeContext, and reached
+// only through it: a context hosts one target per simulate episode, or
+// every admitted signal of a campaign replication (concurrent signals with
+// compute contention). Include this header only to implement the context.
 //
 // A TargetEpisode owns one signal's protocol lifecycle over a Simulator
-// and CrosslinkNetwork it does NOT own; several episodes can share both.
+// and CrosslinkNetwork it does NOT own; the context's targets share both.
 // Messages carry a target id so a satellite participating in multiple
-// coordinations can dispatch to the right episode.
+// coordinations can dispatch to the right target.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <set>
 #include <vector>
@@ -22,23 +22,6 @@
 #include "sim/simulator.hpp"
 
 namespace oaq {
-
-/// FIFO single-server computation calendar per satellite: concurrent
-/// coordinations contend for a satellite's single signal-processing chain.
-class ComputeCalendar {
- public:
-  /// Reserve the satellite's processor for `work` starting no earlier than
-  /// `ready`; returns the completion time. FIFO in reservation order.
-  TimePoint schedule(SatelliteId sat, TimePoint ready, Duration work);
-
-  [[nodiscard]] int contended_reservations() const { return contended_; }
-  [[nodiscard]] Duration total_queueing_delay() const { return queueing_; }
-
- private:
-  std::map<SatelliteId, TimePoint> free_at_;
-  int contended_ = 0;
-  Duration queueing_ = Duration::zero();
-};
 
 /// One signal's protocol run over shared infrastructure.
 class TargetEpisode {
