@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "fault/plan.hpp"
 #include "oaq/montecarlo.hpp"
 
 namespace oaq {
@@ -143,6 +144,31 @@ TEST(Campaign, SelfHealingExportsTheSimulateLinkKeySet) {
   EXPECT_TRUE(keys.contains("net.lifecycle.deaths"));
   EXPECT_TRUE(keys.contains("episodes.reroutes"));
   EXPECT_EQ(link_keys(campaign_metrics), keys);
+}
+
+/// Campaign fault-truncation count under `--ge-loss 0,0,4,2,1.0` over a
+/// horizon of `hours`.
+std::int64_t ge_loss_truncations(double hours, int jobs) {
+  auto cfg = base_config();
+  cfg.horizon = Duration::hours(hours);
+  cfg.signal_arrival_rate = Rate::per_hour(6.0);
+  cfg.replications = 2;
+  cfg.jobs = jobs;
+  cfg.protocol.reliable_links = true;
+  FaultPlan plan;
+  plan.add(FaultPlan::ge_loss(0, 0, 4.0, 2.0, 1.0, Duration::zero(),
+                              cfg.horizon));
+  cfg.fault_plan = &plan;
+  return run_campaign(cfg).fault_truncations;
+}
+
+TEST(Campaign, ReportsStochasticFaultTruncation) {
+  // Gilbert–Elliott dwells of ~1/6 min exhaust the expander's 1024-interval
+  // cap around minute 750, so a 24 h clause ends early in each replication;
+  // a 3 h clause fits. The count is jobs-independent.
+  EXPECT_EQ(ge_loss_truncations(3.0, 1), 0);
+  EXPECT_EQ(ge_loss_truncations(24.0, 1), 2);
+  EXPECT_EQ(ge_loss_truncations(24.0, 2), 2);
 }
 }  // namespace
 }  // namespace oaq

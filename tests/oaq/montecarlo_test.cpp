@@ -4,6 +4,7 @@
 
 #include "analytic/qos_model.hpp"
 #include "common/error.hpp"
+#include "fault/plan.hpp"
 
 namespace oaq {
 namespace {
@@ -122,6 +123,25 @@ TEST(MonteCarlo, RejectsBadConfig) {
   c.k = 9;
   c.episodes = 0;
   EXPECT_THROW((void)simulate_qos(c), PreconditionError);
+}
+
+TEST(MonteCarlo, ReportsStochasticFaultTruncation) {
+  // A Gilbert–Elliott clause of ~1/6 min dwells stretched over 24 h: every
+  // armed episode's expansion hits the 1024-interval cap; over τ none does.
+  QosSimulationConfig sim;
+  sim.k = 9;
+  sim.episodes = 20;
+  sim.protocol.reliable_links = true;
+  FaultPlan plan;
+  plan.add(FaultPlan::ge_loss(0, 0, 4.0, 2.0, 1.0, Duration::zero(),
+                              Duration::hours(24)));
+  sim.fault_plan = &plan;
+  EXPECT_GT(simulate_qos(sim).fault_truncations, 0);
+  FaultPlan short_plan;
+  short_plan.add(FaultPlan::ge_loss(0, 0, 4.0, 2.0, 1.0, Duration::zero(),
+                                    sim.protocol.tau));
+  sim.fault_plan = &short_plan;
+  EXPECT_EQ(simulate_qos(sim).fault_truncations, 0);
 }
 
 }  // namespace

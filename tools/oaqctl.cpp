@@ -35,6 +35,7 @@
 #include "common/table.hpp"
 #include "fault/plan.hpp"
 #include "fault/plane_capacity.hpp"
+#include "fault/process.hpp"
 #include "oaq/montecarlo.hpp"
 #include "oaq/campaign.hpp"
 #include "oaq/planner.hpp"
@@ -608,6 +609,17 @@ int run_chaos_sweep(QosSimulationConfig cfg,
   return total_violations == 0 ? 0 : 1;
 }
 
+/// One stderr warning when stochastic fault clauses hit the expander's
+/// per-clause interval cap: their sample paths stopped before their
+/// windows ended, so the run saw less fault activity than its plan.
+void warn_fault_truncations(std::int64_t truncations) {
+  if (truncations == 0) return;
+  std::cerr << "warning: " << truncations
+            << " stochastic fault clause expansion(s) hit the "
+            << FaultProcessExpander::kMaxIntervalsPerClause
+            << "-interval cap and stopped before the clause window ended\n";
+}
+
 int cmd_simulate(const Args& args) {
   QosSimulationConfig cfg;
   cfg.k = args.at_least("k", 9, 1);
@@ -693,6 +705,7 @@ int cmd_simulate(const Args& args) {
                                                     : "");
 
   const auto sim = simulate_qos(cfg);
+  warn_fault_truncations(sim.fault_truncations);
   TablePrinter table({"level", "probability"}, 4);
   for (int y = 0; y <= 3; ++y) {
     table.add_row({std::string(to_string(static_cast<QosLevel>(y))),
@@ -803,6 +816,7 @@ int cmd_campaign(const Args& args) {
                                                     : "");
 
   const auto r = run_campaign(cfg);
+  warn_fault_truncations(r.fault_truncations);
   if (!ledger_path.empty()) {
     std::ofstream os(ledger_path);
     OAQ_REQUIRE(os.good(), "cannot open ledger output file");
@@ -1117,6 +1131,10 @@ int cmd_report(const Args& args) {
       double delivered_min = -1.0;
     };
     std::map<std::pair<int, std::int64_t>, RecoveryRow> recovery_rows;
+    // Campaign fault clauses belong to no single target and are traced
+    // with episode -1; their degradation ends apply to every target of the
+    // shard (one replication: one sim-time-ordered stream).
+    std::map<int, double> shard_degrade_end;
     std::istringstream lines(*text);
     std::string line;
     while (std::getline(lines, line)) {
@@ -1132,12 +1150,18 @@ int cmd_report(const Args& args) {
         RecoveryRow& row = recovery_rows[key];
         if (row.delivered_min < 0.0) {
           row.delivered_min = parsed->event.t_min;
-          row.degrade_end_at_delivery = row.last_degrade_end;
+          const auto shared = shard_degrade_end.find(parsed->shard);
+          row.degrade_end_at_delivery =
+              shared == shard_degrade_end.end()
+                  ? row.last_degrade_end
+                  : std::max(row.last_degrade_end, shared->second);
         }
       } else if (is_fault(parsed->event.type) && parsed->event.a < 0) {
-        RecoveryRow& row = recovery_rows[key];
-        row.last_degrade_end =
-            std::max(row.last_degrade_end, parsed->event.t_min);
+        double& end = parsed->event.episode < 0
+                          ? shard_degrade_end.try_emplace(parsed->shard, -1.0)
+                                .first->second
+                          : recovery_rows[key].last_degrade_end;
+        end = std::max(end, parsed->event.t_min);
       }
     }
     for (const auto& [key, alert_t] : first_alert_t) {
