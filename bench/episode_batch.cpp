@@ -1,10 +1,10 @@
-// SoA episode-batching harness (ISSUE 6 tentpole): episodes/sec of the
-// scalar oracle (a direct EpisodeEngine::run loop on simulate_qos's
-// streams) vs the batched path (simulate_qos: escape prologue + one reused
-// episode context per shard), the batch engine's steady-state allocation
-// count (hence alloc_counter), and the lane-occupancy histogram of the SoA
-// prologue. Prints a human table plus a BENCH_JSON line (aggregated into
-// BENCH_6.json by tools/run_bench.sh).
+// Analytic episode-reuse harness: episodes/sec of the scalar oracle (a
+// direct EpisodeEngine::run loop on simulate_qos's streams, one fresh
+// context per episode) vs simulate_qos (one reused episode context per
+// shard), and the steady-state allocation count of that shard loop (hence
+// alloc_counter). Prints a human table plus a BENCH_JSON line (aggregated
+// into BENCH_6.json by tools/run_bench.sh; the `batched` key names the
+// simulate_qos side, as in earlier snapshots).
 //
 //   episode_batch [episodes]
 #include <chrono>
@@ -16,8 +16,8 @@
 #include "alloc_counter.hpp"
 #include "common/distribution.hpp"
 #include "common/table.hpp"
-#include "oaq/batch_episode.hpp"
 #include "oaq/montecarlo.hpp"
+#include "oaq/schedule.hpp"
 
 using namespace oaq;
 
@@ -30,7 +30,7 @@ double seconds_since(Clock::time_point t0) {
 }
 
 /// The golden-trace simulation shape: single plane, k = 9, OAQ, bounded
-/// computations — the protocol path the batch engine vectorizes.
+/// computations.
 QosSimulationConfig base_config(int episodes) {
   QosSimulationConfig cfg;
   cfg.k = 9;
@@ -46,7 +46,7 @@ QosSimulationConfig base_config(int episodes) {
 double scalar_eps(const QosSimulationConfig& cfg) {
   const ExponentialDuration duration_law(cfg.mu);
   const Rng episode_rng = Rng(cfg.seed).fork(3);
-  const TimePoint signal_start = TimePoint::at(Duration::minutes(60));
+  const TimePoint signal_start = TimePoint::at(kSignalStart);
   const Duration tr = cfg.geometry.tr(cfg.k);
   std::uint64_t level_sink = 0;
   const auto t0 = Clock::now();
@@ -68,7 +68,7 @@ double scalar_eps(const QosSimulationConfig& cfg) {
   return static_cast<double>(cfg.episodes) / elapsed;
 }
 
-/// Episodes/sec of one batched simulate_qos run.
+/// Episodes/sec of one simulate_qos run.
 double batched_eps(const QosSimulationConfig& cfg) {
   const auto t0 = Clock::now();
   const SimulatedQos qos = simulate_qos(cfg);
@@ -80,34 +80,39 @@ double batched_eps(const QosSimulationConfig& cfg) {
 struct SteadyState {
   std::uint64_t allocs = 0;
   std::uint64_t episodes = 0;
-  BatchEpisodeStats stats;
 };
 
-/// Drive one BatchEpisodeEngine directly: a warm-up block grows every
-/// reusable buffer (slab, envelope pool, pass/agent/participant storage,
-/// the sole run), then the allocation delta over the following episodes
-/// must be zero.
+/// Drive one EpisodeContext over a re-phased AnalyticSchedule, exactly as
+/// a simulate_qos shard does: the warm-up episodes grow every reusable
+/// buffer (slab, envelope pool, pass/agent/participant storage, the sole
+/// run), then the allocation delta over the remaining episodes must be
+/// zero.
 SteadyState steady_state_allocs(const QosSimulationConfig& cfg,
                                 std::int64_t warm, std::int64_t total) {
   const ExponentialDuration duration_law(cfg.mu);
   const Rng episode_rng = Rng(cfg.seed).fork(3);
-  const TimePoint signal_start = TimePoint::at(Duration::minutes(60));
-  BatchEpisodeEngine engine(cfg.geometry, cfg.k, cfg.protocol,
-                            cfg.opportunity_adaptive, duration_law,
-                            episode_rng, signal_start, /*plan=*/nullptr);
+  const TimePoint signal_start = TimePoint::at(kSignalStart);
+  const Duration tr = cfg.geometry.tr(cfg.k);
+  AnalyticSchedule schedule(cfg.geometry, cfg.k, Duration::zero());
+  EpisodeContext context(schedule, cfg.protocol, cfg.opportunity_adaptive,
+                         /*plan=*/nullptr);
   std::uint64_t level_sink = 0;
-  const BatchEpisodeEngine::ResultSink sink =
-      [&level_sink](std::int64_t, const EpisodeResult& r) {
-        level_sink += static_cast<std::uint64_t>(to_int(r.level));
-      };
-  engine.run(0, warm, /*trace=*/nullptr, /*invariants=*/nullptr, sink);
-  const std::uint64_t allocs_before = benchutil::allocation_count();
-  engine.run(warm, total, /*trace=*/nullptr, /*invariants=*/nullptr, sink);
-  if (level_sink == ~0ull) std::abort();  // defeat over-eager optimizers
+  std::uint64_t allocs_before = 0;
+  for (std::int64_t e = 0; e < total; ++e) {
+    if (e == warm) allocs_before = benchutil::allocation_count();
+    const Rng ep = episode_rng.fork(static_cast<std::uint64_t>(e));
+    Rng phase_rng = ep.fork(1);
+    Rng duration_rng = ep.fork(2);
+    schedule = AnalyticSchedule(cfg.geometry, cfg.k,
+                                phase_rng.uniform(Duration::zero(), tr));
+    const Duration duration = duration_law.sample(duration_rng);
+    level_sink += static_cast<std::uint64_t>(to_int(
+        context.run(e, ep.fork(3), signal_start, duration).level));
+  }
   SteadyState out;
   out.allocs = benchutil::allocation_count() - allocs_before;
   out.episodes = static_cast<std::uint64_t>(total - warm);
-  out.stats = engine.stats();
+  if (level_sink == ~0ull) std::abort();  // defeat over-eager optimizers
   return out;
 }
 
@@ -116,7 +121,8 @@ SteadyState steady_state_allocs(const QosSimulationConfig& cfg,
 int main(int argc, char** argv) {
   const int episodes = argc > 1 ? std::atoi(argv[1]) : 12000;
 
-  std::cout << "=== SoA episode batching (" << episodes << " episodes) ===\n\n";
+  std::cout << "=== analytic episode reuse (" << episodes
+            << " episodes) ===\n\n";
 
   const QosSimulationConfig cfg = base_config(episodes);
 
@@ -134,38 +140,23 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"path", "episodes/s", "speedup"}, 2);
   table.add_row({std::string("scalar (EpisodeEngine::run)"), scalar, 1.0});
-  table.add_row({std::string("batched (SoA + reused context)"), batched,
+  table.add_row({std::string("reused context (simulate_qos)"), batched,
                  speedup});
   table.print(std::cout);
 
-  const BatchEpisodeStats& bs = steady.stats;
   std::cout << "\nsteady state: " << steady.allocs << " allocs over "
-            << steady.episodes << " episodes\n"
-            << "lanes: " << bs.des_lanes << " DES / " << bs.escaped
-            << " escaped of " << bs.episodes << "\n"
-            << "occupancy (armed lanes per " << kEpisodeBatchWidth
-            << "-wide block):";
-  for (std::size_t i = 0; i < bs.occupancy.size(); ++i) {
-    std::cout << " " << i << ":" << bs.occupancy[i];
-  }
-  std::cout << "\n";
+            << steady.episodes << " episodes\n";
 
   std::ostringstream json;
   json << "{\"bench\":\"episode_batch\",\"episodes\":" << episodes
        << ",\"throughput\":{\"scalar_episodes_per_sec\":" << scalar
        << ",\"batched_episodes_per_sec\":" << batched
        << ",\"speedup\":" << speedup
-       << "},\"steady_state_allocs\":" << steady.allocs
-       << ",\"occupancy\":{\"des_lanes\":" << bs.des_lanes
-       << ",\"escaped\":" << bs.escaped << ",\"histogram\":[";
-  for (std::size_t i = 0; i < bs.occupancy.size(); ++i) {
-    json << (i == 0 ? "" : ",") << bs.occupancy[i];
-  }
-  json << "]}}";
+       << "},\"steady_state_allocs\":" << steady.allocs << "}";
   std::cout << "BENCH_JSON " << json.str() << "\n";
 
-  // Acceptance gates (ISSUE 6): the batched path sustains >= 2x the scalar
-  // episodes/sec and allocates nothing in steady state.
+  // Acceptance gates: simulate_qos sustains >= 2x the scalar episodes/sec
+  // and its shard loop allocates nothing in steady state.
   const bool ok = speedup >= 2.0 && steady.allocs == 0;
   if (!ok) std::cout << "REGRESSION: acceptance thresholds not met\n";
   return ok ? 0 : 1;

@@ -9,7 +9,6 @@
 #include <iostream>
 
 #include "net/membership.hpp"
-#include "net/router.hpp"
 
 using namespace oaq;
 

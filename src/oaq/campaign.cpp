@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "fault/invariants.hpp"
-#include "oaq/batch_episode.hpp"
 
 namespace oaq {
 namespace {
@@ -71,18 +70,12 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
   // from the run-wide frozen cache with replication-local hit stats.
   VisibilityCacheStats vis_stats;
   std::unique_ptr<const CoverageSchedule> schedule;
-  const bool analytic = config.constellation == nullptr;
-  // The campaign-wide pass phase, hoisted so the arrival pre-screen below
-  // classifies against the same draw the schedule is built from.
-  const Duration phase =
-      analytic ? phase_rng.uniform(Duration::zero(),
-                                   config.geometry.tr(config.k))
-               : Duration::zero();
   if (cache != nullptr) {
     schedule = std::make_unique<GeometricSchedule>(*cache, &vis_stats);
   } else {
-    schedule = std::make_unique<AnalyticSchedule>(config.geometry, config.k,
-                                                  phase);
+    schedule = std::make_unique<AnalyticSchedule>(
+        config.geometry, config.k,
+        phase_rng.uniform(Duration::zero(), config.geometry.tr(config.k)));
   }
 
   ComputeCalendar calendar;
@@ -122,17 +115,11 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
     t = t + arrivals_rng.exponential(config.signal_arrival_rate);
     if (t >= end) break;
     const Duration duration = duration_law->sample(durations_rng);
-    // Closed-form escape pre-screen: a signal the pass pattern can never
-    // detect records kMissed without arming a target. False positives fall
-    // through to arm_target(), which stays the authority.
-    const bool armed =
-        (!analytic ||
-         analytic_signal_detected(config.geometry, config.k, phase, t,
-                                  duration, config.protocol.tau)) &&
-        context.arm_target(
+    if (!context.arm_target(
             target_id, master.fork(100 + static_cast<std::uint64_t>(target_id)),
-            t, duration);
-    if (!armed) out.levels.add(to_int(QosLevel::kMissed));
+            t, duration)) {
+      out.levels.add(to_int(QosLevel::kMissed));
+    }
     ++target_id;
     ++out.signals;
   }

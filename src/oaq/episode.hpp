@@ -214,7 +214,7 @@ struct EpisodeFaultHooks {
 };
 
 /// Runs one signal episode against a coverage schedule: a fresh
-/// EpisodeContext run once — the scalar oracle of every batched path.
+/// EpisodeContext run once — the scalar oracle of every reused context.
 class EpisodeEngine {
  public:
   /// `scheme` selects OAQ or BAQ behaviour (Scheme from analytic/qos_model).

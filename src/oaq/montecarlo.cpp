@@ -10,7 +10,6 @@
 #include "fault/invariants.hpp"
 #include "fault/plan.hpp"
 #include "obs/ledger.hpp"
-#include "oaq/batch_episode.hpp"
 #include "oaq/schedule.hpp"
 
 namespace oaq {
@@ -118,8 +117,7 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
   // shard-shared (backed by the run's frozen visibility cache) and the
   // phase jitters the episode's start time instead of the pass pattern.
   const bool geometric = config.constellation != nullptr;
-  // Shared by the batch engine's sink and the geometric loop, so both
-  // fold results — and observe metrics — in episode order.
+  // Folds results — and observes metrics — in episode order.
   const auto accumulate = [&](EpisodeAccum& acc, const EpisodeResult& r) {
     acc.level_pmf.add(to_int(r.alert_delivered ? r.level : QosLevel::kMissed));
     if (r.alerts_sent > 1) ++acc.duplicates;
@@ -169,65 +167,51 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
             config.check_invariants ? &acc.invariants : nullptr;
         EpisodeLedger* ledger =
             config.ledger != nullptr ? &acc.ledger : nullptr;
-        if (!geometric) {
-          // Closed-form escape prologue in front of one reused episode
-          // context per shard; results arrive in episode order.
-          BatchEpisodeEngine engine(config.geometry, config.k,
-                                    config.protocol,
-                                    config.opportunity_adaptive,
-                                    *duration_law, episode_rng, signal_start,
-                                    config.fault_plan);
-          engine.run(begin, end, trace, invariants,
-                     [&](std::int64_t, const EpisodeResult& r) {
-                       accumulate(acc, r);
-                     },
-                     spans, ledger);
-          if (want_metrics && config.batch_metrics) {
-            const BatchEpisodeStats& bs = engine.stats();
-            acc.metrics.add("sim.batch.batches",
-                            static_cast<std::int64_t>(bs.batches));
-            acc.metrics.add("sim.batch.episodes",
-                            static_cast<std::int64_t>(bs.episodes));
-            acc.metrics.add("sim.batch.escaped",
-                            static_cast<std::int64_t>(bs.escaped));
-            acc.metrics.add("sim.batch.des_lanes",
-                            static_cast<std::int64_t>(bs.des_lanes));
-            for (std::size_t i = 0; i < bs.occupancy.size(); ++i) {
-              acc.metrics.add(
-                  "sim.batch.occupancy." + std::to_string(i),
-                  static_cast<std::int64_t>(bs.occupancy[i]));
-            }
-          }
-          return acc;
-        }
-        // Per-shard schedule over the frozen table, with shard-local stats
-        // (query accounting is per-shard deterministic).
+        // Per-shard schedule. Geometric shards read the frozen table, with
+        // shard-local stats (query accounting is per-shard deterministic);
+        // analytic shards re-phase one plane per episode.
         VisibilityCacheStats vis_stats;
-        const GeometricSchedule geo_schedule(table->cache, &vis_stats);
+        std::optional<GeometricSchedule> geo_schedule;
+        AnalyticSchedule analytic(config.geometry, config.k, Duration::zero());
+        const CoverageSchedule& schedule =
+            geometric ? static_cast<const CoverageSchedule&>(
+                            geo_schedule.emplace(table->cache, &vis_stats))
+                      : analytic;
+        // The phase is uniform over one period: analytic episodes re-phase
+        // the plane by it (revisit time Tr); geometric episodes jitter their
+        // start by it over the longest shell period, so every shell's pass
+        // pattern is phase-randomized.
+        const Duration phase_span = geometric
+                                        ? config.constellation->max_period()
+                                        : config.geometry.tr(config.k);
         // One "episodes" span per shard, items = episode count: per-episode
         // spans would cost two clock reads each (the span_overhead gate).
         {
           const ScopedSpan episodes_span(spans, "episodes");
           if (spans != nullptr) spans->add_items(end - begin);
           // One reused episode context per shard, constructed on the
-          // shard's own thread (first touch keeps its arena local). The
-          // phase jitters the start over the longest shell period, so every
-          // shell's pass pattern is phase-randomized.
-          EpisodeContext context(geo_schedule, config.protocol,
+          // shard's own thread (first touch keeps its arena local).
+          EpisodeContext context(schedule, config.protocol,
                                  config.opportunity_adaptive,
                                  config.fault_plan);
           for (std::int64_t e = begin; e < end; ++e) {
             const Rng ep = episode_rng.fork(static_cast<std::uint64_t>(e));
             Rng phase_rng = ep.fork(1);
             Rng duration_rng = ep.fork(2);
-            const Duration phase = phase_rng.uniform(
-                Duration::zero(), config.constellation->max_period());
+            const Duration phase =
+                phase_rng.uniform(Duration::zero(), phase_span);
             const Duration duration = duration_law->sample(duration_rng);
-            accumulate(acc, context.run(e, ep.fork(3), signal_start + phase,
-                                        duration, trace, invariants, ledger));
+            TimePoint start = signal_start;
+            if (geometric) {
+              start = signal_start + phase;
+            } else {
+              analytic = AnalyticSchedule(config.geometry, config.k, phase);
+            }
+            accumulate(acc, context.run(e, ep.fork(3), start, duration, trace,
+                                        invariants, ledger));
           }
         }
-        if (want_metrics) {
+        if (geometric && want_metrics) {
           acc.metrics.add("visibility.pass_queries",
                           static_cast<std::int64_t>(vis_stats.pass_queries));
           acc.metrics.add("visibility.pass_hits",

@@ -64,9 +64,10 @@ struct QosSimulationConfig {
   /// golden metrics files predate these keys.
   bool queue_metrics = false;
 
-  /// Export the batch engine's `sim.batch.*` occupancy counters into
-  /// `metrics`. Off by default, like queue_metrics: the golden metrics
-  /// files predate these keys.
+  /// Inert: nothing reads it. It exported the retired batch engine's
+  /// occupancy counters and stays only because the end-to-end benchmark
+  /// (e2ebench/e2ebench.cpp) still assigns it; delete it with that
+  /// assignment in the next e2ebench change.
   bool batch_metrics = false;
 
   // --- Fault injection (ISSUE 5). ---
@@ -97,10 +98,10 @@ struct QosSimulationConfig {
   /// episode reduction. Purely observational — never affects results.
   ReduceProfile* profile = nullptr;
   /// Receives the hierarchical span tree of the run (src/obs/span.hpp):
-  /// seed/freeze, per-shard prologue/drain, merge. The tree's structure,
-  /// counts, and item tallies are bit-identical for any `jobs` value —
-  /// only wall_ns varies. Exported as Chrome trace-event JSON by oaqctl
-  /// --spans.
+  /// seed/freeze, one `episodes` span per shard, merge. The tree's
+  /// structure, counts, and item tallies are bit-identical for any `jobs`
+  /// value — only wall_ns varies. Exported as Chrome trace-event JSON by
+  /// oaqctl --spans.
   SpanProfiler* spans = nullptr;
   /// Receives the merged per-episode attribution ledger: every final
   /// drop, retry, and fault activation keyed by episode id, in analytic

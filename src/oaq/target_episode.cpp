@@ -392,8 +392,8 @@ bool TargetEpisode::arm(TimePoint signal_start, Duration signal_duration) {
       if (start >= sig_end_) break;
     }
   }
-  // An escaped signal leaves the default result — the value the batch
-  // engine's closed-form escape retires with.
+  // An escaped signal leaves the default result, which the context
+  // returns as the episode's outcome.
   if (!t0) return false;
   result_.horizon_passes = static_cast<int>(passes_.size());
 

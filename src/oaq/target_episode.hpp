@@ -41,7 +41,7 @@ class TargetEpisode {
   TargetEpisode& operator=(const TargetEpisode&) = delete;
 
   /// Return the episode to its just-constructed state for the next signal
-  /// in a batch, rebinding the per-episode inputs (target id, RNG stream,
+  /// in a run, rebinding the per-episode inputs (target id, RNG stream,
   /// trace sink) while keeping every grown buffer — passes, agents,
   /// participants, overlap scratch — so a re-armed episode allocates
   /// nothing in steady state. The infrastructure bindings (simulator,

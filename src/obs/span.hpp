@@ -1,8 +1,8 @@
 // Hierarchical span profiler (ISSUE 7 tentpole).
 //
 // The flat ReduceProfile answers "how long did shard s run"; it cannot say
-// *where inside a shard* the time went — seed vs. freeze, batch prologue
-// vs. armed-lane DES drain, protocol vs. merge. Spans answer that: nested
+// *where inside a shard* the time went — seed vs. freeze, episodes vs.
+// merge, a campaign's arrivals vs. drain. Spans answer that: nested
 // named intervals recorded into per-arena call trees and exported as
 // Chrome trace-event / Perfetto-compatible JSON (`oaqctl --spans`).
 //
@@ -73,35 +73,24 @@ class SpanArena {
   /// Open a nested span. The matching exit() must run on the same arena in
   /// LIFO order (use ScopedSpan).
   void enter(std::string_view name) {
-    enter_at(name, std::chrono::steady_clock::now());
+    const std::int32_t node = intern(name);
+    open_.push_back({node, std::chrono::steady_clock::now()});
   }
 
   /// Close the innermost open span, accumulating its wall time.
-  void exit() { exit_at(std::chrono::steady_clock::now()); }
-
-  /// enter/exit with a caller-supplied timestamp: hot loops that span two
-  /// phases back to back share ONE clock read as the first phase's end and
-  /// the second's start (the batch engine's prologue/drain split), halving
-  /// the profiler's per-block cost. Timestamps may be taken before the
-  /// call — only the deltas matter.
-  void enter_at(std::string_view name,
-                std::chrono::steady_clock::time_point at) {
-    const std::int32_t node = intern(name);
-    open_.push_back({node, at});
-  }
-  void exit_at(std::chrono::steady_clock::time_point at) {
+  void exit() {
     OAQ_REQUIRE(!open_.empty(), "span exit without a matching enter");
     const OpenSpan top = open_.back();
     open_.pop_back();
     Node& n = nodes_[static_cast<std::size_t>(top.node)];
     ++n.count;
     n.wall_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     at - top.started)
+                     std::chrono::steady_clock::now() - top.started)
                      .count();
   }
 
   /// Add `delta` to the innermost open span's deterministic item tally
-  /// (lane counts, episode counts — anything jobs-independent).
+  /// (episode counts, signal counts — anything jobs-independent).
   void add_items(std::int64_t delta) {
     OAQ_REQUIRE(!open_.empty(), "add_items needs an open span");
     nodes_[static_cast<std::size_t>(open_.back().node)].items += delta;

@@ -1,7 +1,6 @@
 // Parameterized Walker-shell builder (ISSUE 8 tentpole): preset design
 // points, i:T/P/F validation, multi-shell plane layout, the shell-aware
-// router / plane-capacity factories, and the on-disk shell format
-// round-trip.
+// plane-capacity factory, and the on-disk shell format round-trip.
 #include "orbit/constellation_builder.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 
 #include "common/error.hpp"
 #include "fault/plane_capacity.hpp"
-#include "net/router.hpp"
 
 namespace oaq {
 namespace {
@@ -149,7 +147,7 @@ TEST(ConstellationBuilder, RejectsPlaneRangeOverflow) {
   EXPECT_THROW((void)b.build(), PreconditionError);
 }
 
-TEST(ConstellationBuilder, RouterAndDependabilityAreShellAware) {
+TEST(ConstellationBuilder, DependabilityIsShellAware) {
   WalkerShell low = small_shell();  // 2 planes × 3
   WalkerShell high = small_shell();
   high.planes = 3;
@@ -157,14 +155,6 @@ TEST(ConstellationBuilder, RouterAndDependabilityAreShellAware) {
   high.spares_per_plane = 1;
   const Constellation c =
       ConstellationBuilder().add_shell(low).add_shell(high).build();
-
-  // Per-plane routing tables size to the owning shell's ring.
-  const PlaneRouter r0 = PlaneRouter::for_plane(c, 1);
-  EXPECT_EQ(r0.active_count(), 3);
-  EXPECT_EQ(r0.next_visitor({1, 0}), (SatelliteId{1, 2}));
-  const PlaneRouter r1 = PlaneRouter::for_plane(c, 4);
-  EXPECT_EQ(r1.active_count(), 4);
-  EXPECT_EQ(r1.previous_visitor({4, 3}), (SatelliteId{4, 0}));
 
   // Plane-capacity math follows the shell design, not the 14+2 reference.
   const PlaneDependability dep = plane_dependability_of(c.shell_design(1));

@@ -5,12 +5,19 @@
 // trace bytes, identical ledger rows, identical invariant audits — for
 // OAQ and BAQ, on the analytic k = 9 plane and the iridium-next
 // constellation, with and without a stochastic storm over reliable
-// self-healing links.
+// self-healing links, under eccentric duration laws and a scripted fault
+// plan. simulate_qos's shards run that same loop: their analytic trace
+// matches the oracle's, byte for byte, at any worker count.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/distribution.hpp"
 #include "fault/plan.hpp"
 #include "oaq/montecarlo.hpp"
 #include "oaq/schedule.hpp"
@@ -36,6 +43,8 @@ FaultPlan storm_plan(int planes) {
 
 /// 2000 episodes through one reused context and through a fresh
 /// EpisodeEngine::run each; `geometric` null = the analytic k = 9 plane.
+/// `storm` replaces the sequence's fault plan with a stochastic storm over
+/// reliable self-healing links.
 void expect_reuse_matches_fresh(oracle::Sequence s, int planes, bool storm,
                                 const std::string& label) {
   s.episode_rng = Rng(20261016).fork(3);
@@ -52,14 +61,14 @@ void expect_reuse_matches_fresh(oracle::Sequence s, int planes, bool storm,
   EXPECT_EQ(want.violations, 0u) << label;
   // The property is only as strong as the paths it crosses: episodes must
   // drain, analytic ones must also escape (the geometric presets cover the
-  // target continuously), and storms must actually fire.
+  // target continuously), and fault plans must actually fire.
   std::int64_t detected = 0;
   for (const EpisodeResult& r : want.results) detected += r.detected ? 1 : 0;
   EXPECT_GT(detected, 0) << label;
   if (s.geometric == nullptr) {
     EXPECT_LT(detected, s.episodes) << label;
   }
-  if (storm) {
+  if (s.plan != nullptr) {
     EXPECT_NE(want.ledger.find("\"ep\":"), std::string::npos) << label;
   }
 }
@@ -73,6 +82,46 @@ TEST(EpisodeContext, ReusedMatchesFreshAnalytic) {
                                  std::string(oaq ? "oaq" : "baq") +
                                      (storm ? " storm" : " clean"));
     }
+  }
+}
+
+TEST(EpisodeContext, ReusedMatchesFreshAcrossDurationLaws) {
+  // Near-zero deterministic signals escape almost always, heavy-tailed
+  // Weibull signals almost never, and a uniform law straddles the pass
+  // length.
+  const std::vector<
+      std::pair<std::string, std::shared_ptr<const DurationDistribution>>>
+      laws = {
+          {"det_short", std::make_shared<DeterministicDuration>(
+                            Duration::seconds(2.0))},
+          {"weibull_heavy", std::make_shared<WeibullDuration>(
+                                WeibullDuration::with_mean(
+                                    0.6, Duration::minutes(2.0)))},
+          {"uniform", std::make_shared<UniformDuration>(
+                          Duration::seconds(5.0), Duration::minutes(10.0))},
+      };
+  for (const auto& [name, law] : laws) {
+    oracle::Sequence s;
+    s.law = law;
+    expect_reuse_matches_fresh(s, 1, /*storm=*/false, name);
+  }
+}
+
+TEST(EpisodeContext, ReusedMatchesFreshUnderScriptedFaultPlan) {
+  // Clause times are relative to each episode's signal start.
+  FaultPlan plan;
+  plan.add(FaultPlan::fail_silent({0, 2}, Duration::minutes(1.0)));
+  plan.add(FaultPlan::recover({0, 2}, Duration::minutes(4.0)));
+  plan.add(FaultPlan::delay_spike(3.0, Duration::minutes(1.0),
+                                  Duration::minutes(5.0)));
+  plan.add(FaultPlan::burst_loss(0.3, Duration::minutes(0.0),
+                                 Duration::minutes(2.0)));
+  for (const bool oaq : {true, false}) {
+    oracle::Sequence s;
+    s.oaq = oaq;
+    s.plan = &plan;
+    expect_reuse_matches_fresh(s, 1, /*storm=*/false,
+                               oaq ? "oaq scripted" : "baq scripted");
   }
 }
 
@@ -121,6 +170,62 @@ TEST(EpisodeContext, EscapedEpisodeLeavesTheContextReusable) {
                                            Duration::minutes(10));
   EXPECT_TRUE(armed.detected);
   EXPECT_GT(armed.telemetry.sim_events, 0u);
+}
+
+/// A trace without its leading `"shard":N,` fields: simulate_qos splits
+/// episodes over shards, a sequence runs them all in one.
+std::string without_shards(const std::string& jsonl) {
+  std::istringstream in(jsonl);
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    out += "{" + line.substr(line.find(',') + 1) + "\n";
+  }
+  return out;
+}
+
+TEST(EpisodeContext, SimulateShardsMatchTheOracleAtAnyWorkerCount) {
+  // 400 analytic k = 9 episodes: simulate_qos's trace and metrics bytes are
+  // identical at jobs 1/4/8, and its shard-stripped trace is the oracle's
+  // sequential trace on the same streams.
+  for (const bool oaq : {true, false}) {
+    oracle::Sequence s;
+    s.oaq = oaq;
+    s.episodes = 400;
+    s.episode_rng = Rng(7).fork(3);
+    s.protocol.computation_cap = s.protocol.tg;
+    std::string serial_trace;
+    std::string serial_metrics;
+    for (const int jobs : {1, 4, 8}) {
+      QosSimulationConfig cfg;
+      cfg.k = s.k;
+      cfg.episodes = s.episodes;
+      cfg.seed = 7;
+      cfg.opportunity_adaptive = oaq;
+      cfg.protocol = s.protocol;
+      cfg.jobs = jobs;
+      cfg.queue_metrics = true;
+      TraceCollector trace;
+      MetricsRegistry metrics;
+      cfg.trace = &trace;
+      cfg.metrics = &metrics;
+      (void)simulate_qos(cfg);
+      std::ostringstream ts;
+      trace.write_jsonl(ts);
+      std::ostringstream ms;
+      metrics.write_json(ms);
+      if (jobs == 1) {
+        serial_trace = ts.str();
+        serial_metrics = ms.str();
+        EXPECT_NE(serial_trace.find("\"term_"), std::string::npos);
+        EXPECT_EQ(without_shards(serial_trace),
+                  without_shards(oracle::run_fresh(s).trace))
+            << "oaq=" << oaq;
+      } else {
+        EXPECT_EQ(ts.str(), serial_trace) << "trace, jobs=" << jobs;
+        EXPECT_EQ(ms.str(), serial_metrics) << "metrics, jobs=" << jobs;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -34,8 +34,8 @@ TEST(AnalyticSchedule, PhaseShiftsThePattern) {
 }
 
 TEST(AnalyticSchedule, ConsecutiveVisitorsAreChainNeighbors) {
-  // Successive passes must be slot s, s-1, s-2 ... (mod k), matching
-  // PlaneRouter::next_visitor.
+  // Successive passes must be slot s, s-1, s-2 ... (mod k): the slot
+  // trailing in orbital phase revisits the target next.
   const int k = 10;
   const AnalyticSchedule sched(PlaneGeometry{}, k, Duration::minutes(3));
   const auto passes = sched.passes(Duration::zero(), Duration::minutes(120));

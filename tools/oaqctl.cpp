@@ -636,9 +636,6 @@ int cmd_simulate(const Args& args) {
   // Queue telemetry is deterministic, so the jobs-independence contract of
   // --metrics output holds with it enabled.
   cfg.queue_metrics = true;
-  // Batch-engine occupancy counters are pure functions of the episode
-  // sequence, so they share queue_metrics' determinism contract.
-  cfg.batch_metrics = true;
   apply_link_flags(args, cfg.protocol);
 
   // Geometric mode: --constellation <preset|file> (+ --lat/--lon target,
@@ -1288,29 +1285,6 @@ int cmd_report(const Args& args) {
       table.add_row({std::string("sim events"), counter("sim.events")});
       table.print(std::cout);
     }
-    // Batch-engine section (ISSUE 9): armed/escaped lane split and the
-    // per-batch armed-lane occupancy histogram, when the run exported
-    // sim.batch.* counters (simulate's analytic path with batch metrics).
-    if (counters != nullptr &&
-        counters->find("sim.batch.batches") != nullptr) {
-      const long long episodes = counter("sim.batch.episodes");
-      const long long armed = counter("sim.batch.des_lanes");
-      const long long escaped = counter("sim.batch.escaped");
-      TablePrinter table({"batch engine", "value"}, 0);
-      table.add_row({std::string("batches"), counter("sim.batch.batches")});
-      table.add_row({std::string("episodes"), episodes});
-      table.add_row({std::string("armed lanes"), armed});
-      table.add_row({std::string("escaped (closed form)"), escaped});
-      table.print(std::cout);
-      TablePrinter hist({"armed lanes per batch", "batches"}, 0);
-      for (int occ = 0;; ++occ) {
-        const std::string key =
-            "sim.batch.occupancy." + std::to_string(occ);
-        if (counters->find(key) == nullptr) break;
-        hist.add_row({std::to_string(occ), counter(key)});
-      }
-      hist.print(std::cout);
-    }
   }
 
   // --- Optional consolidated JSON document. ---
@@ -1398,23 +1372,6 @@ int cmd_report(const Args& args) {
       bool first_counter = true;
       for (const auto& [key, value] : counters->object) {
         if (key.rfind("sim.queue.", 0) != 0 && key != "sim.events") continue;
-        os << (first_counter ? "" : ",");
-        write_json_string(os, key);
-        os << ":";
-        write_json_double(os, value.number);
-        first_counter = false;
-      }
-      os << "}";
-    } else {
-      os << "null";
-    }
-    os << ",\"batch\":";
-    if (counters != nullptr &&
-        counters->find("sim.batch.batches") != nullptr) {
-      os << "{";
-      bool first_counter = true;
-      for (const auto& [key, value] : counters->object) {
-        if (key.rfind("sim.batch.", 0) != 0) continue;
         os << (first_counter ? "" : ",");
         write_json_string(os, key);
         os << ":";
@@ -1522,7 +1479,7 @@ int help() {
       "  report   [--trace T] [--metrics M] [--spans S] [--manifest F]\n"
       "           [--top N] [--json OUT]   one consolidated run report:\n"
       "           manifest identity, latency percentiles, cause x drops,\n"
-      "           top spans, queue telemetry, batch-engine occupancy\n"
+      "           top spans, queue telemetry\n"
       "           (oaq-report-v1 JSON via --json)\n"
       "Monte-Carlo commands run on all cores by default; --jobs N (or the\n"
       "OAQ_JOBS env var) overrides, --jobs 1 is the serial path. Results\n"
