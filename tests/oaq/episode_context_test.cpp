@@ -85,25 +85,38 @@ TEST(EpisodeContext, ReusedMatchesFreshAnalytic) {
   }
 }
 
+/// Eccentric duration laws: near-zero deterministic signals escape almost
+/// always, heavy-tailed Weibull signals almost never, and a uniform law
+/// straddles the pass length.
+std::vector<std::pair<std::string, std::shared_ptr<const DurationDistribution>>>
+eccentric_laws() {
+  return {
+      {"det_short",
+       std::make_shared<DeterministicDuration>(Duration::seconds(2.0))},
+      {"weibull_heavy", std::make_shared<WeibullDuration>(
+                            WeibullDuration::with_mean(
+                                0.6, Duration::minutes(2.0)))},
+      {"uniform", std::make_shared<UniformDuration>(Duration::seconds(5.0),
+                                                    Duration::minutes(10.0))},
+  };
+}
+
 TEST(EpisodeContext, ReusedMatchesFreshAcrossDurationLaws) {
-  // Near-zero deterministic signals escape almost always, heavy-tailed
-  // Weibull signals almost never, and a uniform law straddles the pass
-  // length.
-  const std::vector<
-      std::pair<std::string, std::shared_ptr<const DurationDistribution>>>
-      laws = {
-          {"det_short", std::make_shared<DeterministicDuration>(
-                            Duration::seconds(2.0))},
-          {"weibull_heavy", std::make_shared<WeibullDuration>(
-                                WeibullDuration::with_mean(
-                                    0.6, Duration::minutes(2.0)))},
-          {"uniform", std::make_shared<UniformDuration>(
-                          Duration::seconds(5.0), Duration::minutes(10.0))},
-      };
-  for (const auto& [name, law] : laws) {
+  for (const auto& [name, law] : eccentric_laws()) {
     oracle::Sequence s;
     s.law = law;
     expect_reuse_matches_fresh(s, 1, /*storm=*/false, name);
+  }
+}
+
+TEST(EpisodeContext, ReusedMatchesFreshUnderBaq) {
+  // BAQ runs no coordination protocol, so its episodes cross other paths
+  // than OAQ's under the same eccentric laws.
+  for (const auto& [name, law] : eccentric_laws()) {
+    oracle::Sequence s;
+    s.oaq = false;
+    s.law = law;
+    expect_reuse_matches_fresh(s, 1, /*storm=*/false, "baq " + name);
   }
 }
 
