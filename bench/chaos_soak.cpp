@@ -246,7 +246,7 @@ struct LinkStormNumbers {
 };
 
 /// Analytic-mode link storm under self-healing links + reliable retries:
-/// the health counters come from the gated net.health.* metrics.
+/// the health counters come from the run's net.health.* metrics.
 LinkStormNumbers run_link_storm(int episodes, const FaultPlan* plan) {
   QosSimulationConfig cfg;
   cfg.k = 9;

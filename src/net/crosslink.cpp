@@ -245,7 +245,7 @@ void CrosslinkNetwork::trace_link_event(TraceEventType type, int plane_a,
   // Plane-level event: sat/peer carry PLANE indices (like the injector's
   // fault_link_outage encoding), not satellite slots.
   TraceEvent ev;
-  ev.episode = trace_attribution_ ? episode : trace_episode_;
+  ev.episode = episode;
   ev.t_min = sim_->now().since_origin().to_minutes();
   ev.type = type;
   ev.sat = static_cast<std::int16_t>(plane_a);
@@ -404,7 +404,6 @@ void CrosslinkNetwork::reset(Rng rng) {
   stats_ = {};
   trace_ = nullptr;
   trace_episode_ = -1;
-  trace_attribution_ = false;
   ledger_ = nullptr;
   ground_.failed = false;
   for (auto& ring : sats_) {
@@ -440,7 +439,7 @@ void CrosslinkNetwork::send(const Address& from, const Address& to,
     if (trace_ != nullptr) {
       trace_event(TraceEventType::kXlinkDrop, from, to,
                   static_cast<std::int32_t>(DropReason::kDeadSender), 0.0,
-                  trace_attribution_ ? episode : trace_episode_);
+                  episode);
     }
     return;
   }
@@ -500,7 +499,7 @@ void CrosslinkNetwork::attempt(std::uint32_t slot) {
   const Duration delay = rng_.uniform(lo, hi);
   if (trace_ != nullptr && env.attempt == 0) {
     trace_event(TraceEventType::kXlinkSend, env.from, env.to, 0,
-                delay.to_seconds(), trace_episode_of(env));
+                delay.to_seconds(), env.episode);
   }
   // The capture is two words, so the DES kernel stores it inline: a send
   // costs no allocation at all for inline payloads (every protocol message).
@@ -529,7 +528,7 @@ void CrosslinkNetwork::fail_attempt(std::uint32_t slot, DropReason reason) {
     if (trace_ != nullptr) {
       trace_event(TraceEventType::kXlinkRetry, env.from, env.to,
                   static_cast<std::int32_t>(reason),
-                  ack_timeout.to_seconds(), trace_episode_of(env));
+                  ack_timeout.to_seconds(), env.episode);
     }
     const TimePoint retry_at = env.attempt_started + ack_timeout;
     sim_->schedule_at(std::max(retry_at, sim_->now()),
@@ -562,7 +561,7 @@ void CrosslinkNetwork::final_drop(std::uint32_t slot, DropReason reason) {
   if (trace_ != nullptr) {
     trace_event(TraceEventType::kXlinkDrop, env.from, env.to,
                 static_cast<std::int32_t>(reason), 0.0,
-                trace_episode_of(env));
+                env.episode);
   }
   if (drop_handler_ != nullptr && reason != DropReason::kDeadSender) {
     drop_handler_(env, reason);
@@ -599,7 +598,7 @@ void CrosslinkNetwork::deliver(std::uint32_t slot) {
   if (trace_ != nullptr) {
     trace_event(TraceEventType::kXlinkRecv, env.from, env.to, 0,
                 (env.delivered - env.sent).to_seconds(),
-                trace_episode_of(env));
+                env.episode);
   }
   state->handler(env);
 }

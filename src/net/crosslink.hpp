@@ -186,9 +186,10 @@ class CrosslinkNetwork {
   [[nodiscard]] const Options& options() const { return options_; }
 
   /// Attach a trace sink: every send/recv/drop is recorded as an
-  /// xlink_* event stamped with `episode_id` (-1 when the network is
-  /// shared by many episodes, as in campaigns). Null disables tracing —
-  /// the recording sites are a single branch on the pointer.
+  /// xlink_* event stamped with its envelope's episode id; episode-less
+  /// sends inherit `episode_id` (-1 when the network is shared by many
+  /// episodes, as in campaigns). Null disables tracing — the recording
+  /// sites are a single branch on the pointer.
   void set_trace(ShardTraceBuffer* trace, std::int64_t episode_id) {
     trace_ = trace;
     trace_episode_ = episode_id;
@@ -205,12 +206,6 @@ class CrosslinkNetwork {
   /// one branch per recording site, like the trace sink.
   void set_ledger(EpisodeLedger* ledger) { ledger_ = ledger; }
 
-  /// Stamp xlink_* trace events with the envelope's episode id instead of
-  /// the network-wide trace episode. Off by default: shared-network
-  /// campaigns historically stamped -1 (the golden campaign trace pins
-  /// those bytes); `oaqctl campaign` turns it on so trace-summary can
-  /// attribute drops per target.
-  void set_trace_attribution(bool on) { trace_attribution_ = on; }
 
   // --- Degradation hooks (FaultInjector). Tokens identify the pushing
   // clause so windows may overlap in any order; all effective values are
@@ -342,10 +337,6 @@ class CrosslinkNetwork {
   /// Plane-level health event (sat/peer carry plane indices).
   void trace_link_event(TraceEventType type, int plane_a, int plane_b,
                         std::int32_t a, double v, std::int64_t episode) const;
-  /// Episode id an event about `env` is stamped/recorded with.
-  [[nodiscard]] std::int64_t trace_episode_of(const Envelope& env) const {
-    return trace_attribution_ ? env.episode : trace_episode_;
-  }
 
   Simulator* sim_;
   Options options_;
@@ -357,7 +348,6 @@ class CrosslinkNetwork {
   NetworkStats stats_;
   ShardTraceBuffer* trace_ = nullptr;
   std::int64_t trace_episode_ = -1;
-  bool trace_attribution_ = false;
   EpisodeLedger* ledger_ = nullptr;
   DropHandler drop_handler_;
 

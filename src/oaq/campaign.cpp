@@ -11,11 +11,12 @@
 namespace oaq {
 namespace {
 
-/// Mergeable tallies for one or more campaign replications. Counters and
-/// pmf weights are integral, so any grouping merges exactly; the latency
-/// RunningStat is folded in a fixed replication order (one shard per
-/// replication), so the floating-point result is also independent of the
-/// worker count.
+/// Mergeable tallies for one or more campaign replications: the
+/// CampaignResult fields and the inputs of the oaq-metrics-v2 keys.
+/// Counters and pmf weights are integral, so any grouping merges exactly;
+/// the RunningStats are folded in a fixed replication order (one shard per
+/// replication), so their floating-point values are also independent of
+/// the worker count.
 struct CampaignAccum {
   std::int64_t signals = 0;
   DiscretePmf levels;
@@ -25,8 +26,10 @@ struct CampaignAccum {
   RunningStat latency_min;
   std::int64_t contended = 0;
   double queueing_delay_s = 0.0;
+  RunningStat queueing_delay;  ///< one value per replication
+  RunningStat chain_length;    ///< over detected targets
   std::int64_t fault_truncations = 0;
-  MetricsRegistry metrics;  ///< per-replication; empty when metrics are off
+  TelemetryTally telemetry;
   InvariantChecker invariants;  ///< idle when checks are off
   EpisodeLedger ledger;  ///< per-target attribution; empty when disabled
 
@@ -39,19 +42,41 @@ struct CampaignAccum {
     latency_min.merge(other.latency_min);
     contended += other.contended;
     queueing_delay_s += other.queueing_delay_s;
+    queueing_delay.merge(other.queueing_delay);
+    chain_length.merge(other.chain_length);
     fault_truncations += other.fault_truncations;
-    metrics.merge(other.metrics);
+    telemetry.merge(other.telemetry);
     invariants.merge(other.invariants);
     ledger.merge(other.ledger);
   }
 };
 
+/// run_campaign's oaq-metrics-v2 key set (tools/README.md), written once
+/// from the merged replications: the outcome keys, then the shared
+/// families.
+MetricsRegistry campaign_metrics(const CampaignAccum& a, int replications,
+                                 std::size_t cache_entries) {
+  MetricsRegistry m;
+  m.add("campaign.replications", replications);
+  m.add("campaign.signals", a.signals);
+  m.add("alerts.delivered", a.delivered);
+  m.add("alerts.untimely", a.untimely);
+  m.add("alerts.duplicate_episodes", a.duplicates);
+  m.add("compute.contended", a.contended);
+  m.observe("compute.queueing_delay_s", a.queueing_delay);
+  m.observe("alerts.latency_min", a.latency_min);
+  m.observe("chain.length", a.chain_length);
+  write_shared_metrics(m, a.telemetry, cache_entries,
+                       a.invariants.violations());
+  return m;
+}
+
 /// One replication, seeded by `master`: one EpisodeContext run hosting
 /// every admitted signal. `trace` is this replication's shard buffer (null
-/// = tracing disabled); `want_metrics` fills the accumulator's registry;
-/// `cache` is the run's frozen pass table (null in analytic mode).
+/// = tracing disabled); `cache` is the run's frozen pass table (null in
+/// analytic mode).
 CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
-                                  ShardTraceBuffer* trace, bool want_metrics,
+                                  ShardTraceBuffer* trace,
                                   const SharedVisibilityCache* cache,
                                   SpanArena* spans) {
   const ScopedSpan replication_span(spans, "replication");
@@ -90,13 +115,11 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
   CampaignAccum out;
   const bool want_ledger =
       config.check_invariants || config.ledger != nullptr;
-  // Signals share the network; network events carry episode = -1 unless
-  // per-envelope attribution is on (then each xlink_* event names the
-  // owning target — the golden campaign trace keeps the -1 default).
-  // Campaign clauses anchor at the origin and belong to no single target,
-  // so their activations land in the ledger's global row.
+  // Signals share the network: each xlink_* event names its envelope's
+  // target, and episode-less traffic carries -1. Campaign clauses anchor
+  // at the origin and belong to no single target, so their activations
+  // land in the ledger's global row.
   context.reset({.trace_episode = -1,
-                 .trace_attribution = config.episode_attribution,
                  .net_rng = master.fork(3),
                  .fault_rng = master.fork(6),
                  .trace = trace,
@@ -146,6 +169,9 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
       if (!r.timely) ++out.untimely;
       out.latency_min.add((r.first_alert_sent - r.detection).to_minutes());
     }
+    if (r.detected) {
+      out.chain_length.add(static_cast<double>(r.chain_length));
+    }
     if (r.alerts_sent > 1) ++out.duplicates;
     if (config.check_invariants) {
       // Exact per-target I7 audit (ISSUE 7): the attribution ledger tracks
@@ -177,34 +203,9 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
   out.fault_truncations =
       static_cast<std::int64_t>(context.telemetry().fault_truncations);
 
-  if (want_metrics) {
-    MetricsRegistry& m = out.metrics;
-    m.add("campaign.replications", 1);
-    m.add("campaign.signals", out.signals);
-    m.add("alerts.delivered", out.delivered);
-    m.add("alerts.untimely", out.untimely);
-    m.add("alerts.duplicate_episodes", out.duplicates);
-    m.add("compute.contended", out.contended);
-    record_link_metrics(m, context.telemetry(), config.protocol,
-                        config.fault_plan, config.queue_metrics);
-    if (cache != nullptr) {
-      m.add("visibility.pass_queries",
-            static_cast<std::int64_t>(vis_stats.pass_queries));
-      m.add("visibility.pass_hits",
-            static_cast<std::int64_t>(vis_stats.pass_hits));
-    }
-    m.observe("compute.queueing_delay_s", out.queueing_delay_s);
-    for (int i = 0; i < context.armed_targets(); ++i) {
-      const EpisodeResult& r = context.target_result(i);
-      if (r.alert_delivered) {
-        m.observe("alerts.latency_min",
-                  (r.first_alert_sent - r.detection).to_minutes());
-      }
-      if (r.detected) {
-        m.observe("chain.length", static_cast<double>(r.chain_length));
-      }
-    }
-  }
+  out.queueing_delay.add(out.queueing_delay_s);
+  out.telemetry.add(context.telemetry());
+  out.telemetry.visibility = vis_stats;
   return out;
 }
 
@@ -220,7 +221,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   // One trace shard per replication (a replication's stream depends only
   // on its child seed, so the shard-order export is jobs-independent).
   if (config.trace != nullptr) config.trace->prepare(config.replications);
-  const bool want_metrics = config.metrics != nullptr;
   const auto shard_trace = [&config](int shard) {
     return config.trace != nullptr ? config.trace->shard(shard) : nullptr;
   };
@@ -266,8 +266,8 @@ CampaignResult run_campaign(const CampaignConfig& config) {
         CampaignAccum acc;
         for (std::int64_t r = begin; r < end; ++r) {
           acc.merge(run_single_campaign(config, replication_master(r),
-                                        shard_trace(shard), want_metrics,
-                                        cache_ptr, shard_spans(shard)));
+                                        shard_trace(shard), cache_ptr,
+                                        shard_spans(shard)));
         }
         return acc;
       },
@@ -278,18 +278,11 @@ CampaignResult run_campaign(const CampaignConfig& config) {
         into.merge(from);
       },
       config.profile, table ? &table->hook : nullptr);
-  if (table && want_metrics) {
-    // Global table count, once — not per replication.
-    total.metrics.add(
-        "visibility.cache_entries",
-        static_cast<std::int64_t>(table->cache.frozen_entries()));
+  if (config.metrics != nullptr) {
+    *config.metrics =
+        campaign_metrics(total, config.replications,
+                         table ? table->cache.frozen_entries() : 0);
   }
-  if (want_metrics && config.check_invariants) {
-    total.metrics.add(
-        "invariant.violations",
-        static_cast<std::int64_t>(total.invariants.violations()));
-  }
-  if (want_metrics) *config.metrics = std::move(total.metrics);
   if (config.ledger != nullptr) *config.ledger = std::move(total.ledger);
 
   CampaignResult out;

@@ -59,10 +59,6 @@ struct CampaignConfig {
   GeoPoint target{};
   bool earth_rotation = false;
 
-  /// Export `sim.queue.*` DES ready-queue telemetry into `metrics` (off by
-  /// default: the golden metrics files predate these keys).
-  bool queue_metrics = false;
-
   // --- Fault injection (ISSUE 5). ---
   /// Scripted degradation clauses replayed once per replication, with
   /// clause times relative to the campaign origin (the replication's
@@ -71,16 +67,18 @@ struct CampaignConfig {
   /// never perturbs arrivals, durations, or protocol noise.
   const FaultPlan* fault_plan = nullptr;
   /// Audit every episode (and the DES ledger) with the InvariantChecker;
-  /// findings surface in CampaignResult::invariant_violations and — with
-  /// `metrics` — as the `invariant.violations` counter.
+  /// findings surface in CampaignResult::invariant_violations and in the
+  /// `invariant.violations` counter (0 when checks are off).
   bool check_invariants = false;
 
   // --- Observability (all optional; null = disabled). ---
   /// Protocol event streams, one shard per replication. Campaign episodes
-  /// share one network, so network-level events carry episode = -1 while
-  /// protocol-level events carry the target id.
+  /// share one network; every event about a target's envelope or protocol
+  /// state carries its target id, and campaign-wide events (fault clauses,
+  /// episode-less traffic) carry -1.
   TraceCollector* trace = nullptr;
-  /// Receives the merged campaign metrics (deterministic; see montecarlo).
+  /// Receives the run's oaq-metrics-v2 key set (tools/README.md), written
+  /// once from the merged replications; deterministic for any `jobs`.
   MetricsRegistry* metrics = nullptr;
   /// Per-replication wall-time profile of the replication fan-out.
   ReduceProfile* profile = nullptr;
@@ -93,10 +91,14 @@ struct CampaignConfig {
   /// for episode-less traffic such as campaign-wide fault clauses). Also
   /// enabled implicitly by check_invariants, which audits I7 against it.
   EpisodeLedger* ledger = nullptr;
-  /// Stamp xlink_* trace events with the owning target id instead of the
-  /// campaign-wide -1. Off by default — the golden campaign trace pins the
-  /// -1 bytes; `oaqctl campaign` turns it on so trace-summary can
-  /// attribute drops per target.
+
+  /// Inert: nothing reads them. `queue_metrics` gated the `sim.queue.*`
+  /// keys, which oaq-metrics-v2 always writes; `episode_attribution`
+  /// stamped xlink_* trace events with their target id, which every
+  /// campaign trace now does. They stay only because the end-to-end
+  /// benchmark (e2ebench/e2ebench.cpp) still assigns them; delete them
+  /// with those assignments in the next e2ebench change.
+  bool queue_metrics = false;
   bool episode_attribution = false;
 };
 

@@ -1,9 +1,12 @@
 #include "oaq/episode.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 
 #include "common/error.hpp"
 #include "fault/invariants.hpp"
+#include "obs/metrics.hpp"
 #include "oaq/target_episode.hpp"
 
 namespace oaq {
@@ -34,42 +37,72 @@ CrosslinkNetwork::Options net_options(const ProtocolConfig& cfg) {
   return opt;
 }
 
+/// The tally's counter slots: oaq-metrics-v2 key and telemetry field.
+struct TallyCounter {
+  const char* key;
+  std::uint64_t EpisodeTelemetry::*field;
+};
+constexpr TallyCounter kTallyCounters[] = {
+    {"xlink.sent", &EpisodeTelemetry::messages_sent},
+    {"xlink.delivered", &EpisodeTelemetry::messages_delivered},
+    {"xlink.dropped_loss", &EpisodeTelemetry::messages_dropped_loss},
+    {"xlink.dropped_dead", &EpisodeTelemetry::messages_dropped_dead},
+    {"xlink.dropped_link", &EpisodeTelemetry::messages_dropped_link},
+    {"sim.events", &EpisodeTelemetry::sim_events},
+    {"sim.queue.runs_created", &EpisodeTelemetry::sim_runs_created},
+    {"sim.queue.run_merges", &EpisodeTelemetry::sim_run_merges},
+    {"sim.queue.tombstones_purged", &EpisodeTelemetry::sim_tombstones_purged},
+    {"net.retry.attempts", &EpisodeTelemetry::retries},
+    {"net.retry.exhausted", &EpisodeTelemetry::retries_exhausted},
+    {"net.fault.injected", &EpisodeTelemetry::faults_injected},
+    {"net.health.demoted", &EpisodeTelemetry::links_demoted},
+    {"net.health.restored", &EpisodeTelemetry::links_restored},
+    {"net.health.probes", &EpisodeTelemetry::link_probes},
+    {"net.health.probations", &EpisodeTelemetry::link_probations},
+    {"episodes.reroutes", &EpisodeTelemetry::reroutes},
+    {"net.lifecycle.deaths", &EpisodeTelemetry::lifecycle_deaths},
+    {"net.lifecycle.spares", &EpisodeTelemetry::lifecycle_spares},
+};
+static_assert(std::size(kTallyCounters) == TelemetryTally::kCounters);
+
+std::int64_t as_counter(std::uint64_t v) {
+  OAQ_REQUIRE(v <= static_cast<std::uint64_t>(INT64_MAX),
+              "metrics counter overflow");
+  return static_cast<std::int64_t>(v);
+}
+
 }  // namespace
 
-void record_link_metrics(MetricsRegistry& m, const EpisodeTelemetry& t,
-                         const ProtocolConfig& cfg, const FaultPlan* plan,
-                         bool queue_metrics) {
-  const auto count = [](std::uint64_t v) {
-    return static_cast<std::int64_t>(v);
-  };
-  m.add("xlink.sent", count(t.messages_sent));
-  m.add("xlink.delivered", count(t.messages_delivered));
-  m.add("xlink.dropped_loss", count(t.messages_dropped_loss));
-  m.add("xlink.dropped_dead", count(t.messages_dropped_dead));
-  m.add("sim.events", count(t.sim_events));
-  m.observe("sim.peak_pending", static_cast<double>(t.sim_peak_pending));
-  if (queue_metrics) {
-    m.add("sim.queue.runs_created", count(t.sim_runs_created));
-    m.add("sim.queue.run_merges", count(t.sim_run_merges));
-    m.add("sim.queue.tombstones_purged", count(t.sim_tombstones_purged));
-    m.observe("sim.queue.max_run_length",
-              static_cast<double>(t.sim_max_run_length));
+void TelemetryTally::add(const EpisodeTelemetry& t) {
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    counters[i] += t.*kTallyCounters[i].field;
   }
-  if (plan != nullptr || cfg.reliable_links || cfg.self_healing_links) {
-    m.add("xlink.dropped_link", count(t.messages_dropped_link));
-    m.add("net.retry.attempts", count(t.retries));
-    m.add("net.retry.exhausted", count(t.retries_exhausted));
-    m.add("net.fault.injected", count(t.faults_injected));
+  peak_pending.add(static_cast<double>(t.sim_peak_pending));
+  max_run_length.add(static_cast<double>(t.sim_max_run_length));
+}
+
+void TelemetryTally::merge(const TelemetryTally& other) {
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    counters[i] += other.counters[i];
   }
-  if (cfg.self_healing_links) {
-    m.add("net.health.demoted", count(t.links_demoted));
-    m.add("net.health.restored", count(t.links_restored));
-    m.add("net.health.probes", count(t.link_probes));
-    m.add("net.health.probations", count(t.link_probations));
-    m.add("episodes.reroutes", count(t.reroutes));
-    m.add("net.lifecycle.deaths", count(t.lifecycle_deaths));
-    m.add("net.lifecycle.spares", count(t.lifecycle_spares));
+  peak_pending.merge(other.peak_pending);
+  max_run_length.merge(other.max_run_length);
+  visibility.pass_queries += other.visibility.pass_queries;
+  visibility.pass_hits += other.visibility.pass_hits;
+}
+
+void write_shared_metrics(MetricsRegistry& m, const TelemetryTally& tally,
+                          std::size_t cache_entries,
+                          std::uint64_t invariant_violations) {
+  for (std::size_t i = 0; i < TelemetryTally::kCounters; ++i) {
+    m.add(kTallyCounters[i].key, as_counter(tally.counters[i]));
   }
+  m.observe("sim.peak_pending", tally.peak_pending);
+  m.observe("sim.queue.max_run_length", tally.max_run_length);
+  m.add("visibility.pass_queries", as_counter(tally.visibility.pass_queries));
+  m.add("visibility.pass_hits", as_counter(tally.visibility.pass_hits));
+  m.add("visibility.cache_entries", as_counter(cache_entries));
+  m.add("invariant.violations", as_counter(invariant_violations));
 }
 
 TimePoint ComputeCalendar::schedule(SatelliteId sat, TimePoint ready,
@@ -170,7 +203,6 @@ void EpisodeContext::reset(const RunInputs& inputs) {
   sim_.reset();
   net_.reset(inputs.net_rng);
   net_.set_trace(inputs.trace, inputs.trace_episode);
-  net_.set_trace_attribution(inputs.trace_attribution);
   net_.set_ledger(inputs.ledger);
 }
 

@@ -24,6 +24,7 @@
 //     but an alert is lost if that peer goes fail-silent.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -32,15 +33,17 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "fault/injector.hpp"
 #include "geoloc/accuracy.hpp"
 #include "net/crosslink.hpp"
 #include "oaq/messages.hpp"
 #include "oaq/schedule.hpp"
-#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace oaq {
+
+class MetricsRegistry;  // src/obs/metrics.hpp
 
 /// Protocol parameters.
 struct ProtocolConfig {
@@ -99,7 +102,7 @@ struct ProtocolConfig {
 /// Infrastructure-level telemetry of one EpisodeContext run (one simulate
 /// episode, or every target of one campaign replication), filled by
 /// EpisodeContext::drain from the network, injector and DES kernel
-/// counters — the raw material of record_link_metrics.
+/// counters — the raw material of TelemetryTally.
 struct EpisodeTelemetry {
   std::uint64_t messages_sent = 0;       ///< crosslink + downlink sends
   std::uint64_t messages_delivered = 0;
@@ -133,17 +136,31 @@ struct EpisodeTelemetry {
                          const EpisodeTelemetry&) = default;
 };
 
-/// Record one run's link, kernel, fault and health metrics: xlink.*,
-/// sim.events, sim.peak_pending, and the optional families behind one gate
-/// (sim.queue.* with `queue_metrics`; the fault family when links can fail
-/// — a plan, reliable or self-healing links; the health family with
-/// self-healing links), so one flag set yields one key set in either
-/// engine and the golden metrics files, which predate the families, stay
-/// byte-identical. simulate_qos calls it once per episode, run_campaign
-/// once per replication.
-void record_link_metrics(MetricsRegistry& m, const EpisodeTelemetry& t,
-                         const ProtocolConfig& cfg, const FaultPlan* plan,
-                         bool queue_metrics);
+/// Run-wide tally of EpisodeTelemetry plus pass-table query accounting:
+/// the link, kernel, fault, health and visibility families that simulate
+/// and campaign share in oaq-metrics-v2 (tools/README.md). Each counter
+/// sums one telemetry field; the two high-water marks are observed as
+/// stats, one value per simulate episode or campaign replication, because
+/// a sum of peaks means nothing. Shard tallies folded in shard order give
+/// the serial observation exactly.
+struct TelemetryTally {
+  static constexpr std::size_t kCounters = 19;
+  std::array<std::uint64_t, kCounters> counters{};
+  RunningStat peak_pending;    ///< sim.peak_pending
+  RunningStat max_run_length;  ///< sim.queue.max_run_length
+  VisibilityCacheStats visibility;  ///< geometric runs' pass queries
+
+  void add(const EpisodeTelemetry& t);
+  void merge(const TelemetryTally& other);
+};
+
+/// Write the families every engine shares, once per run after the reduce:
+/// the tally's counters and stats, visibility.* (with the run's frozen
+/// pass-table size; 0 in analytic mode) and invariant.violations (0 when
+/// checks are off). Every key is written whatever the flags or the data.
+void write_shared_metrics(MetricsRegistry& m, const TelemetryTally& tally,
+                          std::size_t cache_entries,
+                          std::uint64_t invariant_violations);
 
 /// What happened in one episode.
 struct EpisodeResult {
@@ -282,9 +299,9 @@ class EpisodeContext {
 
   /// The per-caller values of one run (simulate / campaign, DESIGN §15).
   struct RunInputs {
-    /// Stamps network and injector events and ledger records (e / -1).
+    /// Stamps injector events, ledger records and episode-less network
+    /// traffic (e / -1); xlink_* events carry their envelope's target id.
     std::int64_t trace_episode = -1;
-    bool trace_attribution = false;  ///< xlink_* events name their target
     Rng net_rng;    ///< protocol stream's fork(0x6e6574) / master.fork(3)
     Rng fault_rng;  ///< protocol stream's fork(0x666c74) / master.fork(6)
     ShardTraceBuffer* trace = nullptr;

@@ -22,57 +22,91 @@ std::int64_t checked_add(std::int64_t a, std::int64_t b) {
   return out;
 }
 
-/// Private per-shard tallies; merging in shard order is exact because every
-/// field is integral (DiscretePmf weights are integer-valued doubles) and
-/// MetricsRegistry merges counters integrally / stats via the same
-/// left-to-right Chan fold as RunningStat.
+/// Private per-shard tallies of the episode loop: the SimulatedQos fields
+/// and the inputs of the oaq-metrics-v2 keys. Merging in shard order is
+/// exact: counters and pmf weights are integral, and every RunningStat
+/// folds its shards left to right with the Chan combination, the order a
+/// serial run would observe.
 struct EpisodeAccum {
   DiscretePmf level_pmf;
+  std::int64_t delivered = 0;
   std::int64_t duplicates = 0;
   std::int64_t unresolved = 0;
   std::int64_t untimely = 0;
-  std::int64_t detected = 0;
+  std::int64_t alerts_sent = 0;
+  std::int64_t coordination_requests = 0;
   std::int64_t chain_sum = 0;
-  int max_chain_length = 0;
   std::int64_t fault_truncations = 0;
-  MetricsRegistry metrics;  ///< shard-local; empty when metrics are off
+  RunningStat chain_length;       ///< over detected episodes
+  RunningStat reported_error_km;  ///< over detected episodes
+  TelemetryTally telemetry;
   InvariantChecker invariants;  ///< shard-local; idle when checks are off
   EpisodeLedger ledger;  ///< shard-local; untouched when no sink is attached
 
+  /// Fold one episode in, in episode order.
+  void add(const EpisodeResult& r) {
+    level_pmf.add(to_int(r.alert_delivered ? r.level : QosLevel::kMissed));
+    if (r.alert_delivered) {
+      ++delivered;
+      if (!r.timely) ++untimely;
+    }
+    if (r.alerts_sent > 1) ++duplicates;
+    if (!r.all_participants_resolved) ++unresolved;
+    alerts_sent = checked_add(alerts_sent, r.alerts_sent);
+    coordination_requests =
+        checked_add(coordination_requests, r.coordination_requests);
+    if (r.detected) {
+      chain_sum = checked_add(chain_sum, r.chain_length);
+      chain_length.add(static_cast<double>(r.chain_length));
+      reported_error_km.add(r.reported_error_km);
+    }
+    fault_truncations = checked_add(
+        fault_truncations,
+        static_cast<std::int64_t>(r.telemetry.fault_truncations));
+    telemetry.add(r.telemetry);
+  }
+
   void merge(EpisodeAccum&& other) {
     level_pmf.merge(other.level_pmf);
+    delivered = checked_add(delivered, other.delivered);
     duplicates = checked_add(duplicates, other.duplicates);
     unresolved = checked_add(unresolved, other.unresolved);
     untimely = checked_add(untimely, other.untimely);
-    detected = checked_add(detected, other.detected);
+    alerts_sent = checked_add(alerts_sent, other.alerts_sent);
+    coordination_requests =
+        checked_add(coordination_requests, other.coordination_requests);
     chain_sum = checked_add(chain_sum, other.chain_sum);
-    max_chain_length = std::max(max_chain_length, other.max_chain_length);
     fault_truncations =
         checked_add(fault_truncations, other.fault_truncations);
-    metrics.merge(other.metrics);
+    chain_length.merge(other.chain_length);
+    reported_error_km.merge(other.reported_error_km);
+    telemetry.merge(other.telemetry);
     invariants.merge(other.invariants);
     ledger.merge(other.ledger);
   }
 };
 
-/// Record one episode's outcome keys into a shard-local registry (its link
-/// and kernel keys come from record_link_metrics). Every value derives
-/// from the episode result (simulation time), so the merged registry is
-/// deterministic for any worker count.
-void record_episode_metrics(MetricsRegistry& m, const EpisodeResult& r) {
-  m.add("episodes", 1);
-  if (r.detected) m.add("episodes.detected", 1);
-  if (r.alert_delivered) m.add("alerts.delivered", 1);
-  if (r.alert_delivered && r.timely) m.add("alerts.timely", 1);
-  if (r.alert_delivered && !r.timely) m.add("alerts.untimely", 1);
-  if (r.alerts_sent > 1) m.add("alerts.duplicate_episodes", 1);
-  if (!r.all_participants_resolved) m.add("episodes.unresolved", 1);
-  m.add("alerts.sent", r.alerts_sent);
-  m.add("coordination.requests", r.coordination_requests);
-  if (r.detected) {
-    m.observe("chain.length", static_cast<double>(r.chain_length));
-    m.observe("alerts.reported_error_km", r.reported_error_km);
-  }
+/// simulate_qos's oaq-metrics-v2 key set (tools/README.md), written once
+/// from the merged shards: the outcome keys, then the shared families.
+MetricsRegistry simulate_metrics(const EpisodeAccum& a,
+                                 std::int64_t episodes,
+                                 std::size_t cache_entries) {
+  MetricsRegistry m;
+  m.add("episodes", episodes);
+  m.add("episodes.detected",
+        static_cast<std::int64_t>(a.chain_length.count()));
+  m.add("episodes.unresolved", a.unresolved);
+  m.add("alerts.delivered", a.delivered);
+  m.add("alerts.timely", a.delivered - a.untimely);
+  m.add("alerts.untimely", a.untimely);
+  m.add("alerts.duplicate_episodes", a.duplicates);
+  m.add("alerts.sent", a.alerts_sent);
+  m.add("coordination.requests", a.coordination_requests);
+  m.observe("chain.length", a.chain_length);
+  m.observe("alerts.reported_error_km", a.reported_error_km);
+  write_shared_metrics(m, a.telemetry, cache_entries,
+                       a.invariants.violations());
+  return m;
 }
 
 }  // namespace
@@ -100,7 +134,6 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
   const int n_shards = static_cast<int>(std::min<std::int64_t>(
       kQosEpisodeShards, config.episodes));  // parallel_reduce's own clamp
   if (config.trace != nullptr) config.trace->prepare(n_shards);
-  const bool want_metrics = config.metrics != nullptr;
 
   // Span profiling mirrors the trace layout: one arena per shard plus the
   // main arena for the calling thread's work (seed/freeze, merge). The
@@ -117,27 +150,6 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
   // shard-shared (backed by the run's frozen visibility cache) and the
   // phase jitters the episode's start time instead of the pass pattern.
   const bool geometric = config.constellation != nullptr;
-  // Folds results — and observes metrics — in episode order.
-  const auto accumulate = [&](EpisodeAccum& acc, const EpisodeResult& r) {
-    acc.level_pmf.add(to_int(r.alert_delivered ? r.level : QosLevel::kMissed));
-    if (r.alerts_sent > 1) ++acc.duplicates;
-    if (!r.all_participants_resolved) ++acc.unresolved;
-    if (r.alert_delivered && !r.timely) ++acc.untimely;
-    if (r.detected) {
-      ++acc.detected;
-      acc.chain_sum = checked_add(acc.chain_sum, r.chain_length);
-      acc.max_chain_length = std::max(acc.max_chain_length, r.chain_length);
-    }
-    acc.fault_truncations = checked_add(
-        acc.fault_truncations,
-        static_cast<std::int64_t>(r.telemetry.fault_truncations));
-    if (want_metrics) {
-      record_episode_metrics(acc.metrics, r);
-      record_link_metrics(acc.metrics, r.telemetry, config.protocol,
-                          config.fault_plan, config.queue_metrics);
-    }
-  };
-
   // Geometric runs answer every episode's pass query from one pass table:
   // its window covers every episode window (the phase jitters starts over
   // one longest-shell period), it is seeded ONCE on the calling thread,
@@ -207,16 +219,11 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
             } else {
               analytic = AnalyticSchedule(config.geometry, config.k, phase);
             }
-            accumulate(acc, context.run(e, ep.fork(3), start, duration, trace,
-                                        invariants, ledger));
+            acc.add(context.run(e, ep.fork(3), start, duration, trace,
+                                invariants, ledger));
           }
         }
-        if (geometric && want_metrics) {
-          acc.metrics.add("visibility.pass_queries",
-                          static_cast<std::int64_t>(vis_stats.pass_queries));
-          acc.metrics.add("visibility.pass_hits",
-                          static_cast<std::int64_t>(vis_stats.pass_hits));
-        }
+        acc.telemetry.visibility = vis_stats;
         return acc;
       },
       [main_spans](EpisodeAccum& into, EpisodeAccum&& from) {
@@ -227,21 +234,10 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
       },
       config.profile, table ? &table->hook : nullptr);
 
-  if (table && want_metrics) {
-    // Global table count, added once after the reduce (a per-shard export
-    // would multiply the shared count by the shard count).
-    total.metrics.add(
-        "visibility.cache_entries",
-        static_cast<std::int64_t>(table->cache.frozen_entries()));
+  if (config.metrics != nullptr) {
+    *config.metrics = simulate_metrics(
+        total, config.episodes, table ? table->cache.frozen_entries() : 0);
   }
-
-  if (want_metrics && config.check_invariants) {
-    // Added once after the reduce, like visibility.cache_entries.
-    total.metrics.add(
-        "invariant.violations",
-        static_cast<std::int64_t>(total.invariants.violations()));
-  }
-  if (want_metrics) *config.metrics = std::move(total.metrics);
   if (config.ledger != nullptr) {
     // Quiet top episode ids leave shard ledgers short; size the merged
     // ledger to the run so row(e) is valid for every episode.
@@ -255,15 +251,15 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
   out.duplicates = total.duplicates;
   out.unresolved = total.unresolved;
   out.untimely = total.untimely;
-  out.max_chain_length = total.max_chain_length;
+  out.max_chain_length = static_cast<int>(total.chain_length.max());
   out.invariant_violations =
       static_cast<std::int64_t>(total.invariants.violations());
   out.invariant_samples = total.invariants.samples();
   out.fault_truncations = total.fault_truncations;
   out.mean_chain_length =
-      total.detected > 0
+      total.chain_length.count() > 0
           ? static_cast<double>(total.chain_sum) /
-                static_cast<double>(total.detected)
+                static_cast<double>(total.chain_length.count())
           : 0.0;
   return out;
 }

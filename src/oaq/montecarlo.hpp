@@ -59,15 +59,12 @@ struct QosSimulationConfig {
   GeoPoint target{};
   bool earth_rotation = false;
 
-  /// Export the DES ready-queue telemetry (`sim.queue.*` counters:
-  /// run/merge/tombstone accounting) into `metrics`. Off by default: the
-  /// golden metrics files predate these keys.
+  /// Inert: nothing reads them. `queue_metrics` gated the `sim.queue.*`
+  /// keys, which oaq-metrics-v2 always writes; `batch_metrics` exported the
+  /// retired batch engine's occupancy counters. They stay only because the
+  /// end-to-end benchmark (e2ebench/e2ebench.cpp) still assigns them;
+  /// delete them with those assignments in the next e2ebench change.
   bool queue_metrics = false;
-
-  /// Inert: nothing reads it. It exported the retired batch engine's
-  /// occupancy counters and stays only because the end-to-end benchmark
-  /// (e2ebench/e2ebench.cpp) still assigns it; delete it with that
-  /// assignment in the next e2ebench change.
   bool batch_metrics = false;
 
   // --- Fault injection (ISSUE 5). ---
@@ -79,8 +76,8 @@ struct QosSimulationConfig {
   const FaultPlan* fault_plan = nullptr;
   /// Run the InvariantChecker over every episode (I1–I8, see
   /// src/fault/invariants.hpp); violations surface in
-  /// SimulatedQos::invariant_violations and — with `metrics` — as the
-  /// `invariant.violations` counter.
+  /// SimulatedQos::invariant_violations and in the `invariant.violations`
+  /// counter (0 when checks are off).
   bool check_invariants = false;
 
   // --- Observability (all optional; null = disabled, zero overhead
@@ -90,9 +87,9 @@ struct QosSimulationConfig {
   /// stream depends only on its episode indices, and shards are exported
   /// in shard order.
   TraceCollector* trace = nullptr;
-  /// Receives the merged run metrics (counters/stats over all episodes).
-  /// Simulation-derived metrics are deterministic; `wall.*` entries are
-  /// wall-clock and are not.
+  /// Receives the run's oaq-metrics-v2 key set (tools/README.md), written
+  /// once from the merged result: every key present whatever the flags,
+  /// every value deterministic for any `jobs`.
   MetricsRegistry* metrics = nullptr;
   /// Receives per-shard wall-time / queue-wait / merge profiling of the
   /// episode reduction. Purely observational — never affects results.

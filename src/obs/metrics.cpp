@@ -19,31 +19,26 @@ void MetricsRegistry::add(std::string_view counter, std::int64_t delta) {
   it->second = out;
 }
 
-void MetricsRegistry::set_gauge(std::string_view gauge, double value) {
-  auto it = gauges_.find(gauge);
-  if (it == gauges_.end()) {
-    gauges_.emplace(std::string(gauge), value);
-  } else {
-    it->second = value;
+RunningStat& MetricsRegistry::stat_slot(std::string_view name) {
+  auto it = stats_.find(name);
+  if (it == stats_.end()) {
+    it = stats_.emplace(std::string(name), RunningStat{}).first;
   }
+  return it->second;
 }
 
 void MetricsRegistry::observe(std::string_view stat, double value) {
-  auto it = stats_.find(stat);
-  if (it == stats_.end()) {
-    it = stats_.emplace(std::string(stat), RunningStat{}).first;
-  }
-  it->second.add(value);
+  stat_slot(stat).add(value);
+}
+
+void MetricsRegistry::observe(std::string_view stat,
+                              const RunningStat& values) {
+  stat_slot(stat).merge(values);
 }
 
 std::int64_t MetricsRegistry::counter(std::string_view name) const {
   const auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
-}
-
-double MetricsRegistry::gauge(std::string_view name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second;
 }
 
 const RunningStat& MetricsRegistry::stat(std::string_view name) const {
@@ -52,37 +47,15 @@ const RunningStat& MetricsRegistry::stat(std::string_view name) const {
   return it == stats_.end() ? kEmpty : it->second;
 }
 
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [name, value] : other.counters_) add(name, value);
-  for (const auto& [name, value] : other.gauges_) set_gauge(name, value);
-  for (const auto& [name, stat] : other.stats_) {
-    auto it = stats_.find(name);
-    if (it == stats_.end()) {
-      stats_.emplace(name, stat);
-    } else {
-      it->second.merge(stat);
-    }
-  }
-}
-
 void MetricsRegistry::write_json(std::ostream& os) const {
   // Names are escaped (quotes, backslashes, control chars); the repo's own
-  // metric names are plain identifiers, so the golden bytes are unchanged.
-  os << "{\"counters\":{";
+  // metric names are plain identifiers.
+  os << "{\"schema\":\"oaq-metrics-v2\",\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : counters_) {
     os << (first ? "" : ",");
     write_json_string(os, name);
     os << ':' << value;
-    first = false;
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : gauges_) {
-    os << (first ? "" : ",");
-    write_json_string(os, name);
-    os << ':';
-    write_json_double(os, value);
     first = false;
   }
   os << "},\"stats\":{";

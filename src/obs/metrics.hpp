@@ -1,26 +1,16 @@
-// Mergeable metrics registry for the Monte-Carlo harnesses.
+// Metrics registry: the `oaq-metrics-v2` export of a Monte-Carlo run.
 //
-// A MetricsRegistry is a named bag of counters (int64), gauges (double,
-// last-write-wins) and value stats (RunningStat — used both for scoped
-// wall-clock timers and for simulation-derived distributions such as chain
-// length). Registries follow the same discipline as the PR-1 accumulators:
-// each parallel shard owns a private registry, and shard registries are
-// folded left-to-right in shard order with `merge`, so every metric that is
-// derived from simulation quantities is BIT-identical for any `jobs` value.
+// A MetricsRegistry is a named bag of counters (int64) and value stats
+// (RunningStat). The engines do not record into it while they run: shards
+// and replications add into fixed fields of the accumulators they already
+// merge in shard order, and each engine writes the registry once, from
+// the merged result (simulate_qos / run_campaign; the key table is in
+// tools/README.md). Every key of an engine is always written — zero, or a
+// stat with count 0, when idle — so one schema serves every flag set.
 //
-// Two metric classes, by determinism:
-//   * simulation-derived (counters, gauges, stats fed from sim state):
-//     deterministic — covered by the trace-determinism suite;
-//   * wall-clock (anything recorded through `ScopedTimer`): inherently
-//     non-deterministic; keep these under a `wall.` name prefix so
-//     consumers know not to regression-compare them.
-//
-// A disabled registry is a null pointer at the recording site — callers
-// branch on `metrics != nullptr`; there is no registry-side off switch to
-// keep the hot-path cost a single predictable branch.
+// A disabled registry is a null pointer in the run configuration.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -31,75 +21,43 @@
 
 namespace oaq {
 
-/// Named counters / gauges / value stats with shard-order merge.
+/// Named counters and value stats with a sorted-key JSON export.
 class MetricsRegistry {
  public:
   /// Increment a counter (creating it at zero). Overflow-guarded.
   void add(std::string_view counter, std::int64_t delta = 1);
 
-  /// Set a gauge to `value` (creating it).
-  void set_gauge(std::string_view gauge, double value);
-
   /// Fold `value` into a named RunningStat (creating it).
   void observe(std::string_view stat, double value);
 
-  /// Scoped wall-clock timer: observes elapsed seconds into `stat` on
-  /// destruction. Use `wall.`-prefixed names (see file header).
-  class ScopedTimer {
-   public:
-    ScopedTimer(MetricsRegistry& registry, std::string stat)
-        : registry_(&registry), stat_(std::move(stat)),
-          start_(std::chrono::steady_clock::now()) {}
-    ~ScopedTimer() {
-      const auto elapsed = std::chrono::steady_clock::now() - start_;
-      registry_->observe(stat_,
-                         std::chrono::duration<double>(elapsed).count());
-    }
-    ScopedTimer(const ScopedTimer&) = delete;
-    ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-   private:
-    MetricsRegistry* registry_;
-    std::string stat_;
-    std::chrono::steady_clock::time_point start_;
-  };
-
-  [[nodiscard]] ScopedTimer time(std::string stat) {
-    return ScopedTimer(*this, std::move(stat));
-  }
+  /// Fold a whole stream into a named RunningStat (creating it, even when
+  /// `values` is empty) via RunningStat::merge — into an empty stat that
+  /// is an exact copy, so a stat accumulated elsewhere exports unchanged.
+  void observe(std::string_view stat, const RunningStat& values);
 
   /// Counter value; 0 when never incremented.
   [[nodiscard]] std::int64_t counter(std::string_view name) const;
-  /// Gauge value; 0.0 when never set.
-  [[nodiscard]] double gauge(std::string_view name) const;
   /// Stat by name; an empty RunningStat when never observed.
   [[nodiscard]] const RunningStat& stat(std::string_view name) const;
 
   [[nodiscard]] const std::map<std::string, std::int64_t, std::less<>>&
   counters() const { return counters_; }
-  [[nodiscard]] const std::map<std::string, double, std::less<>>& gauges()
-      const { return gauges_; }
   [[nodiscard]] const std::map<std::string, RunningStat, std::less<>>& stats()
       const { return stats_; }
 
   [[nodiscard]] bool empty() const {
-    return counters_.empty() && gauges_.empty() && stats_.empty();
+    return counters_.empty() && stats_.empty();
   }
 
-  /// Folds `other` in: counters add (overflow-guarded), gauges take the
-  /// right-hand value (shard-order last-write-wins), stats merge via
-  /// RunningStat::merge. Merging left-to-right in shard order reproduces
-  /// the serial recording order, which is what makes registries safe to
-  /// shard exactly like the Monte-Carlo accumulators.
-  void merge(const MetricsRegistry& other);
-
   /// One-object JSON export with sorted keys (deterministic bytes):
-  /// {"counters":{...},"gauges":{...},"stats":{"name":{"count":..,...}}}
+  /// {"schema":"oaq-metrics-v2","counters":{...},
+  ///  "stats":{"name":{"count":..,"mean":..,"min":..,"max":..,"stddev":..}}}
   void write_json(std::ostream& os) const;
 
  private:
+  RunningStat& stat_slot(std::string_view name);
+
   std::map<std::string, std::int64_t, std::less<>> counters_;
-  std::map<std::string, double, std::less<>> gauges_;
   std::map<std::string, RunningStat, std::less<>> stats_;
 };
 

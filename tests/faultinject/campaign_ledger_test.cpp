@@ -119,7 +119,6 @@ StormRun run_storm(const FaultPlan& plan, std::uint64_t seed, int jobs,
                    bool check_invariants) {
   CampaignConfig cfg = storm_config(&plan, seed, jobs);
   cfg.check_invariants = check_invariants;
-  cfg.episode_attribution = true;
   TraceCollector trace;
   cfg.trace = &trace;
   StormRun run;

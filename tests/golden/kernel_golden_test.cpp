@@ -1,18 +1,18 @@
 // Golden-file equivalence with the seed DES kernel (ISSUE 3).
 //
-// tests/data/golden_* were captured from the pre-pooling kernel with the
-// oaqctl invocations documented in tests/data/README.md; the metrics
-// goldens hold the library-default key set of the configurations below
-// (tests/data/README.md lists what today's oaqctl adds). The pooled
-// kernel, flat network dispatch, and any future hot-path change must
-// reproduce those bytes exactly — trace JSONL and metrics JSON are fully
-// deterministic for a fixed seed at any worker count. A mismatch here
-// means a semantic change to event ordering, RNG stream consumption, or
-// accounting, not a style regression.
+// tests/data/golden_* are the output of the oaqctl invocations documented
+// in tests/data/README.md (CTest re-runs those commands and compares the
+// files too). The configurations below are what those commands build, and
+// the library writes the same oaq-metrics-v2 key set oaqctl does. The
+// pooled kernel, flat network dispatch, and any future hot-path change
+// must reproduce those bytes exactly — trace JSONL and metrics JSON are
+// fully deterministic for a fixed seed at any worker count. A mismatch
+// here means a semantic change to event ordering, RNG stream consumption,
+// or accounting, not a style regression.
 //
-// The faulted-campaign files (golden_campaign_storm_*) were captured later
-// from oaqctl itself; they pin the campaign's fault, retry, health and
-// ledger paths, which the clean seed-kernel campaign never reaches.
+// The faulted-campaign files (golden_campaign_storm_*) pin the campaign's
+// fault, retry, health and ledger paths, which the clean campaign never
+// reaches.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -95,8 +95,6 @@ CampaignConfig golden_storm_campaign_config() {
   cfg.seed = 3;
   cfg.replications = 2;
   cfg.check_invariants = true;
-  cfg.queue_metrics = true;
-  cfg.episode_attribution = true;
   return cfg;
 }
 

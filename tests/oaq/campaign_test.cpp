@@ -7,7 +7,9 @@
 
 #include "common/error.hpp"
 #include "fault/plan.hpp"
+#include "metrics_keys.hpp"
 #include "oaq/montecarlo.hpp"
+#include "orbit/constellation_builder.hpp"
 
 namespace oaq {
 namespace {
@@ -144,6 +146,56 @@ TEST(Campaign, SelfHealingExportsTheSimulateLinkKeySet) {
   EXPECT_TRUE(keys.contains("net.lifecycle.deaths"));
   EXPECT_TRUE(keys.contains("episodes.reroutes"));
   EXPECT_EQ(link_keys(campaign_metrics), keys);
+}
+
+TEST(Campaign, MetricsKeySetIsFixed) {
+  // oaq-metrics-v2: one key set for every campaign — plain, faulted
+  // (reliable self-healing links under ge_loss + outage train, invariants
+  // on) and geometric — equal to the documented table, idle keys zero.
+  const auto run = [](CampaignConfig cfg) {
+    MetricsRegistry metrics;
+    cfg.metrics = &metrics;
+    (void)run_campaign(cfg);
+    return metrics;
+  };
+  CampaignConfig plain = base_config();
+  plain.horizon = Duration::hours(10);
+  plain.replications = 2;
+  const MetricsRegistry plain_metrics = run(plain);
+
+  CampaignConfig faulted = plain;
+  faulted.protocol.reliable_links = true;
+  faulted.protocol.self_healing_links = true;
+  faulted.check_invariants = true;
+  FaultPlan plan;
+  plan.add(FaultPlan::ge_loss(0, 0, 4.0, 2.0, 1.0, Duration::zero(),
+                              faulted.horizon));
+  plan.add(FaultPlan::outage_train(0, 0, 1.0, 0.5, Duration::zero(),
+                                   faulted.horizon));
+  faulted.fault_plan = &plan;
+  const MetricsRegistry faulted_metrics = run(faulted);
+
+  const Constellation iridium =
+      ConstellationBuilder::preset("iridium-next").build();
+  CampaignConfig geometric = plain;
+  geometric.horizon = Duration::hours(4);
+  geometric.signal_arrival_rate = Rate::per_hour(6.0);
+  geometric.constellation = &iridium;
+  geometric.target = GeoPoint::from_degrees(45.0, 10.0);
+  const MetricsRegistry geometric_metrics = run(geometric);
+
+  const std::set<std::string> table = metrics_keys::campaign();
+  EXPECT_EQ(metrics_keys::of(plain_metrics), table);
+  EXPECT_EQ(metrics_keys::of(faulted_metrics), table);
+  EXPECT_EQ(metrics_keys::of(geometric_metrics), table);
+
+  EXPECT_EQ(plain_metrics.counter("net.fault.injected"), 0);
+  EXPECT_EQ(plain_metrics.counter("net.health.probations"), 0);
+  EXPECT_EQ(plain_metrics.counter("invariant.violations"), 0);
+  EXPECT_EQ(plain_metrics.counter("visibility.cache_entries"), 0);
+  EXPECT_EQ(plain_metrics.stat("compute.queueing_delay_s").count(), 2u);
+  EXPECT_GT(faulted_metrics.counter("net.fault.injected"), 0);
+  EXPECT_GT(geometric_metrics.counter("visibility.pass_queries"), 0);
 }
 
 /// Campaign fault-truncation count under `--ge-loss 0,0,4,2,1.0` over a

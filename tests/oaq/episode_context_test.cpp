@@ -216,7 +216,6 @@ TEST(EpisodeContext, SimulateShardsMatchTheOracleAtAnyWorkerCount) {
       cfg.opportunity_adaptive = oaq;
       cfg.protocol = s.protocol;
       cfg.jobs = jobs;
-      cfg.queue_metrics = true;
       TraceCollector trace;
       MetricsRegistry metrics;
       cfg.trace = &trace;

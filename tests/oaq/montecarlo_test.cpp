@@ -5,6 +5,8 @@
 #include "analytic/qos_model.hpp"
 #include "common/error.hpp"
 #include "fault/plan.hpp"
+#include "metrics_keys.hpp"
+#include "orbit/constellation_builder.hpp"
 
 namespace oaq {
 namespace {
@@ -142,6 +144,62 @@ TEST(MonteCarlo, ReportsStochasticFaultTruncation) {
                                     sim.protocol.tau));
   sim.fault_plan = &short_plan;
   EXPECT_EQ(simulate_qos(sim).fault_truncations, 0);
+}
+
+TEST(MonteCarlo, MetricsKeySetIsFixed) {
+  // oaq-metrics-v2: one key set for every simulate run — plain analytic,
+  // the analytic storm (reliable self-healing links, ge_loss + outage
+  // train, invariants on) and a geometric run — equal to the documented
+  // table, with idle families written as zeros.
+  const auto run = [](QosSimulationConfig cfg) {
+    MetricsRegistry metrics;
+    cfg.metrics = &metrics;
+    (void)simulate_qos(cfg);
+    return metrics;
+  };
+  QosSimulationConfig plain;
+  plain.k = 9;
+  plain.episodes = 300;
+  plain.seed = 7;
+  const MetricsRegistry plain_metrics = run(plain);
+
+  QosSimulationConfig storm = plain;
+  storm.protocol.reliable_links = true;
+  storm.protocol.self_healing_links = true;
+  storm.check_invariants = true;
+  FaultPlan plan;
+  plan.add(FaultPlan::ge_loss(0, 0, 4.0, 2.0, 1.0, Duration::zero(),
+                              storm.protocol.tau));
+  plan.add(FaultPlan::outage_train(0, 0, 1.0, 0.5, Duration::zero(),
+                                   storm.protocol.tau));
+  storm.fault_plan = &plan;
+  const MetricsRegistry storm_metrics = run(storm);
+
+  const Constellation iridium =
+      ConstellationBuilder::preset("iridium-next").build();
+  QosSimulationConfig geometric = plain;
+  geometric.episodes = 100;
+  geometric.constellation = &iridium;
+  geometric.target = GeoPoint::from_degrees(45.0, 10.0);
+  geometric.earth_rotation = true;
+  const MetricsRegistry geometric_metrics = run(geometric);
+
+  const std::set<std::string> table = metrics_keys::simulate();
+  EXPECT_EQ(metrics_keys::of(plain_metrics), table);
+  EXPECT_EQ(metrics_keys::of(storm_metrics), table);
+  EXPECT_EQ(metrics_keys::of(geometric_metrics), table);
+
+  // Idle families read 0 (a stat: count 0 or per-episode zeros); active
+  // ones carry the run's values.
+  EXPECT_EQ(plain_metrics.counter("net.fault.injected"), 0);
+  EXPECT_EQ(plain_metrics.counter("net.health.probations"), 0);
+  EXPECT_EQ(plain_metrics.counter("invariant.violations"), 0);
+  EXPECT_EQ(plain_metrics.counter("visibility.pass_queries"), 0);
+  EXPECT_EQ(plain_metrics.counter("visibility.cache_entries"), 0);
+  EXPECT_EQ(plain_metrics.stat("sim.queue.max_run_length").count(), 300u);
+  EXPECT_GT(storm_metrics.counter("net.fault.injected"), 0);
+  EXPECT_GT(geometric_metrics.counter("visibility.pass_queries"), 0);
+  EXPECT_GT(geometric_metrics.counter("visibility.cache_entries"), 0);
 }
 
 }  // namespace

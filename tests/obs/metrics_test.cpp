@@ -1,5 +1,6 @@
-// MetricsRegistry: counters/gauges/stats semantics and the shard-order
-// merge contract (mirrors the Monte-Carlo accumulator discipline).
+// MetricsRegistry: counter/stat semantics, the shard-order stat fold the
+// engines export through (observe of a whole RunningStat), and the
+// oaq-metrics-v2 JSON layout.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -27,14 +28,6 @@ TEST(MetricsRegistry, CounterOverflowIsGuarded) {
   EXPECT_THROW(m.add("big", 1), PreconditionError);
 }
 
-TEST(MetricsRegistry, GaugesLastWriteWins) {
-  MetricsRegistry m;
-  EXPECT_EQ(m.gauge("queue"), 0.0);
-  m.set_gauge("queue", 3.5);
-  m.set_gauge("queue", 1.25);
-  EXPECT_EQ(m.gauge("queue"), 1.25);
-}
-
 TEST(MetricsRegistry, ObserveFeedsRunningStat) {
   MetricsRegistry m;
   m.observe("chain.length", 1.0);
@@ -49,95 +42,86 @@ TEST(MetricsRegistry, ObserveFeedsRunningStat) {
 }
 
 TEST(MetricsRegistry, MergeMatchesSerialRecording) {
-  // Two shard registries merged in shard order must equal one registry
-  // fed the same stream serially — the same invariant the Monte-Carlo
-  // accumulators rely on.
+  // Two shard streams folded into the registry in shard order must equal
+  // one registry fed the same stream serially — how the engines export
+  // the RunningStats their accumulators merged.
   MetricsRegistry serial;
-  MetricsRegistry shard0;
-  MetricsRegistry shard1;
-  const double xs0[] = {1.0, 4.0, 2.5};
-  const double xs1[] = {7.0, 0.5};
-  for (const double x : xs0) {
+  RunningStat shard0;
+  RunningStat shard1;
+  for (const double x : {1.0, 4.0, 2.5}) {
     serial.observe("v", x);
-    shard0.observe("v", x);
-    serial.add("n");
-    shard0.add("n");
+    shard0.add(x);
   }
-  for (const double x : xs1) {
+  for (const double x : {7.0, 0.5}) {
     serial.observe("v", x);
-    shard1.observe("v", x);
-    serial.add("n");
-    shard1.add("n");
+    shard1.add(x);
   }
-  shard0.set_gauge("g", 1.0);
-  shard1.set_gauge("g", 2.0);
 
-  MetricsRegistry merged = shard0;
-  merged.merge(shard1);
-  EXPECT_EQ(merged.counter("n"), serial.counter("n"));
+  MetricsRegistry merged;
+  merged.observe("v", shard0);
+  merged.observe("v", shard1);
   EXPECT_EQ(merged.stat("v").count(), serial.stat("v").count());
   EXPECT_DOUBLE_EQ(merged.stat("v").min(), serial.stat("v").min());
   EXPECT_DOUBLE_EQ(merged.stat("v").max(), serial.stat("v").max());
   EXPECT_NEAR(merged.stat("v").mean(), serial.stat("v").mean(), 1e-12);
   EXPECT_NEAR(merged.stat("v").variance(), serial.stat("v").variance(),
               1e-12);
-  EXPECT_EQ(merged.gauge("g"), 2.0);  // right-hand (later shard) wins
+
+  // Folding into a fresh key is an exact copy; an empty stream still
+  // creates its key (every oaq-metrics-v2 key is always written).
+  MetricsRegistry copy;
+  copy.observe("v", shard0);
+  copy.observe("idle", RunningStat{});
+  EXPECT_EQ(copy.stat("v").mean(), shard0.mean());
+  EXPECT_EQ(copy.stat("v").stddev(), shard0.stddev());
+  EXPECT_EQ(copy.stats().count("idle"), 1u);
+  EXPECT_EQ(copy.stat("idle").count(), 0u);
 }
 
 TEST(MetricsRegistry, MergeIsDeterministicForAnyGrouping) {
-  // ((a ⊕ b) ⊕ c) must give bit-identical counters and stat moments to
-  // a ⊕ (b-then-c recorded as one shard) when fold order is preserved —
-  // the property that makes parallel_reduce's shard-order fold safe.
-  auto record = [](MetricsRegistry& m, int lo, int hi) {
-    for (int i = lo; i < hi; ++i) {
-      m.add("count");
-      m.observe("x", 0.1 * i);
-    }
+  // Folding shard streams ((a ⊕ b) ⊕ c) into a registry must give the same
+  // counts and bit-identical moments as folding the shards into one
+  // accumulator first — the property that lets parallel_reduce merge the
+  // engines' accumulators before the registry is written.
+  auto record = [](RunningStat& s, int lo, int hi) {
+    for (int i = lo; i < hi; ++i) s.add(0.1 * i);
   };
-  MetricsRegistry a;
-  MetricsRegistry b;
-  MetricsRegistry c;
+  RunningStat a;
+  RunningStat b;
+  RunningStat c;
   record(a, 0, 5);
   record(b, 5, 9);
   record(c, 9, 12);
-  MetricsRegistry left = a;
-  left.merge(b);
-  left.merge(c);
+  MetricsRegistry left;
+  left.observe("x", a);
+  left.observe("x", b);
+  left.observe("x", c);
 
-  MetricsRegistry bc;
-  record(bc, 5, 9);
-  record(bc, 9, 12);
-  MetricsRegistry right = a;
-  right.merge(bc);
+  RunningStat folded = a;
+  folded.merge(b);
+  folded.merge(c);
+  MetricsRegistry right;
+  right.observe("x", folded);
 
-  EXPECT_EQ(left.counter("count"), right.counter("count"));
   EXPECT_EQ(left.stat("x").count(), right.stat("x").count());
   EXPECT_EQ(left.stat("x").mean(), right.stat("x").mean());
-}
-
-TEST(MetricsRegistry, ScopedTimerObservesUnderWallPrefix) {
-  MetricsRegistry m;
-  {
-    const auto timer = m.time("wall.block");
-    (void)timer;
-  }
-  EXPECT_EQ(m.stat("wall.block").count(), 1u);
-  EXPECT_GE(m.stat("wall.block").min(), 0.0);
+  EXPECT_EQ(left.stat("x").stddev(), right.stat("x").stddev());
 }
 
 TEST(MetricsRegistry, WriteJsonIsSortedAndParseable) {
   MetricsRegistry m;
   m.add("b.counter", 2);
   m.add("a.counter", 1);
-  m.set_gauge("g", 0.5);
   m.observe("s", 2.0);
   std::ostringstream os;
   m.write_json(os);
   const std::string json = os.str();
-  // Keys appear sorted (map order) — deterministic bytes.
+  // The schema tag comes first; keys appear sorted (map order) —
+  // deterministic bytes. No gauges object.
+  EXPECT_EQ(json.rfind("{\"schema\":\"oaq-metrics-v2\",", 0), 0u);
   EXPECT_LT(json.find("a.counter"), json.find("b.counter"));
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
+  EXPECT_EQ(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"stats\""), std::string::npos);
   EXPECT_NE(json.find("\"count\":1"), std::string::npos);
 }

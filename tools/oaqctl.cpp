@@ -633,9 +633,6 @@ int cmd_simulate(const Args& args) {
   cfg.protocol.tg = Duration::seconds(args.number_in("tg-s", 6.0, 0.0, 1e6));
   cfg.protocol.computation_cap = cfg.protocol.tg;
   cfg.jobs = args.at_least("jobs", 0, 0);
-  // Queue telemetry is deterministic, so the jobs-independence contract of
-  // --metrics output holds with it enabled.
-  cfg.queue_metrics = true;
   apply_link_flags(args, cfg.protocol);
 
   // Geometric mode: --constellation <preset|file> (+ --lat/--lon target,
@@ -700,6 +697,8 @@ int cmd_simulate(const Args& args) {
   obs.manifest.add_config("fault_plan",
                           cfg.fault_plan != nullptr ? args.str("fault-plan")
                                                     : "");
+  obs.manifest.add_config("check_invariants",
+                          cfg.check_invariants ? "1" : "0");
 
   const auto sim = simulate_qos(cfg);
   warn_fault_truncations(sim.fault_truncations);
@@ -739,7 +738,6 @@ int cmd_campaign(const Args& args) {
   cfg.seed = static_cast<std::uint64_t>(args.at_least("seed", 1, 0));
   cfg.replications = args.at_least("replications", 1, 1);
   cfg.jobs = args.at_least("jobs", 0, 0);
-  cfg.queue_metrics = true;  // deterministic; see cmd_simulate
   apply_link_flags(args, cfg.protocol);
 
   // Geometric mode, exactly as in cmd_simulate.
@@ -775,10 +773,6 @@ int cmd_campaign(const Args& args) {
   cfg.metrics = obs.metrics_ptr();
   cfg.profile = obs.profile_ptr();
   cfg.spans = obs.spans_ptr();
-  // Per-envelope trace attribution: every xlink_* event names its owning
-  // target, so trace-summary's drops column is exact for multi-target
-  // runs (the library default stays -1 for the golden campaign trace).
-  cfg.episode_attribution = true;
   EpisodeLedger ledger;
   const std::string ledger_path = args.str("ledger");
   if (!ledger_path.empty()) cfg.ledger = &ledger;
@@ -811,6 +805,8 @@ int cmd_campaign(const Args& args) {
   obs.manifest.add_config("fault_plan",
                           cfg.fault_plan != nullptr ? args.str("fault-plan")
                                                     : "");
+  obs.manifest.add_config("check_invariants",
+                          cfg.check_invariants ? "1" : "0");
 
   const auto r = run_campaign(cfg);
   warn_fault_truncations(r.fault_truncations);
@@ -850,61 +846,75 @@ int cmd_campaign(const Args& args) {
   return cfg.check_invariants && r.invariant_violations > 0 ? 1 : 0;
 }
 
-/// Number following `"key":` in a metrics JSON dump (the registry writer's
-/// flat format — deliberately not a general JSON parser).
-std::optional<double> find_metric_number(const std::string& text,
-                                         const std::string& key) {
-  const std::string needle = '"' + key + "\":";
-  const auto pos = text.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  return std::stod(text.substr(pos + needle.size()));
+/// Whole file as a string; nullopt when unreadable.
+std::optional<std::string> slurp(const std::string& path) {
+  std::ifstream is(path);
+  if (!is.good()) return std::nullopt;
+  return std::string((std::istreambuf_iterator<char>(is)),
+                     std::istreambuf_iterator<char>());
 }
 
-/// Print the DES ready-queue telemetry recorded in a --metrics JSON file
-/// (sim.queue.* keys; simulate and campaign export them).
-int print_queue_telemetry(const std::string& metrics_path) {
-  std::ifstream is(metrics_path);
-  if (!is.good()) {
-    std::cerr << "error: cannot open metrics file: " << metrics_path << '\n';
-    return 1;
+/// The one --metrics reader of trace-summary and report. Nullopt, after an
+/// error naming the file, unless the file parses, declares
+/// "schema":"oaq-metrics-v2" (older files had flag-dependent key sets) and
+/// holds its counters and stats objects.
+std::optional<MiniJson> load_metrics(const std::string& path) {
+  const auto text = slurp(path);
+  if (!text) {
+    std::cerr << "error: cannot open metrics file: " << path << '\n';
+    return std::nullopt;
   }
-  const std::string text((std::istreambuf_iterator<char>(is)),
-                         std::istreambuf_iterator<char>());
-  const auto runs = find_metric_number(text, "sim.queue.runs_created");
-  const auto merges = find_metric_number(text, "sim.queue.run_merges");
-  const auto purged = find_metric_number(text, "sim.queue.tombstones_purged");
-  const auto events = find_metric_number(text, "sim.events");
-  if (!runs || !merges || !purged) {
-    std::cout << "no sim.queue.* metrics in " << metrics_path << "\n";
-    return 0;
+  auto doc = MiniJson::parse(*text);
+  const auto member_is_object = [&doc](std::string_view key) {
+    const MiniJson* v = doc->find(key);
+    return v != nullptr && v->is_object();
+  };
+  const MiniJson* schema = doc ? doc->find("schema") : nullptr;
+  if (schema == nullptr || schema->text != "oaq-metrics-v2" ||
+      !member_is_object("counters") || !member_is_object("stats")) {
+    std::cerr << "error: " << path
+              << " is not an oaq-metrics-v2 metrics file\n";
+    return std::nullopt;
   }
-  // The stat value is an object; its "max" field follows the key.
-  double max_run = 0.0;
-  const auto stat_pos = text.find("\"sim.queue.max_run_length\":");
-  if (stat_pos != std::string::npos) {
-    const auto max_pos = text.find("\"max\":", stat_pos);
-    if (max_pos != std::string::npos) {
-      max_run = std::stod(text.substr(max_pos + 6));
-    }
-  }
+  return doc;
+}
+
+/// Counter of a loaded metrics file (0 when absent).
+long long metrics_counter(const MiniJson& metrics, std::string_view key) {
+  const MiniJson* counters = metrics.find("counters");
+  const MiniJson* v = counters != nullptr ? counters->find(key) : nullptr;
+  return v != nullptr ? static_cast<long long>(v->number) : 0;
+}
+
+/// Print the DES ready-queue telemetry of a loaded metrics file (the
+/// sim.queue.* keys, present in every oaq-metrics-v2 file).
+void print_queue_telemetry(const MiniJson& metrics,
+                           const std::string& metrics_path) {
+  const MiniJson* stats = metrics.find("stats");
+  const MiniJson* run_length =
+      stats != nullptr ? stats->find("sim.queue.max_run_length") : nullptr;
+  const MiniJson* max_run =
+      run_length != nullptr ? run_length->find("max") : nullptr;
+  const long long purged =
+      metrics_counter(metrics, "sim.queue.tombstones_purged");
   // Share of ready-queue entries that died as tombstones instead of
   // firing: purged / (purged + processed events).
-  const double fired = events.value_or(0.0);
-  const double ratio =
-      *purged + fired > 0.0 ? *purged / (*purged + fired) : 0.0;
+  const auto fired =
+      static_cast<double>(metrics_counter(metrics, "sim.events"));
+  const auto dead = static_cast<double>(purged);
+  const double ratio = dead + fired > 0.0 ? dead / (dead + fired) : 0.0;
   TablePrinter table({"ready-queue metric", "value"}, 4);
   table.add_row({std::string("runs created"),
-                 static_cast<long long>(*runs)});
+                 metrics_counter(metrics, "sim.queue.runs_created")});
   table.add_row({std::string("run merges"),
-                 static_cast<long long>(*merges)});
-  table.add_row({std::string("tombstones purged"),
-                 static_cast<long long>(*purged)});
+                 metrics_counter(metrics, "sim.queue.run_merges")});
+  table.add_row({std::string("tombstones purged"), purged});
   table.add_row({std::string("tombstone purge ratio"), ratio});
   table.add_row({std::string("max run length"),
-                 static_cast<long long>(max_run)});
+                 static_cast<long long>(
+                     max_run != nullptr ? max_run->number : 0.0)});
   std::cout << "DES ready-queue telemetry (" << metrics_path << "):\n";
   table.print(std::cout);
-  return 0;
 }
 
 /// `oaqctl trace-summary trace.jsonl [--metrics metrics.json]` —
@@ -912,6 +922,11 @@ int print_queue_telemetry(const std::string& metrics_path) {
 /// --trace, plus the ready-queue telemetry of a --metrics file when given.
 int cmd_trace_summary(const std::string& path,
                       const std::string& metrics_path) {
+  std::optional<MiniJson> metrics;
+  if (!metrics_path.empty()) {
+    metrics = load_metrics(metrics_path);
+    if (!metrics) return 1;
+  }
   std::ifstream is(path);
   if (!is.good()) {
     std::cerr << "error: cannot open trace file: " << path << '\n';
@@ -943,7 +958,8 @@ int cmd_trace_summary(const std::string& path,
   }
   if (summary.termination.empty()) {
     std::cout << "no termination events\n";
-    return metrics_path.empty() ? 0 : print_queue_telemetry(metrics_path);
+    if (metrics) print_queue_telemetry(*metrics, metrics_path);
+    return 0;
   }
 
   std::vector<std::string> headers{"termination cause"};
@@ -970,15 +986,8 @@ int cmd_trace_summary(const std::string& path,
     table.add_row(row);
   }
   table.print(std::cout);
-  return metrics_path.empty() ? 0 : print_queue_telemetry(metrics_path);
-}
-
-/// Whole file as a string; nullopt when unreadable.
-std::optional<std::string> slurp(const std::string& path) {
-  std::ifstream is(path);
-  if (!is.good()) return std::nullopt;
-  return std::string((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
+  if (metrics) print_queue_telemetry(*metrics, metrics_path);
+  return 0;
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample.
@@ -1066,6 +1075,11 @@ int cmd_report(const Args& args) {
                  " [--spans S.json] [--manifest F.json] [--top N]"
                  " [--json OUT.json]\n";
     return 1;
+  }
+  std::optional<MiniJson> metrics;
+  if (!metrics_path.empty()) {
+    metrics = load_metrics(metrics_path);
+    if (!metrics) return 1;
   }
   if (manifest_path.empty()) {
     // The emitters derive <artifact>.manifest.json; try the same anchors.
@@ -1254,37 +1268,17 @@ int cmd_report(const Args& args) {
   }
 
   // --- Metrics: DES ready-queue telemetry. ---
-  std::optional<MiniJson> metrics;
-  if (!metrics_path.empty()) {
-    const auto text = slurp(metrics_path);
-    if (!text) {
-      std::cerr << "error: cannot open metrics file: " << metrics_path
-                << '\n';
-      return 1;
-    }
-    metrics = MiniJson::parse(*text);
-    if (!metrics || !metrics->is_object()) {
-      std::cerr << "error: cannot parse metrics: " << metrics_path << '\n';
-      return 1;
-    }
-    const MiniJson* counters = metrics->find("counters");
-    const auto counter = [&](std::string_view key) -> long long {
-      const MiniJson* v =
-          counters != nullptr ? counters->find(key) : nullptr;
-      return v != nullptr ? static_cast<long long>(v->number) : 0;
-    };
-    if (counters != nullptr &&
-        counters->find("sim.queue.runs_created") != nullptr) {
-      TablePrinter table({"ready-queue metric", "value"}, 0);
-      table.add_row({std::string("runs created"),
-                     counter("sim.queue.runs_created")});
-      table.add_row({std::string("run merges"),
-                     counter("sim.queue.run_merges")});
-      table.add_row({std::string("tombstones purged"),
-                     counter("sim.queue.tombstones_purged")});
-      table.add_row({std::string("sim events"), counter("sim.events")});
-      table.print(std::cout);
-    }
+  if (metrics) {
+    TablePrinter table({"ready-queue metric", "value"}, 0);
+    table.add_row({std::string("runs created"),
+                   metrics_counter(*metrics, "sim.queue.runs_created")});
+    table.add_row({std::string("run merges"),
+                   metrics_counter(*metrics, "sim.queue.run_merges")});
+    table.add_row({std::string("tombstones purged"),
+                   metrics_counter(*metrics, "sim.queue.tombstones_purged")});
+    table.add_row({std::string("sim events"),
+                   metrics_counter(*metrics, "sim.events")});
+    table.print(std::cout);
   }
 
   // --- Optional consolidated JSON document. ---
@@ -1364,13 +1358,10 @@ int cmd_report(const Args& args) {
       first = false;
     }
     os << "],\"queue\":";
-    const MiniJson* counters =
-        metrics && metrics->is_object() ? metrics->find("counters") : nullptr;
-    if (counters != nullptr &&
-        counters->find("sim.queue.runs_created") != nullptr) {
+    if (metrics) {
       os << "{";
       bool first_counter = true;
-      for (const auto& [key, value] : counters->object) {
+      for (const auto& [key, value] : metrics->find("counters")->object) {
         if (key.rfind("sim.queue.", 0) != 0 && key != "sim.events") continue;
         os << (first_counter ? "" : ",");
         write_json_string(os, key);
@@ -1493,7 +1484,8 @@ int help() {
       "--constellation and are resolved against its shell layout.\n"
       "Observability (simulate & campaign): --trace FILE writes protocol\n"
       "events as JSONL (bit-identical for any --jobs), --metrics FILE\n"
-      "writes the run metrics registry as JSON, --spans FILE writes the\n"
+      "writes the run metrics as oaq-metrics-v2 JSON (one fixed key set\n"
+      "per command; tools/README.md), --spans FILE writes the\n"
       "hierarchical span profile as Chrome/Perfetto trace JSON, --profile\n"
       "prints a BENCH_JSON line with per-shard wall times. Any file sink\n"
       "also emits a run manifest (<file>.manifest.json, or --manifest F).\n"
