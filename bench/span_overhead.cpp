@@ -166,7 +166,6 @@ int main(int argc, char** argv) {
 
   std::ostringstream json;
   json << "{\"bench\":\"span_overhead\",\"episodes\":" << episodes
-       << ",\"pairs\":" << kPairs
        << ",\"throughput\":{\"spans_off_episodes_per_sec\":"
        << span_row.off_eps
        << ",\"spans_on_episodes_per_sec\":" << span_row.on_eps

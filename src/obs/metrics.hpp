@@ -45,10 +45,6 @@ class MetricsRegistry {
   [[nodiscard]] const std::map<std::string, RunningStat, std::less<>>& stats()
       const { return stats_; }
 
-  [[nodiscard]] bool empty() const {
-    return counters_.empty() && stats_.empty();
-  }
-
   /// One-object JSON export with sorted keys (deterministic bytes):
   /// {"schema":"oaq-metrics-v2","counters":{...},
   ///  "stats":{"name":{"count":..,"mean":..,"min":..,"max":..,"stddev":..}}}
