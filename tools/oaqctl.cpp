@@ -881,18 +881,17 @@ std::optional<MiniJson> load_metrics(const std::string& path) {
 
 /// Counter of a loaded metrics file (0 when absent).
 long long metrics_counter(const MiniJson& metrics, std::string_view key) {
-  const MiniJson* counters = metrics.find("counters");
-  const MiniJson* v = counters != nullptr ? counters->find(key) : nullptr;
+  const MiniJson* v = metrics.find("counters")->find(key);
   return v != nullptr ? static_cast<long long>(v->number) : 0;
 }
 
 /// Print the DES ready-queue telemetry of a loaded metrics file (the
-/// sim.queue.* keys, present in every oaq-metrics-v2 file).
+/// sim.queue.* keys, present in every oaq-metrics-v2 file); trace-summary
+/// and report share the table.
 void print_queue_telemetry(const MiniJson& metrics,
                            const std::string& metrics_path) {
-  const MiniJson* stats = metrics.find("stats");
   const MiniJson* run_length =
-      stats != nullptr ? stats->find("sim.queue.max_run_length") : nullptr;
+      metrics.find("stats")->find("sim.queue.max_run_length");
   const MiniJson* max_run =
       run_length != nullptr ? run_length->find("max") : nullptr;
   const long long purged =
@@ -1268,18 +1267,7 @@ int cmd_report(const Args& args) {
   }
 
   // --- Metrics: DES ready-queue telemetry. ---
-  if (metrics) {
-    TablePrinter table({"ready-queue metric", "value"}, 0);
-    table.add_row({std::string("runs created"),
-                   metrics_counter(*metrics, "sim.queue.runs_created")});
-    table.add_row({std::string("run merges"),
-                   metrics_counter(*metrics, "sim.queue.run_merges")});
-    table.add_row({std::string("tombstones purged"),
-                   metrics_counter(*metrics, "sim.queue.tombstones_purged")});
-    table.add_row({std::string("sim events"),
-                   metrics_counter(*metrics, "sim.events")});
-    table.print(std::cout);
-  }
+  if (metrics) print_queue_telemetry(*metrics, metrics_path);
 
   // --- Optional consolidated JSON document. ---
   if (!json_path.empty()) {
