@@ -206,7 +206,6 @@ class CrosslinkNetwork {
   /// one branch per recording site, like the trace sink.
   void set_ledger(EpisodeLedger* ledger) { ledger_ = ledger; }
 
-
   // --- Degradation hooks (FaultInjector). Tokens identify the pushing
   // clause so windows may overlap in any order; all effective values are
   // order-independent (max for loss, product for delay, set membership

@@ -299,8 +299,9 @@ class EpisodeContext {
 
   /// The per-caller values of one run (simulate / campaign, DESIGN §15).
   struct RunInputs {
-    /// Stamps injector events, ledger records and episode-less network
-    /// traffic (e / -1); xlink_* events carry their envelope's target id.
+    /// Stamps injector events and their ledger records, and is the episode
+    /// of episode-less network traffic (e / -1); other xlink_* events and
+    /// network ledger records carry their envelope's target id.
     std::int64_t trace_episode = -1;
     Rng net_rng;    ///< protocol stream's fork(0x6e6574) / master.fork(3)
     Rng fault_rng;  ///< protocol stream's fork(0x666c74) / master.fork(6)
