@@ -97,7 +97,7 @@ TEST(GeometricMonteCarlo, ResultsAreBitIdenticalAcrossJobs) {
     EXPECT_EQ(r.unresolved, base.unresolved);
     EXPECT_EQ(r.mean_chain_length, base.mean_chain_length);
     EXPECT_EQ(os.str(), base_trace) << "jobs " << jobs;
-    // The full serialized registry — counters, gauges, and stat folds,
+    // The full serialized registry — counters and stat folds,
     // including the shared cache's hit accounting — must be byte-identical
     // for any worker count, not just statistically equal.
     EXPECT_EQ(ms.str(), base_metrics) << "jobs " << jobs;
