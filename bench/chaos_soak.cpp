@@ -11,7 +11,9 @@
 //      Gate: zero invariant violations.
 //   2. Clean-path overhead — analytic simulate_qos with self-healing
 //      links enabled but no plan vs fully off. Gate: <= 5% wall-clock
-//      (the health path must stay branch-cheap while nothing degrades).
+//      (the health path must stay branch-cheap while nothing degrades),
+//      read as the median of interleaved paired ratios
+//      (bench/paired_overhead.hpp), not one reading.
 //   3. Expansion hot path — repeated FaultProcessExpander::expand rounds
 //      of a stochastic plan. Gate: zero steady-state heap allocations
 //      (the expander's internal plan keeps its capacity).
@@ -21,6 +23,10 @@
 // BENCH_10.json by tools/run_bench.sh; schema in tools/README.md).
 //
 //   chaos_soak [storm_episodes] [overhead_episodes] [rounds]
+//
+// `overhead_episodes` is the size of one clean-path overhead run; short
+// runs (4096 episodes, a few ms) interleave finely enough that a pair's
+// two sides see the same host speed.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -31,6 +37,7 @@
 #include <vector>
 
 #include "alloc_counter.hpp"
+#include "paired_overhead.hpp"
 #include "common/table.hpp"
 #include "fault/process.hpp"
 #include "oaq/montecarlo.hpp"
@@ -42,6 +49,9 @@ using namespace oaq;
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Floor on each side of a clean-path overhead pair.
+constexpr double kMinRunSeconds = 0.05;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -280,9 +290,9 @@ LinkStormNumbers run_link_storm(int episodes, const FaultPlan* plan) {
   return out;
 }
 
-/// Episodes/sec of one analytic simulate_qos run (clean-path overhead
+/// Wall seconds of one analytic simulate_qos run (clean-path overhead
 /// probe; interleaving is the caller's job).
-double analytic_eps(int episodes, bool self_healing) {
+double analytic_seconds(int episodes, bool self_healing) {
   QosSimulationConfig cfg;
   cfg.k = 9;
   cfg.episodes = episodes;
@@ -293,7 +303,7 @@ double analytic_eps(int episodes, bool self_healing) {
   const SimulatedQos qos = simulate_qos(cfg);
   const double elapsed = seconds_since(t0);
   if (qos.episodes != cfg.episodes) std::abort();
-  return static_cast<double>(qos.episodes) / elapsed;
+  return elapsed;
 }
 
 struct ExpanderNumbers {
@@ -333,11 +343,11 @@ ExpanderNumbers expansion_hot_path(int rounds, const FaultPlan& plan) {
 
 int main(int argc, char** argv) {
   const int storm_episodes = argc > 1 ? std::atoi(argv[1]) : 1000;
-  const int overhead_episodes = argc > 2 ? std::atoi(argv[2]) : 40000;
+  const int overhead_episodes = argc > 2 ? std::atoi(argv[2]) : 4096;
   const int rounds = argc > 3 ? std::atoi(argv[3]) : 20000;
 
   std::cout << "=== chaos soak (" << storm_episodes << " storm episodes, "
-            << overhead_episodes << " overhead episodes, " << rounds
+            << overhead_episodes << "-episode overhead runs, " << rounds
             << " expansion rounds) ===\n\n";
 
   const Constellation c = ConstellationBuilder::preset("iridium-next").build();
@@ -355,15 +365,15 @@ int main(int argc, char** argv) {
       run_link_storm(storm_episodes, /*plan=*/nullptr);
   const LinkStormNumbers ls = run_link_storm(storm_episodes, &link_storm);
 
-  // Untimed warm-up, then interleaved repetitions (fault_storm idiom) so
-  // frequency drift hits baseline and health-on runs alike.
-  (void)analytic_eps(overhead_episodes, false);
-  double base_eps = 0.0, health_eps = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    base_eps = std::max(base_eps, analytic_eps(overhead_episodes, false));
-    health_eps = std::max(health_eps, analytic_eps(overhead_episodes, true));
-  }
-  const double overhead = base_eps / health_eps - 1.0;
+  // Untimed warm-up, then the median of interleaved paired ratios.
+  (void)analytic_seconds(overhead_episodes, false);
+  const benchutil::PairedOverhead health = benchutil::paired_overhead(
+      static_cast<double>(overhead_episodes), kMinRunSeconds,
+      [&] { return analytic_seconds(overhead_episodes, false); },
+      [&] { return analytic_seconds(overhead_episodes, true); });
+  const double base_eps = health.off_per_sec;
+  const double health_eps = health.on_per_sec;
+  const double overhead = health.overhead_pct / 100.0;
 
   const ExpanderNumbers hot = expansion_hot_path(rounds, storm);
 

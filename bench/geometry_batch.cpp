@@ -58,6 +58,7 @@ ThroughputPair margin_sweep_throughput(int samples, int reps) {
   const Orbit orbit = Orbit(el).with_j2();
   const BatchKepler batch(orbit);
   const GeoPoint target = GeoPoint::from_degrees(12.0, 34.0);
+  const Vec3 target_unit = geo_to_ecef_unit(target);
   const double psi = deg2rad(20.0);
 
   std::vector<double> t(static_cast<std::size_t>(samples));
@@ -83,7 +84,8 @@ ThroughputPair margin_sweep_throughput(int samples, int reps) {
 
   t0 = Clock::now();
   for (int r = 0; r < reps; ++r) {
-    batch.coverage_margins(target, psi, false, t.data(), t.size(), m.data());
+    batch.coverage_margins(target_unit, psi, false, t.data(), t.size(),
+                           m.data());
     sink += m.back();
   }
   out.batch_per_sec = static_cast<double>(samples) * reps / seconds_since(t0);

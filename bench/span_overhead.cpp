@@ -8,21 +8,18 @@
 //
 //   span_overhead [episodes]
 //
-// Each row is gated on the median of kPairs paired ratios t_attached /
-// t_detached. Each side of a pair is at least kMinRunSeconds of
-// `episodes`-episode simulate_qos runs, interleaved detached/attached with
-// the order flipping run to run and pair to pair, so host-speed shifts
-// (tens of milliseconds on a shared VM) hit both sides alike and one
-// hiccup cannot move the median.
+// Each row is gated on the median of benchutil::kOverheadPairs paired
+// ratios t_attached / t_detached (bench/paired_overhead.hpp), each side at
+// least kMinRunSeconds of `episodes`-episode simulate_qos runs.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
-#include <vector>
 
 #include "alloc_counter.hpp"
+#include "paired_overhead.hpp"
 #include "common/table.hpp"
 #include "oaq/montecarlo.hpp"
 #include "obs/ledger.hpp"
@@ -34,7 +31,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr int kPairs = 9;
 constexpr double kMinRunSeconds = 0.05;
 
 /// The golden-trace simulation shape (as episode_batch; episodes/sec stay
@@ -62,43 +58,14 @@ double run_seconds(QosSimulationConfig cfg, SpanProfiler* spans,
   return elapsed;
 }
 
-double median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  const std::size_t n = xs.size();
-  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
-
-/// One gated row: kPairs interleaved detached/attached pairs.
-struct Row {
-  double off_eps = 0.0;       ///< median detached episodes/s
-  double on_eps = 0.0;        ///< median attached episodes/s
-  double overhead_pct = 0.0;  ///< (median ratio - 1) · 100
-};
-
-Row measure(const QosSimulationConfig& cfg, SpanProfiler* spans,
-            MetricsRegistry* metrics) {
-  std::vector<double> off;
-  std::vector<double> on;
-  std::vector<double> ratios;
-  for (int pair = 0; pair < kPairs; ++pair) {
-    double t_off = 0.0;
-    double t_on = 0.0;
-    int runs = 0;
-    for (; t_off < kMinRunSeconds || t_on < kMinRunSeconds; ++runs) {
-      if ((runs + pair) % 2 == 0) {
-        t_off += run_seconds(cfg, nullptr, nullptr);
-        t_on += run_seconds(cfg, spans, metrics);
-      } else {
-        t_on += run_seconds(cfg, spans, metrics);
-        t_off += run_seconds(cfg, nullptr, nullptr);
-      }
-    }
-    const double episodes = static_cast<double>(cfg.episodes) * runs;
-    off.push_back(episodes / t_off);
-    on.push_back(episodes / t_on);
-    ratios.push_back(t_on / t_off);
-  }
-  return {median(off), median(on), (median(ratios) - 1.0) * 100.0};
+/// One gated row: interleaved detached/attached pairs.
+benchutil::PairedOverhead measure(const QosSimulationConfig& cfg,
+                                  SpanProfiler* spans,
+                                  MetricsRegistry* metrics) {
+  return benchutil::paired_overhead(
+      static_cast<double>(cfg.episodes), kMinRunSeconds,
+      [&] { return run_seconds(cfg, nullptr, nullptr); },
+      [&] { return run_seconds(cfg, spans, metrics); });
 }
 
 /// Allocation delta of the record hot path after warm-up: re-entering
@@ -141,23 +108,24 @@ int main(int argc, char** argv) {
   const QosSimulationConfig cfg = base_config(episodes);
 
   std::cout << "=== observer overhead (" << episodes
-            << "-episode runs, median of " << kPairs
+            << "-episode runs, median of " << benchutil::kOverheadPairs
             << " interleaved pairs of >= " << kMinRunSeconds * 1000.0
             << " ms a side) ===\n\n";
 
   SpanProfiler spans;
   MetricsRegistry metrics;
-  const Row span_row = measure(cfg, &spans, nullptr);
-  const Row metrics_row = measure(cfg, nullptr, &metrics);
+  const benchutil::PairedOverhead span_row = measure(cfg, &spans, nullptr);
+  const benchutil::PairedOverhead metrics_row = measure(cfg, nullptr, &metrics);
 
   const std::uint64_t hot_allocs = steady_state_allocs(1 << 18);
 
   TablePrinter table({"path", "episodes/s", "overhead %"}, 2);
-  table.add_row({std::string("spans detached"), span_row.off_eps, 0.0});
-  table.add_row({std::string("spans attached"), span_row.on_eps,
+  table.add_row({std::string("spans detached"), span_row.off_per_sec, 0.0});
+  table.add_row({std::string("spans attached"), span_row.on_per_sec,
                  span_row.overhead_pct});
-  table.add_row({std::string("metrics detached"), metrics_row.off_eps, 0.0});
-  table.add_row({std::string("metrics attached"), metrics_row.on_eps,
+  table.add_row(
+      {std::string("metrics detached"), metrics_row.off_per_sec, 0.0});
+  table.add_row({std::string("metrics attached"), metrics_row.on_per_sec,
                  metrics_row.overhead_pct});
   table.print(std::cout);
   std::cout << "\nsteady state: " << hot_allocs
@@ -167,9 +135,9 @@ int main(int argc, char** argv) {
   std::ostringstream json;
   json << "{\"bench\":\"span_overhead\",\"episodes\":" << episodes
        << ",\"throughput\":{\"spans_off_episodes_per_sec\":"
-       << span_row.off_eps
-       << ",\"spans_on_episodes_per_sec\":" << span_row.on_eps
-       << ",\"metrics_on_episodes_per_sec\":" << metrics_row.on_eps
+       << span_row.off_per_sec
+       << ",\"spans_on_episodes_per_sec\":" << span_row.on_per_sec
+       << ",\"metrics_on_episodes_per_sec\":" << metrics_row.on_per_sec
        << "},\"overhead_pct\":" << span_row.overhead_pct
        << ",\"metrics_overhead_pct\":" << metrics_row.overhead_pct
        << ",\"steady_state_allocs\":" << hot_allocs << "}";

@@ -125,10 +125,12 @@ CampaignAccum run_single_campaign(const CampaignConfig& config, Rng master,
                  .trace = trace,
                  .ledger = want_ledger ? &out.ledger : nullptr});
 
-  // Draw the arrival process and arm every target up front (each only
-  // schedules its own detection event).
+  // Draw the arrival process over `horizon` after the signal start (mean
+  // count rate × horizon; the last start, kSignalStart + horizon, is the
+  // bound the pass table is seeded for) and arm every target up front
+  // (each only schedules its own detection event).
   TimePoint t = TimePoint::origin() + kSignalStart;
-  const TimePoint end = TimePoint::origin() + config.horizon;
+  const TimePoint end = t + config.horizon;
   int target_id = 0;
   // The arrivals span brackets the Poisson draw + arm loop; items = the
   // signals admitted. enter/exit instead of ScopedSpan keeps the later

@@ -148,14 +148,11 @@ void BatchKepler::positions_eci(const double* t_s, std::size_t n, double* x_km,
   }
 }
 
-void BatchKepler::coverage_margins(const GeoPoint& target,
+void BatchKepler::coverage_margins(const Vec3& target_unit,
                                    double footprint_radius_rad,
                                    bool earth_rotation, const double* t_s,
                                    std::size_t n, double* margin_rad) const {
   constexpr std::size_t kW = kBatchKeplerWidth;
-  // Hoisted: the scalar chain rebuilt this unit vector per sample inside
-  // central_angle; it is a pure function of the target.
-  const Vec3 tu = geo_to_ecef_unit(target);
   for (std::size_t base = 0; base < n; base += kW) {
     const std::size_t nb = std::min(kW, n - base);
     double x[kW], y[kW], z[kW];
@@ -177,7 +174,8 @@ void BatchKepler::coverage_margins(const GeoPoint& target,
     // scale-invariant in u.
     for (std::size_t j = 0; j < nb; ++j) {
       const Vec3 pos{x[j], y[j], z[j]};
-      const double angle = std::atan2(pos.cross(tu).norm(), pos.dot(tu));
+      const double angle =
+          std::atan2(pos.cross(target_unit).norm(), pos.dot(target_unit));
       margin_rad[base + j] = footprint_radius_rad - angle;
     }
   }

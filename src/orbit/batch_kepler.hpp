@@ -1,13 +1,12 @@
 // Batched structure-of-arrays Kepler geometry kernels (ISSUE 4 tentpole).
 //
 // The scalar propagator (orbit/kepler) answers one (satellite, time) query
-// per call; the geometry hot path — PassPredictor's sampling sweep and the
-// visibility caches built on it — asks for thousands of contiguous
-// timesteps per satellite. BatchKepler evaluates those sweeps over
-// contiguous arrays in explicit fixed-width blocks of kBatchKeplerWidth
-// lanes (plus a tail that runs the SAME per-lane code on a partial block,
-// so a 1-element call is bitwise identical to the same element inside a
-// full block — the root-refinement path relies on this):
+// per call. BatchKepler evaluates contiguous arrays of timesteps in
+// explicit fixed-width blocks of kBatchKeplerWidth lanes (plus a tail that
+// runs the SAME per-lane code on a partial block, so a 1-element call is
+// bitwise identical to the same element inside a full block). The
+// geometry hot path — PassPredictor's adaptive sweep and its root
+// refinement — makes 1-element margin calls:
 //
 //   * solve() / positions_eci() replicate the scalar solve_kepler /
 //     Orbit::position_eci expression sequences lane by lane — same wrap,
@@ -25,7 +24,7 @@
 //     batched margin measures the central angle directly between the
 //     position vector and the precomputed target direction — algebraically
 //     equal, ~3× fewer libm calls per sample. Pass boundaries move by
-//     rounding noise relative to the scalar chain, but the sampling sweep
+//     rounding noise relative to the scalar chain, but the adaptive sweep
 //     and the Brent refinement both evaluate THIS function, so
 //     PassPredictor::passes stays exactly self-consistent, and results
 //     remain pure functions of the query (bit-identical for any --jobs).
@@ -62,10 +61,11 @@ class BatchKepler {
                      double* y_km, double* z_km) const;
 
   /// Coverage margin ψ − central_angle(subsatellite(t), target) for each
-  /// sample; positive while the footprint of radius ψ covers `target`.
-  /// `earth_rotation` rotates positions into ECEF first, like
-  /// Orbit::subsatellite_point.
-  void coverage_margins(const GeoPoint& target, double footprint_radius_rad,
+  /// sample; positive while the footprint of radius ψ covers the target
+  /// whose direction is `target_unit` (geo_to_ecef_unit of the target,
+  /// computed once by the caller). `earth_rotation` rotates positions into
+  /// ECEF first, like Orbit::subsatellite_point.
+  void coverage_margins(const Vec3& target_unit, double footprint_radius_rad,
                         bool earth_rotation, const double* t_s, std::size_t n,
                         double* margin_rad) const;
 

@@ -1,7 +1,8 @@
 // Shared visibility cache: one seed → freeze pass table per run.
 //
-// PassPredictor::passes solves Kepler's equation tens of thousands of
-// times per query (a sampling sweep plus root refinement per boundary).
+// PassPredictor::passes solves Kepler's equation hundreds of times per
+// satellite per query (an adaptive sweep plus root refinement per
+// boundary).
 // Geometric Monte-Carlo shards and campaign replications ask for passes
 // over one target and near-identical windows once per episode; this cache
 // answers all of them from ONE pass table: one target, one quantum-aligned

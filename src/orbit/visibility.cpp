@@ -13,17 +13,89 @@ PassPredictor::PassPredictor(const Constellation& constellation,
                              bool earth_rotation)
     : constellation_(&constellation), earth_rotation_(earth_rotation) {}
 
+double subsatellite_rate_bound(const Orbit& orbit, bool earth_rotation) {
+  // The sub-satellite direction is the unit position vector (rotated into
+  // ECEF when the Earth turns). Its angular velocity is the sum of the
+  // motion along the orbit (true anomaly, plus perigee drift), the node
+  // regression about the polar axis and, in ECEF, −ω_E about the same
+  // axis; the speed of a unit vector is at most the norm of its angular
+  // velocity, so the sum of the magnitudes bounds it. The true anomaly
+  // advances at dν/dM · dM/dt with dν/dM = (1 + e·cos ν)²/(1 − e²)^{3/2},
+  // largest at perigee, and dM/dt = n + Ṁ_J2 in the propagator.
+  const double e = orbit.elements().eccentricity;
+  const double one_minus_e2 = 1.0 - e * e;
+  const double peak_dnu_dm =
+      (1.0 + e) * (1.0 + e) / (one_minus_e2 * std::sqrt(one_minus_e2));
+  double rate = peak_dnu_dm * orbit.mean_motion_rad_s();
+  if (orbit.j2_enabled()) {
+    const Orbit::SecularRates j2 = orbit.j2_secular_rates();
+    rate += peak_dnu_dm * std::abs(j2.mean_anomaly_rate) +
+            std::abs(j2.arg_perigee_rate) + std::abs(j2.raan_rate);
+  }
+  if (earth_rotation) rate += kEarthRotationRadPerS;
+  return rate;
+}
+
+void sweep_orbit_passes(const Orbit& orbit, SatelliteId id,
+                        const Vec3& target_unit, double footprint_radius_rad,
+                        bool earth_rotation, Duration min_step, Duration t0,
+                        Duration t1, Duration tol, std::vector<Pass>& out) {
+  OAQ_REQUIRE(t1 > t0, "pass horizon must be nonempty");
+  OAQ_REQUIRE(min_step > Duration::zero(), "sweep step must be positive");
+  OAQ_REQUIRE(tol > Duration::zero(), "tolerance must be positive");
+  const BatchKepler batch(orbit);
+  // The sweep and the root refinement evaluate this one function, so
+  // bracket endpoints agree bitwise and find_root's sign precondition
+  // always holds.
+  auto margin = [&](double t_sec) {
+    double m = 0.0;
+    batch.coverage_margins(target_unit, footprint_radius_rad, earth_rotation,
+                           &t_sec, 1, &m);
+    return m;
+  };
+  // The margin ψ − γ changes no faster than the central angle γ, which is
+  // 1-Lipschitz in the sub-satellite direction: |dm/dt| <= rate. From a
+  // sample with margin m the sign cannot change for |m| / rate seconds,
+  // so the sweep leaps that far; near a boundary the step floors at
+  // `min_step`, so every pass longer than that holds a sample. The bound
+  // needs no safety factor: rounding in the margin (~1e-15 rad) can hide
+  // only passes whose peak margin is that small, microseconds long.
+  const double rate = subsatellite_rate_bound(orbit, earth_rotation);
+  const double floor_step = min_step.to_seconds();
+  const double end = t1.to_seconds();
+  const double tol_s = tol.to_seconds();
+
+  double t = t0.to_seconds();
+  double m = margin(t);
+  double pass_start = m > 0.0 ? t : -1.0;
+  while (t < end) {
+    const double t_next =
+        std::min(t + std::max(floor_step, std::abs(m) / rate), end);
+    const double m_next = margin(t_next);
+    if (m <= 0.0 && m_next > 0.0) {
+      pass_start = find_root(margin, t, t_next, tol_s);
+    } else if (m > 0.0 && m_next <= 0.0) {
+      const double pass_end = find_root(margin, t, t_next, tol_s);
+      OAQ_ENSURE(pass_start >= 0.0, "pass end without start");
+      out.push_back({id, Duration::seconds(pass_start),
+                     Duration::seconds(pass_end)});
+      pass_start = -1.0;
+    }
+    t = t_next;
+    m = m_next;
+  }
+  if (pass_start >= 0.0 && m > 0.0) {
+    // Still covered at the end of the horizon.
+    out.push_back({id, Duration::seconds(pass_start), t1});
+  }
+}
+
 std::vector<Pass> PassPredictor::passes(const GeoPoint& target, Duration t0,
                                         Duration t1, Duration tol) const {
   OAQ_REQUIRE(t1 > t0, "pass horizon must be nonempty");
   OAQ_REQUIRE(tol > Duration::zero(), "tolerance must be positive");
   std::vector<Pass> result;
-
-  // Sample grid and margin sweep, reused across satellites. The grid
-  // accumulates exactly like the pre-batch scalar loop did (t += step,
-  // clamped to t1), so crossing brackets land on the same sample times.
-  std::vector<double> times;
-  std::vector<double> margins;
+  const Vec3 target_unit = geo_to_ecef_unit(target);
 
   for (int pi = 0; pi < constellation_->num_planes(); ++pi) {
     const auto& plane = constellation_->plane(pi);
@@ -31,59 +103,13 @@ std::vector<Pass> PassPredictor::passes(const GeoPoint& target, Duration t0,
     // (single-shell constellations see the same fp/ψ as before).
     const auto& fp = constellation_->footprint_of_plane(pi);
     const double psi = fp.angular_radius_rad();
-    // Sample interval: a footprint transit lasts Tc = θ·ψ/π; 64 samples per
-    // transit reliably brackets every crossing.
-    const Duration transit = fp.coverage_time(plane.period());
-    const Duration step = transit / 64.0;
-    times.clear();
-    {
-      double t = t0.to_seconds();
-      times.push_back(t);
-      while (t < t1.to_seconds()) {
-        t = std::min(t + step.to_seconds(), t1.to_seconds());
-        times.push_back(t);
-      }
-    }
+    // Step floor: a footprint transit lasts Tc = θ·ψ/π; 64 samples per
+    // transit reliably bracket every crossing.
+    const Duration min_step = fp.coverage_time(plane.period()) / 64.0;
     for (int slot = 0; slot < plane.active_count(); ++slot) {
-      const Orbit orbit = plane.orbit_of(slot);
-      const BatchKepler batch(orbit);
-      // Root refinement evaluates single elements through the SAME batched
-      // kernel, so bracket endpoints agree bitwise with the sweep values —
-      // find_root's sign preconditions can never be violated by a
-      // sweep/refine mismatch.
-      auto margin = [&](double t_sec) {
-        double m = 0.0;
-        batch.coverage_margins(target, psi, earth_rotation_, &t_sec, 1, &m);
-        return m;
-      };
-
-      margins.resize(times.size());
-      batch.coverage_margins(target, psi, earth_rotation_, times.data(),
-                             times.size(), margins.data());
-
-      double m_prev = margins[0];
-      double pass_start = m_prev > 0.0 ? times[0] : -1.0;
-      for (std::size_t i = 1; i < times.size(); ++i) {
-        const double t = times[i - 1];
-        const double t_next = times[i];
-        const double m_next = margins[i];
-        if (m_prev <= 0.0 && m_next > 0.0) {
-          pass_start = find_root(margin, t, t_next, tol.to_seconds());
-        } else if (m_prev > 0.0 && m_next <= 0.0) {
-          const double pass_end = find_root(margin, t, t_next, tol.to_seconds());
-          OAQ_ENSURE(pass_start >= 0.0, "pass end without start");
-          result.push_back({SatelliteId{pi, slot},
-                            Duration::seconds(pass_start),
-                            Duration::seconds(pass_end)});
-          pass_start = -1.0;
-        }
-        m_prev = m_next;
-      }
-      if (pass_start >= 0.0 && m_prev > 0.0) {
-        // Still covered at the end of the horizon.
-        result.push_back({SatelliteId{pi, slot}, Duration::seconds(pass_start),
-                          t1});
-      }
+      sweep_orbit_passes(plane.orbit_of(slot), SatelliteId{pi, slot},
+                         target_unit, psi, earth_rotation_, min_step, t0, t1,
+                         tol, result);
     }
   }
 

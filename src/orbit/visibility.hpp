@@ -46,6 +46,26 @@ struct CoverageStats {
   int max_multiplicity = 0;
 };
 
+/// Upper bound (rad/s) on how fast `orbit`'s sub-satellite direction
+/// turns (in the Earth-fixed frame when `earth_rotation`): the peak true-
+/// anomaly rate n·(1+e)²/(1−e²)^{3/2}, plus the J2 secular rates when the
+/// orbit has them, plus ω_E with Earth rotation. The coverage margin
+/// ψ − central angle changes no faster than this.
+[[nodiscard]] double subsatellite_rate_bound(const Orbit& orbit,
+                                             bool earth_rotation);
+
+/// Passes of one orbit over the target direction `target_unit` (ECEF unit
+/// vector) within [t0, t1], appended to `out` in time order. The sweep
+/// steps from a sample with margin m by max(min_step, |m| / rate) with
+/// rate = subsatellite_rate_bound, so a step longer than `min_step` never
+/// crosses a pass boundary and every pass longer than `min_step` is
+/// bracketed; crossings are refined to `tol` by Brent on the same margin
+/// function.
+void sweep_orbit_passes(const Orbit& orbit, SatelliteId id,
+                        const Vec3& target_unit, double footprint_radius_rad,
+                        bool earth_rotation, Duration min_step, Duration t0,
+                        Duration t1, Duration tol, std::vector<Pass>& out);
+
 /// Predicts satellite passes over ground points for a constellation.
 class PassPredictor {
  public:
@@ -55,7 +75,8 @@ class PassPredictor {
                          bool earth_rotation = false);
 
   /// All passes over `target` within [t0, t1], sorted by start time, then
-  /// by satellite (plane, slot).
+  /// by satellite (plane, slot): sweep_orbit_passes for every active
+  /// satellite, with a step floor of Tc/64 of its plane.
   /// Boundary crossings are refined to `tol` by bisection/Brent.
   [[nodiscard]] std::vector<Pass> passes(const GeoPoint& target, Duration t0,
                                          Duration t1,

@@ -185,15 +185,15 @@ TEST(BatchKepler, MarginSweepIsBlockingInvariant) {
   // (single-element calls) evaluate the same function.
   const Orbit orbit = Orbit::circular(550.0, deg2rad(90.0), 0.0, 0.0);
   const BatchKepler batch(orbit);
-  const GeoPoint target{0.2, -0.4};
+  const Vec3 target_unit = geo_to_ecef_unit(GeoPoint{0.2, -0.4});
   const std::vector<double> t = sweep_times();
   for (const bool rotation : {false, true}) {
     std::vector<double> full(t.size());
-    batch.coverage_margins(target, 0.3, rotation, t.data(), t.size(),
+    batch.coverage_margins(target_unit, 0.3, rotation, t.data(), t.size(),
                            full.data());
     for (std::size_t i = 0; i < t.size(); ++i) {
       double one = 0.0;
-      batch.coverage_margins(target, 0.3, rotation, &t[i], 1, &one);
+      batch.coverage_margins(target_unit, 0.3, rotation, &t[i], 1, &one);
       EXPECT_EQ(one, full[i]) << "i=" << i << " rotation=" << rotation;
     }
   }
