@@ -1,6 +1,7 @@
 // DES hot-path harness (ISSUE 3 tentpole): old-vs-new kernel throughput,
-// cancel-heavy churn, steady-state allocation counts, and cached-vs-
-// uncached visibility queries. Prints a human table plus BENCH_JSON lines
+// cancel-heavy churn, steady-state allocation counts, cached-vs-uncached
+// visibility queries and the frozen visibility cache's steady-state
+// allocation count. Prints a human table plus BENCH_JSON lines
 // (aggregated into BENCH_3.json by tools/run_bench.sh).
 //
 //   des_kernel [events] [rounds]
@@ -135,13 +136,16 @@ struct VisibilityNumbers {
   double uncached_qps = 0.0;
   double cached_qps = 0.0;
   double hit_rate = 0.0;
+  std::uint64_t frozen_steady_state_allocs = 0;
 };
 
 /// Repeated pass queries over jittered sub-windows of a 6-hour horizon —
 /// the Monte-Carlo access pattern — against a fresh PassPredictor per call
 /// (the pre-cache GeometricSchedule behaviour) vs a SharedVisibilityCache
 /// seeded with the horizon and frozen, as the engines use it. The cached
-/// timing includes the one seed sweep.
+/// timing includes the one seed sweep. Then counts operator-new calls
+/// across `queries` passes_window_into calls on the frozen cache, after
+/// 16 warm-up calls have grown the output vector to its peak capacity.
 VisibilityNumbers visibility_cached_vs_uncached(int queries) {
   ConstellationDesign d;
   d.num_planes = 1;
@@ -184,6 +188,21 @@ VisibilityNumbers visibility_cached_vs_uncached(int queries) {
   out.cached_qps = queries / seconds_since(t0);
   out.hit_rate = static_cast<double>(stats.pass_hits) /
                  static_cast<double>(stats.pass_queries);
+
+  std::vector<Pass> passes;
+  for (int q = 0; q < 16; ++q) {
+    const auto [from, to] = window();
+    cache.passes_window_into(target, from, to, passes);
+    sink += passes.size();
+  }
+  const std::uint64_t allocs_before = benchutil::allocation_count();
+  for (int q = 0; q < queries; ++q) {
+    const auto [from, to] = window();
+    cache.passes_window_into(target, from, to, passes);
+    sink += passes.size();
+  }
+  out.frozen_steady_state_allocs =
+      benchutil::allocation_count() - allocs_before;
   if (sink == 0) std::abort();  // defeat over-eager optimizers
   return out;
 }
@@ -231,7 +250,9 @@ int main(int argc, char** argv) {
   std::cout << "\nvisibility passes: uncached " << vis.uncached_qps
             << " q/s, cached " << vis.cached_qps << " q/s (speedup "
             << vis.cached_qps / vis.uncached_qps << ", hit rate "
-            << vis.hit_rate << ")\n";
+            << vis.hit_rate << ")\n"
+            << "frozen-cache steady-state allocations over 400 queries: "
+            << vis.frozen_steady_state_allocs << "\n";
 
   std::ostringstream json;
   json << "{\"bench\":\"des_kernel\",\"events\":" << events
@@ -253,16 +274,23 @@ int main(int argc, char** argv) {
         << ",\"uncached_queries_per_sec\":" << vis.uncached_qps
         << ",\"cached_queries_per_sec\":" << vis.cached_qps
         << ",\"speedup\":" << vis.cached_qps / vis.uncached_qps
-        << ",\"hit_rate\":" << vis.hit_rate << "}";
+        << ",\"hit_rate\":" << vis.hit_rate
+        << ",\"frozen_steady_state_allocs\":" << vis.frozen_steady_state_allocs
+        << "}";
   std::cout << "BENCH_JSON " << vjson.str() << "\n";
 
   // Regression gates (ISSUE 3 acceptance): >= 2x schedule/cancel speedup,
   // zero steady-state allocations per event in the pooled kernel. The
   // single-run fast path (ISSUE 6) must not regress the drain below the
-  // legacy heap.
-  const bool ok = pooled_fire >= 2.0 * legacy_fire &&
-                  pooled_cancel >= 2.0 * legacy_cancel &&
-                  pooled_allocs == 0.0 && pooled_drain >= legacy_drain;
+  // legacy heap. Frozen visibility queries allocate nothing.
+  bool ok = pooled_fire >= 2.0 * legacy_fire &&
+            pooled_cancel >= 2.0 * legacy_cancel && pooled_allocs == 0.0 &&
+            pooled_drain >= legacy_drain;
   if (!ok) std::cout << "REGRESSION: acceptance thresholds not met\n";
+  if (vis.frozen_steady_state_allocs != 0) {
+    std::cout << "REGRESSION: frozen cache allocated "
+              << vis.frozen_steady_state_allocs << " times in steady state\n";
+    ok = false;
+  }
   return ok ? 0 : 1;
 }

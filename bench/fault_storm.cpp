@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
   cfg_storm.fault_plan = &storm;
   cfg_storm.check_invariants = true;
 
-  // Untimed warm-up (same idiom as geometry_batch): the first run pays
+  // Untimed warm-up: the first run pays
   // page faults, allocator growth, and frequency ramp-up, and the baseline
   // ran first in every repetition — cold, it depressed base_eps and made
   // the empty-plan overhead read ~-1.5% on a quiet machine.

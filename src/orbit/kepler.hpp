@@ -63,7 +63,9 @@ class Orbit {
   /// ECI state at elapsed time `t` since epoch.
   [[nodiscard]] StateVector state_at(Duration t) const;
 
-  /// ECI position only (cheaper call for coverage scans).
+  /// ECI position only; circular orbits skip the Kepler solve. The pass
+  /// sweep (coverage_margin in orbit/visibility) calls it once per sample,
+  /// so it is the only propagator behind every pass table.
   [[nodiscard]] Vec3 position_eci(Duration t) const;
 
   /// Sub-satellite point. When `earth_rotation` is true the ECI position is
@@ -89,13 +91,6 @@ class Orbit {
   [[nodiscard]] SecularRates j2_secular_rates() const;
 
   [[nodiscard]] bool j2_enabled() const { return j2_; }
-
-  /// Precomputed perifocal→ECI rotation columns (images of the perifocal
-  /// x and y axes). Exposed so the batched kernel (orbit/batch_kepler)
-  /// reuses the exact same values instead of re-deriving them — a
-  /// prerequisite of its bit-identity contract with this propagator.
-  [[nodiscard]] const Vec3& perifocal_x_eci() const { return p_hat_; }
-  [[nodiscard]] const Vec3& perifocal_y_eci() const { return q_hat_; }
 
  private:
   /// Elements propagated to time t (secular drift applied when enabled).

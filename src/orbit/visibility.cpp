@@ -5,13 +5,19 @@
 
 #include "common/error.hpp"
 #include "common/numeric.hpp"
-#include "orbit/batch_kepler.hpp"
 
 namespace oaq {
 
 PassPredictor::PassPredictor(const Constellation& constellation,
                              bool earth_rotation)
     : constellation_(&constellation), earth_rotation_(earth_rotation) {}
+
+double coverage_margin(const Orbit& orbit, const Vec3& target_unit,
+                       double psi, bool earth_rotation, Duration t) {
+  const Vec3 eci = orbit.position_eci(t);
+  return psi - angle_between(earth_rotation ? eci_to_ecef(eci, t) : eci,
+                             target_unit);
+}
 
 double subsatellite_rate_bound(const Orbit& orbit, bool earth_rotation) {
   // The sub-satellite direction is the unit position vector (rotated into
@@ -43,15 +49,12 @@ void sweep_orbit_passes(const Orbit& orbit, SatelliteId id,
   OAQ_REQUIRE(t1 > t0, "pass horizon must be nonempty");
   OAQ_REQUIRE(min_step > Duration::zero(), "sweep step must be positive");
   OAQ_REQUIRE(tol > Duration::zero(), "tolerance must be positive");
-  const BatchKepler batch(orbit);
   // The sweep and the root refinement evaluate this one function, so
   // bracket endpoints agree bitwise and find_root's sign precondition
   // always holds.
   auto margin = [&](double t_sec) {
-    double m = 0.0;
-    batch.coverage_margins(target_unit, footprint_radius_rad, earth_rotation,
-                           &t_sec, 1, &m);
-    return m;
+    return coverage_margin(orbit, target_unit, footprint_radius_rad,
+                           earth_rotation, Duration::seconds(t_sec));
   };
   // The margin ψ − γ changes no faster than the central angle γ, which is
   // 1-Lipschitz in the sub-satellite direction: |dm/dt| <= rate. From a

@@ -46,6 +46,17 @@ struct CoverageStats {
   int max_multiplicity = 0;
 };
 
+/// Coverage margin ψ − central angle between the sub-satellite direction of
+/// `orbit` at `t` (rotated into ECEF when `earth_rotation`) and the target
+/// direction `target_unit` (geo_to_ecef_unit of the target): positive while
+/// the footprint of angular radius `psi` covers the target. The angle is
+/// taken between the position vector and `target_unit` directly, which
+/// equals central_angle(orbit.subsatellite_point(t, earth_rotation),
+/// target) without the geodetic round trip.
+[[nodiscard]] double coverage_margin(const Orbit& orbit,
+                                     const Vec3& target_unit, double psi,
+                                     bool earth_rotation, Duration t);
+
 /// Upper bound (rad/s) on how fast `orbit`'s sub-satellite direction
 /// turns (in the Earth-fixed frame when `earth_rotation`): the peak true-
 /// anomaly rate n·(1+e)²/(1−e²)^{3/2}, plus the J2 secular rates when the
@@ -59,8 +70,8 @@ struct CoverageStats {
 /// steps from a sample with margin m by max(min_step, |m| / rate) with
 /// rate = subsatellite_rate_bound, so a step longer than `min_step` never
 /// crosses a pass boundary and every pass longer than `min_step` is
-/// bracketed; crossings are refined to `tol` by Brent on the same margin
-/// function.
+/// bracketed; crossings are refined to `tol` by Brent on the same
+/// coverage_margin.
 void sweep_orbit_passes(const Orbit& orbit, SatelliteId id,
                         const Vec3& target_unit, double footprint_radius_rad,
                         bool earth_rotation, Duration min_step, Duration t0,

@@ -9,7 +9,6 @@
 
 #include "common/error.hpp"
 #include "common/numeric.hpp"
-#include "orbit/batch_kepler.hpp"
 #include "orbit/constellation_builder.hpp"
 
 namespace oaq {
@@ -167,6 +166,85 @@ TEST(PassPredictor, PassesThatStartTogetherSortBySatellite) {
   }
 }
 
+// --- Coverage margin -------------------------------------------------------
+//
+// coverage_margin measures the central angle between the position vector
+// and the target direction directly. It must agree with the public chain
+// ψ − central_angle(subsatellite_point(t, rot), target), whose geodetic
+// round trip (asin of z/r) can lose ~1e-8 rad near the poles; over the
+// cases below the two agree to 2.7e-15 rad. A margin that rotates by +θ
+// instead of −θ misses by up to 2·ω_E·t.
+
+constexpr double kChainTol = 1e-7;  // rad
+
+/// Largest |coverage_margin − chain margin| over [0, t1] sampled every
+/// 5.3 s, for targets at latitudes {0, 37, 53, 70} and longitude 10°.
+double max_margin_vs_chain(const Orbit& orbit, double psi, bool rotation,
+                           double t1) {
+  double worst = 0.0;
+  for (const double lat : {0.0, 37.0, 53.0, 70.0}) {
+    const GeoPoint target = GeoPoint::from_degrees(lat, 10.0);
+    const Vec3 target_unit = geo_to_ecef_unit(target);
+    for (double s = 0.0; s <= t1; s += 5.3) {
+      const Duration t = Duration::seconds(s);
+      const double chain =
+          psi - central_angle(orbit.subsatellite_point(t, rotation), target);
+      worst = std::max(worst, std::abs(coverage_margin(orbit, target_unit, psi,
+                                                       rotation, t) -
+                                       chain));
+    }
+  }
+  return worst;
+}
+
+TEST(CoverageMargin, MatchesGeodeticChain) {
+  const double t1 = Duration::hours(3.0).to_seconds();
+  for (const char* preset :
+       {"reference", "kepler", "iridium-next", "oneweb", "starlink"}) {
+    for (const bool j2 : {false, true}) {
+      std::vector<ConstellationDesign> shells;
+      for (const WalkerShell& shell : constellation_preset(preset)) {
+        ConstellationDesign d = design_from_shell(shell);
+        d.j2 = j2;
+        shells.push_back(d);
+      }
+      const Constellation c(shells);
+      // About 16 satellites spread over planes and slots per preset.
+      const int stride = std::max(1, c.total_active() / 16);
+      int index = 0;
+      for (int pi = 0; pi < c.num_planes(); ++pi) {
+        const double psi = c.footprint_of_plane(pi).angular_radius_rad();
+        for (int slot = 0; slot < c.plane(pi).active_count(); ++slot) {
+          if (index++ % stride != 0) continue;
+          for (const bool rotation : {false, true}) {
+            EXPECT_LE(max_margin_vs_chain(c.plane(pi).orbit_of(slot), psi,
+                                          rotation, t1),
+                      kChainTol)
+                << preset << (j2 ? " J2" : "") << (rotation ? " rot" : "")
+                << " satellite (" << pi << ", " << slot << ")";
+          }
+        }
+      }
+    }
+  }
+  // The e = 0.3 orbit of AdaptiveSweep.EccentricOrbitMatchesDenseGrid.
+  KeplerianElements el;
+  el.semi_major_km = 12000.0;
+  el.eccentricity = 0.3;
+  el.inclination_rad = deg2rad(63.4);
+  el.arg_perigee_rad = 0.9;
+  const Orbit eccentric(el);
+  for (const Orbit& orbit : {eccentric, eccentric.with_j2()}) {
+    for (const bool rotation : {false, true}) {
+      EXPECT_LE(max_margin_vs_chain(orbit, deg2rad(18.0), rotation,
+                                    orbit.period().to_seconds()),
+                kChainTol)
+          << "eccentric" << (orbit.j2_enabled() ? " J2" : "")
+          << (rotation ? " rot" : "");
+    }
+  }
+}
+
 // --- Adaptive sweep completeness -------------------------------------------
 //
 // The reference is a dense grid at Tc/1024, refined on the same margin
@@ -182,23 +260,21 @@ constexpr double kRefTol = 1e-6;  // reference refinement
 
 /// Dense-grid pass table of one orbit: sign changes of the margin on a
 /// fixed `step` grid over [t0, t1], refined with Brent to kRefTol.
-std::vector<Pass> dense_reference(const BatchKepler& batch, SatelliteId id,
+std::vector<Pass> dense_reference(const Orbit& orbit, SatelliteId id,
                                   const Vec3& target_unit, double psi,
                                   bool rotation, double step, double t0,
                                   double t1) {
   auto margin = [&](double t) {
-    double m = 0.0;
-    batch.coverage_margins(target_unit, psi, rotation, &t, 1, &m);
-    return m;
+    return coverage_margin(orbit, target_unit, psi, rotation,
+                           Duration::seconds(t));
   };
   std::vector<double> times;
+  std::vector<double> margins;
   for (double t = t0;; t = std::min(t + step, t1)) {
     times.push_back(t);
+    margins.push_back(margin(t));
     if (t >= t1) break;
   }
-  std::vector<double> margins(times.size());
-  batch.coverage_margins(target_unit, psi, rotation, times.data(),
-                         times.size(), margins.data());
   std::vector<Pass> out;
   double start = margins[0] > 0.0 ? t0 : -1.0;
   for (std::size_t i = 1; i < times.size(); ++i) {
@@ -218,7 +294,7 @@ std::vector<Pass> dense_reference(const BatchKepler& batch, SatelliteId id,
 
 /// Checks one satellite's adaptive passes against its dense reference and
 /// returns how many reference passes longer than `min_step` it matched.
-int expect_complete(const BatchKepler& batch, const Vec3& target_unit,
+int expect_complete(const Orbit& orbit, const Vec3& target_unit,
                     double psi, bool rotation, double min_step,
                     const std::vector<Pass>& reference,
                     std::vector<Pass> adaptive, const std::string& where) {
@@ -242,13 +318,10 @@ int expect_complete(const BatchKepler& batch, const Vec3& target_unit,
     adaptive.erase(hit);
   }
   for (const Pass& extra : adaptive) {
-    double mid = 0.5 * (extra.start + extra.end).to_seconds();
-    double m = 0.0;
-    batch.coverage_margins(target_unit, psi, rotation, &mid, 1, &m);
-    EXPECT_GT(m, 0.0) << where << ": adaptive pass ["
-                      << extra.start.to_seconds() << ", "
-                      << extra.end.to_seconds()
-                      << "] is not covered at its midpoint";
+    const Duration mid = 0.5 * (extra.start + extra.end);
+    EXPECT_GT(coverage_margin(orbit, target_unit, psi, rotation, mid), 0.0)
+        << where << ": adaptive pass [" << extra.start.to_seconds() << ", "
+        << extra.end.to_seconds() << "] is not covered at its midpoint";
   }
   return matched;
 }
@@ -285,15 +358,15 @@ TEST_P(AdaptiveSweep, FindsEveryDenseGridPass) {
       for (int slot = 0; slot < plane.active_count(); ++slot, ++index) {
         if (index % stride != 0) continue;
         const SatelliteId id{pi, slot};
-        const BatchKepler batch(plane.orbit_of(slot));
+        const Orbit& orbit = plane.orbit_of(slot);
         const double psi = fp.angular_radius_rad();
         std::vector<Pass> adaptive;
         for (const Pass& p : table) {
           if (p.satellite == id) adaptive.push_back(p);
         }
         checked += expect_complete(
-            batch, target_unit, psi, rotation, tc / 64.0,
-            dense_reference(batch, id, target_unit, psi, rotation,
+            orbit, target_unit, psi, rotation, tc / 64.0,
+            dense_reference(orbit, id, target_unit, psi, rotation,
                             tc / 1024.0, 0.0, t1),
             adaptive, preset + " lat " + std::to_string(lat));
       }
@@ -331,7 +404,6 @@ TEST(AdaptiveSweep, EccentricOrbitMatchesDenseGrid) {
         el.mean_anomaly_rad = 0.4 * k;
         const Orbit base(el);
         const Orbit orbit = j2 ? base.with_j2() : base;
-        const BatchKepler batch(orbit);
         const double tc = orbit.period().to_seconds() * psi / kPi;
         const double t1 = Duration::hours(24.0).to_seconds();
         for (const double lat : {0.0, 37.0, 53.0, 70.0}) {
@@ -343,8 +415,8 @@ TEST(AdaptiveSweep, EccentricOrbitMatchesDenseGrid) {
                              Duration::zero(), Duration::seconds(t1),
                              Duration::seconds(kTol), adaptive);
           checked += expect_complete(
-              batch, target_unit, psi, rotation, tc / 64.0,
-              dense_reference(batch, SatelliteId{0, k}, target_unit, psi,
+              orbit, target_unit, psi, rotation, tc / 64.0,
+              dense_reference(orbit, SatelliteId{0, k}, target_unit, psi,
                               rotation, tc / 1024.0, 0.0, t1),
               adaptive, "eccentric lat " + std::to_string(lat));
         }
@@ -371,7 +443,7 @@ TEST(AdaptiveSweep, GrazingTargetAtFootprintEdge) {
   int checked = 0;
   for (int slot = 0; slot < c.plane(0).active_count(); ++slot) {
     const SatelliteId id{0, slot};
-    const BatchKepler batch(c.plane(0).orbit_of(slot));
+    const Orbit& orbit = c.plane(0).orbit_of(slot);
     std::vector<Pass> adaptive;
     for (const Pass& p : table) {
       if (p.satellite == id) {
@@ -380,8 +452,8 @@ TEST(AdaptiveSweep, GrazingTargetAtFootprintEdge) {
       }
     }
     checked += expect_complete(
-        batch, target_unit, psi, false, tc / 64.0,
-        dense_reference(batch, id, target_unit, psi, false, tc / 1024.0, 0.0,
+        orbit, target_unit, psi, false, tc / 64.0,
+        dense_reference(orbit, id, target_unit, psi, false, tc / 1024.0, 0.0,
                         t1),
         adaptive, "grazing");
   }
@@ -392,16 +464,13 @@ TEST(AdaptiveSweep, RateBoundCoversSampledDirectionRate) {
   // Finite differences of the sub-satellite direction never outrun the
   // bound; on a circular inertial orbit the bound is tight (it is n).
   auto measured_peak = [](const Orbit& orbit, bool rotation) {
-    const BatchKepler batch(orbit);
     const double dt = 0.5;
     double peak = 0.0;
     Vec3 prev;
     for (int i = 0; i <= 40000; ++i) {
-      double t = dt * i;
-      double x = 0.0, y = 0.0, z = 0.0;
-      batch.positions_eci(&t, 1, &x, &y, &z);
-      Vec3 u{x, y, z};
-      if (rotation) u = eci_to_ecef(u, Duration::seconds(t));
+      const Duration t = Duration::seconds(dt * i);
+      Vec3 u = orbit.position_eci(t);
+      if (rotation) u = eci_to_ecef(u, t);
       u = u / u.norm();
       if (i > 0) {
         const double angle = std::atan2(u.cross(prev).norm(), u.dot(prev));

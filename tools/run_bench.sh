@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Runs the performance benches and aggregates their BENCH_JSON lines into
-# BENCH_3.json (DES kernel + parallel scaling, ISSUE 3), BENCH_4.json
-# (batched Kepler geometry + shared visibility cache, ISSUE 4), BENCH_5.json
-# (fault-injection engine, ISSUE 5), BENCH_6.json (SoA episode batching,
+# BENCH_3.json (DES kernel + parallel scaling + frozen visibility cache),
+# BENCH_5.json (fault-injection engine), BENCH_6.json (SoA episode batching,
 # ISSUE 6), BENCH_7.json (episode batching + span-profiler overhead,
 # ISSUE 7), BENCH_8.json (BENCH_7's pair + the mega-constellation
 # scale-out, ISSUE 8), BENCH_9.json (the same trio; the committed
 # snapshot also holds the retired episode_interleave payload, ISSUE 9),
 # and BENCH_10.json (BENCH_9's trio plus the chaos_soak
 # stochastic-fault / self-healing-link harness, ISSUE 10) at the repo
-# root.
+# root. The committed BENCH_4.json is historical; nothing writes it.
 #
 #   tools/run_bench.sh [build-dir]
 #
@@ -17,8 +16,8 @@
 # bench binaries, and joins their lines of the form
 #   BENCH_JSON {...}
 # into single JSON documents (see tools/README.md for the schemas). The
-# des_kernel, geometry_batch, fault_storm, episode_batch, span_overhead,
-# and constellation_scale binaries enforce their acceptance gates
+# des_kernel, fault_storm, episode_batch, span_overhead and
+# constellation_scale binaries enforce their acceptance gates
 # (>= 1.5-2x speedups, <= 5% overheads, zero steady-state allocations),
 # so a failing gate fails this script (chaos_soak gates its clean-path
 # overhead, expansion allocations, and invariant count likewise).
@@ -31,19 +30,18 @@ build_dir="${1:-"${repo_root}/build-bench"}"
 
 cmake -S "${repo_root}" -B "${build_dir}" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "${build_dir}" -j \
-  --target des_kernel parallel_scaling geometry_batch fault_storm \
+  --target des_kernel parallel_scaling fault_storm \
   episode_batch span_overhead constellation_scale chaos_soak \
   bench_trend >/dev/null
 
 log3="$(mktemp)"
-log4="$(mktemp)"
 log5="$(mktemp)"
 log6="$(mktemp)"
 log7="$(mktemp)"
 log8="$(mktemp)"
 log9="$(mktemp)"
 log10="$(mktemp)"
-trap 'rm -f "${log3}" "${log4}" "${log5}" "${log6}" "${log7}" "${log8}" \
+trap 'rm -f "${log3}" "${log5}" "${log6}" "${log7}" "${log8}" \
   "${log9}" "${log10}"' EXIT
 
 # Join a log's BENCH_JSON payloads into {"benchmarks": [...]}.
@@ -60,10 +58,6 @@ echo "== des_kernel ==" >&2
 echo "== parallel_scaling ==" >&2
 "${build_dir}/bench/parallel_scaling" | tee -a "${log3}" >&2
 aggregate "${log3}" "${repo_root}/BENCH_3.json"
-
-echo "== geometry_batch ==" >&2
-"${build_dir}/bench/geometry_batch" | tee -a "${log4}" >&2
-aggregate "${log4}" "${repo_root}/BENCH_4.json"
 
 echo "== fault_storm ==" >&2
 "${build_dir}/bench/fault_storm" | tee -a "${log5}" >&2
