@@ -73,15 +73,15 @@ int main() {
     cfg.delta = Duration::seconds(12);
     cfg.tg = Duration::seconds(6);
     cfg.computation_cap = Duration::seconds(6);
-    const EpisodeEngine engine(sched, cfg, true);
+    EpisodeContext context(sched, cfg, true);
     Rng master(2003);
     int episodes = 0, high = 0, missed = 0;
     RunningStat latency;
     for (int e = 0; e < 80; ++e) {
-      Rng rng = master.fork(static_cast<std::uint64_t>(e));
-      const auto r = engine.run(
+      const auto& r = context.run(
+          e, master.fork(static_cast<std::uint64_t>(e)),
           TimePoint::at(Duration::minutes(10.0 + 17.0 * e)),
-          Duration::minutes(25), rng);
+          Duration::minutes(25));
       ++episodes;
       high += to_int(r.level) >= 2;
       missed += !r.alert_delivered;

@@ -11,9 +11,13 @@
 //   informed   — the membership service has already converged, so the
 //                chain skips the dead peer and recovers level 2;
 //   oracle-off — no faults (upper bound).
+// The dead peer is a fail_silent clause at the signal start. Exits nonzero
+// unless, at P(fault) = 0.7, the membership view beats the protocol alone
+// on P(Y=2) by at least 0.2.
 #include <iostream>
 
 #include "common/table.hpp"
+#include "fault/plan.hpp"
 #include "oaq/montecarlo.hpp"
 
 using namespace oaq;
@@ -49,12 +53,10 @@ Row run_campaign(double p_fault, bool informed) {
     const Duration phase = phase_rng.uniform(Duration::zero(),
                                              geometry.tr(k));
     const AnalyticSchedule sched(geometry, k, phase);
-    const EpisodeEngine engine(sched, cfg, true);
     const TimePoint start = TimePoint::at(Duration::minutes(60));
     const Duration dur = dur_rng.exponential(Rate::per_minute(0.05));
-    Rng rng = ep_rng.fork(static_cast<std::uint64_t>(e));
 
-    std::vector<EpisodeEngine::Fault> faults;
+    FaultPlan plan;
     std::set<SatelliteId> view;
     if (fault_rng.bernoulli(p_fault)) {
       // Locate the chain's second member (next pass after detection).
@@ -67,13 +69,15 @@ Row run_campaign(double p_fault, bool informed) {
       }
       for (const auto& p : passes) {
         if (p.start > t0) {
-          faults.push_back({p.satellite, TimePoint::origin()});
+          plan.add(FaultPlan::fail_silent(p.satellite, Duration::zero()));
           if (informed) view.insert(p.satellite);
           break;
         }
       }
     }
-    const auto r = engine.run(start, dur, rng, faults, view);
+    EpisodeContext context(sched, cfg, true, &plan, &view);
+    const auto& r = context.run(
+        0, ep_rng.fork(static_cast<std::uint64_t>(e)), start, dur);
     ++row.episodes;
     if (r.alert_delivered) {
       ++row.delivered;
@@ -94,10 +98,13 @@ int main() {
   TablePrinter table({"config", "P(fault)", "P(Y=2)", "mean alert latency "
                       "min", "delivered"},
                      4);
+  double blind_p2 = 0.0;
+  double informed_p2 = 0.0;
   for (const double p : {0.0, 0.3, 0.7}) {
     for (const bool informed : {false, true}) {
       if (p == 0.0 && informed) continue;
       const auto row = run_campaign(p, informed);
+      if (p == 0.7) (informed ? informed_p2 : blind_p2) = row.p2;
       table.add_row({std::string(p == 0.0        ? "no faults"
                                  : informed      ? "membership view"
                                                  : "protocol alone"),
@@ -111,5 +118,10 @@ int main() {
                "drops to level 1 when a peer is silently dead; a converged "
                "membership view re-routes the chain and recovers both the "
                "level-2 share and the latency.\n";
+  if (informed_p2 - blind_p2 < 0.2) {
+    std::cout << "CLAIM FAILED: at P(fault) = 0.7 the membership view's "
+                 "P(Y=2) must beat the protocol alone by >= 0.2\n";
+    return 1;
+  }
   return 0;
 }

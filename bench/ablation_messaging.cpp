@@ -5,10 +5,13 @@
 // Expected: both variants deliver every detected signal without faults;
 // with the second chain member fail-silent, backward messaging still
 // guarantees delivery (the predecessor's wait deadline fires) while
-// forward responsibility silently loses the alert.
+// forward responsibility silently loses the alert. The fault is a
+// fail_silent clause at the signal start. Exits nonzero when the faulted
+// rows break that claim.
 #include <iostream>
 
 #include "common/table.hpp"
+#include "fault/plan.hpp"
 #include "oaq/episode.hpp"
 #include "oaq/montecarlo.hpp"
 
@@ -45,12 +48,10 @@ Outcome run_campaign(bool backward, bool inject_fault) {
     const Duration phase =
         phase_rng.uniform(Duration::zero(), geometry.tr(k));
     const AnalyticSchedule sched(geometry, k, phase);
-    const EpisodeEngine engine(sched, cfg, true);
     const TimePoint start = TimePoint::at(Duration::minutes(60));
     const Duration dur = dur_rng.exponential(Rate::per_minute(0.2));
-    Rng rng = ep_rng.fork(static_cast<std::uint64_t>(e));
 
-    std::vector<EpisodeEngine::Fault> faults;
+    FaultPlan plan;
     if (inject_fault) {
       // Kill the chain's SECOND member: first locate the detector S1 (the
       // pass covering the signal start, or the first pass after it), then
@@ -64,12 +65,14 @@ Outcome run_campaign(bool backward, bool inject_fault) {
       }
       for (const auto& p : passes) {
         if (p.start > t0) {
-          faults.push_back({p.satellite, start});
+          plan.add(FaultPlan::fail_silent(p.satellite, Duration::zero()));
           break;
         }
       }
     }
-    const auto r = engine.run(start, dur, rng, faults);
+    EpisodeContext context(sched, cfg, true, &plan);
+    const auto& r = context.run(
+        0, ep_rng.fork(static_cast<std::uint64_t>(e)), start, dur);
     out.detected += r.detected;
     out.delivered += r.alert_delivered;
     out.timely += (r.alert_delivered && r.timely);
@@ -86,9 +89,13 @@ int main() {
   TablePrinter table({"variant", "fault", "detected", "delivered",
                       "delivered/detected", "timely", "duplicates"},
                      4);
+  bool backward_guaranteed = false;
+  bool forward_loses = false;
   for (const bool backward : {true, false}) {
     for (const bool fault : {false, true}) {
       const auto o = run_campaign(backward, fault);
+      if (fault && backward) backward_guaranteed = o.delivered == o.detected;
+      if (fault && !backward) forward_loses = o.delivered < o.detected;
       table.add_row({std::string(backward ? "backward-done" : "forward-resp"),
                      std::string(fault ? "S2 fail-silent" : "none"),
                      static_cast<long long>(o.detected),
@@ -103,5 +110,10 @@ int main() {
   std::cout << "\nPaper claim: \"with the backward-messaging scheme, the "
                "delivery of the alert message will be guaranteed even if "
                "Sn+1 becomes fail-silent in the middle of computation.\"\n";
+  if (!backward_guaranteed || !forward_loses) {
+    std::cout << "CLAIM FAILED: under S2 fail-silence backward-done must "
+                 "deliver every detected signal and forward-resp fewer\n";
+    return 1;
+  }
   return 0;
 }

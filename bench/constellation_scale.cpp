@@ -1,8 +1,8 @@
 // Mega-constellation scale-out harness (ISSUE 8 tentpole): episodes/sec
 // and peak RSS across the Walker preset ladder {reference 7×14,
 // iridium-next 6×11, oneweb 18×36, starlink 72×22} at jobs 1/4/8; the
-// reused-EpisodeContext vs EpisodeEngine::run per-episode A/B at the 72×22
-// design point (JSON keys "pooled" and "naive"); the reused context's
+// reused vs fresh-per-episode EpisodeContext A/B at the 72×22 design
+// point (JSON keys "pooled" and "naive"); the reused context's
 // steady-state allocation count (hence alloc_counter); and the warm
 // SharedVisibilityCache hit accounting. Prints a human table plus a
 // BENCH_JSON line (aggregated into BENCH_8.json by tools/run_bench.sh).
@@ -123,12 +123,12 @@ struct AbThroughput {
 
 /// Reused-vs-fresh per-episode throughput, both driven directly over one
 /// seeded, frozen visibility cache so the timed regions contain pure episode
-/// work: the naive path is EpisodeEngine::run, which constructs a fresh
-/// EpisodeContext (simulator, network, handler registrations) per
-/// episode; the pooled path resets one reused context. Measuring this
-/// way — instead of subtracting two full simulate_qos runs — keeps the
-/// one-time visibility seed sweep out of the comparison entirely, so the
-/// recorded numbers are stable enough to trend-gate.
+/// work: the naive path constructs a fresh EpisodeContext (simulator,
+/// network, handler registrations) per episode; the pooled path resets
+/// one reused context. Measuring this way — instead of subtracting two
+/// full simulate_qos runs — keeps the one-time visibility seed sweep out
+/// of the comparison entirely, so the recorded numbers are stable enough
+/// to trend-gate.
 AbThroughput pooled_vs_naive(const Constellation& c, std::int64_t naive_n,
                              std::int64_t pooled_n) {
   const QosSimulationConfig cfg = scale_config(c, 1);
@@ -136,8 +136,6 @@ AbThroughput pooled_vs_naive(const Constellation& c, std::int64_t naive_n,
   const SharedVisibilityCache cache = seeded_cache(c, cfg);
   const GeometricSchedule schedule(cache);
   EpisodeContext context(schedule, cfg.protocol, cfg.opportunity_adaptive);
-  const EpisodeEngine engine(schedule, cfg.protocol,
-                             cfg.opportunity_adaptive);
   const ExponentialDuration duration_law(cfg.mu);
   const Rng episode_rng = Rng(cfg.seed).fork(3);
   std::uint64_t level_sink = 0;
@@ -152,9 +150,10 @@ AbThroughput pooled_vs_naive(const Constellation& c, std::int64_t naive_n,
   };
   const auto run_naive = [&](std::int64_t e) {
     Duration phase, duration;
-    Rng protocol = episode_inputs(e, phase, duration);
-    const EpisodeResult r =
-        engine.run(signal_start + phase, duration, protocol);
+    const Rng protocol = episode_inputs(e, phase, duration);
+    EpisodeContext fresh(schedule, cfg.protocol, cfg.opportunity_adaptive);
+    const EpisodeResult& r =
+        fresh.run(e, protocol, signal_start + phase, duration);
     level_sink += static_cast<std::uint64_t>(to_int(r.level));
   };
   const auto run_pooled = [&](std::int64_t e) {
@@ -265,7 +264,7 @@ int main(int argc, char** argv) {
   const double pooled_eps = ab.pooled_eps;
   const double speedup = pooled_eps / naive_eps;
   std::cout << "\nstarlink 72x22 A/B (jobs=1, per-episode, warm cache): "
-            << "EpisodeEngine::run " << naive_eps << " eps, reused context "
+            << "fresh context " << naive_eps << " eps, reused context "
             << pooled_eps << " eps, speedup " << speedup << "x\n";
 
   const std::uint64_t steady_allocs =
@@ -298,7 +297,7 @@ int main(int argc, char** argv) {
   std::cout << "BENCH_JSON " << json.str() << "\n";
 
   // Acceptance gates (ISSUE 8): the reused context sustains >= 1.5x
-  // EpisodeEngine::run per episode at 72×22, allocates nothing in steady
+  // a fresh context per episode at 72×22, allocates nothing in steady
   // state, and the warm shared-cache hit accounting is preserved.
   const bool ok = speedup >= 1.5 && steady_allocs == 0 && hits.hits > 0 &&
                   hits.queries >= hits.hits;

@@ -1,7 +1,7 @@
 // Analytic episode-reuse harness: episodes/sec of the scalar oracle (a
-// direct EpisodeEngine::run loop on simulate_qos's streams, one fresh
-// context per episode) vs simulate_qos (one reused episode context per
-// shard), and the steady-state allocation count of that shard loop (hence
+// direct loop on simulate_qos's streams, one fresh EpisodeContext per
+// episode) vs simulate_qos (one reused episode context per shard), and
+// the steady-state allocation count of that shard loop (hence
 // alloc_counter). Prints a human table plus a BENCH_JSON line (aggregated
 // into BENCH_6.json by tools/run_bench.sh; the `batched` key names the
 // simulate_qos side, as in earlier snapshots).
@@ -41,8 +41,8 @@ QosSimulationConfig base_config(int episodes) {
   return cfg;
 }
 
-/// Episodes/sec of the scalar oracle: a fresh EpisodeEngine::run per
-/// episode on the per-index streams simulate_qos forks.
+/// Episodes/sec of the scalar oracle: a fresh EpisodeContext per episode
+/// on the per-index streams simulate_qos forks.
 double scalar_eps(const QosSimulationConfig& cfg) {
   const ExponentialDuration duration_law(cfg.mu);
   const Rng episode_rng = Rng(cfg.seed).fork(3);
@@ -54,14 +54,12 @@ double scalar_eps(const QosSimulationConfig& cfg) {
     const Rng ep = episode_rng.fork(static_cast<std::uint64_t>(e));
     Rng phase_rng = ep.fork(1);
     Rng duration_rng = ep.fork(2);
-    Rng protocol_rng = ep.fork(3);
     const Duration phase = phase_rng.uniform(Duration::zero(), tr);
     const Duration duration = duration_law.sample(duration_rng);
     const AnalyticSchedule schedule(cfg.geometry, cfg.k, phase);
-    const EpisodeEngine engine(schedule, cfg.protocol,
-                               cfg.opportunity_adaptive);
-    level_sink += static_cast<std::uint64_t>(
-        to_int(engine.run(signal_start, duration, protocol_rng).level));
+    EpisodeContext context(schedule, cfg.protocol, cfg.opportunity_adaptive);
+    level_sink += static_cast<std::uint64_t>(to_int(
+        context.run(e, ep.fork(3), signal_start, duration).level));
   }
   const double elapsed = seconds_since(t0);
   if (level_sink == ~0ull) std::abort();  // defeat over-eager optimizers
@@ -139,7 +137,7 @@ int main(int argc, char** argv) {
   const SteadyState steady = steady_state_allocs(cfg, 512, 4096);
 
   TablePrinter table({"path", "episodes/s", "speedup"}, 2);
-  table.add_row({std::string("scalar (EpisodeEngine::run)"), scalar, 1.0});
+  table.add_row({std::string("scalar (fresh EpisodeContext)"), scalar, 1.0});
   table.add_row({std::string("reused context (simulate_qos)"), batched,
                  speedup});
   table.print(std::cout);

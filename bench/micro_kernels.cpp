@@ -79,11 +79,12 @@ void BM_ProtocolEpisode(benchmark::State& state) {
   ProtocolConfig cfg;
   cfg.delta = Duration::zero();
   cfg.tg = Duration::zero();
-  const EpisodeEngine engine(sched, cfg, true);
-  Rng rng(1);
+  std::uint64_t seed = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(
-        TimePoint::at(Duration::minutes(60)), Duration::minutes(4), rng));
+    EpisodeContext context(sched, cfg, true);
+    benchmark::DoNotOptimize(context.run(0, Rng(++seed),
+                                         TimePoint::at(Duration::minutes(60)),
+                                         Duration::minutes(4)));
   }
 }
 BENCHMARK(BM_ProtocolEpisode);

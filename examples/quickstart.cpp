@@ -33,12 +33,12 @@ int main() {
   const AnalyticSchedule schedule(geometry, 9, Duration::zero());
   ProtocolConfig config;       // tau = 5 min, delta = 12 s, Tg = 6 s
   config.computation_cap = Duration::seconds(6);
-  const EpisodeEngine engine(schedule, config, /*opportunity_adaptive=*/true);
+  EpisodeContext episode(schedule, config, /*opportunity_adaptive=*/true);
 
-  Rng rng(7);
   // Signal starts at t = 2 min (inside a pass) and lasts 20 minutes.
-  const auto result = engine.run(TimePoint::at(Duration::minutes(2)),
-                                 Duration::minutes(20), rng);
+  const auto result = episode.run(/*episode_id=*/0, Rng(7),
+                                  TimePoint::at(Duration::minutes(2)),
+                                  Duration::minutes(20));
 
   std::cout << "Episode: detected=" << result.detected
             << ", level=" << to_string(result.level)

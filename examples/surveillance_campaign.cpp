@@ -69,9 +69,10 @@ int main() {
     const Duration duration = rng.exponential(mu);
     const TimePoint start = TimePoint::at(Duration::minutes(60));
     for (const bool oaq : {true, false}) {
-      const EpisodeEngine engine(schedule, protocol, oaq);
-      Rng ep = rng.fork(static_cast<std::uint64_t>(signals) * 2 + oaq);
-      const auto r = engine.run(start, duration, ep);
+      EpisodeContext episode(schedule, protocol, oaq);
+      const auto& r = episode.run(
+          signals, rng.fork(static_cast<std::uint64_t>(signals) * 2 + oaq),
+          start, duration);
       (oaq ? oaq_levels : baq_levels)
           .add(to_int(r.alert_delivered ? r.level : QosLevel::kMissed));
     }

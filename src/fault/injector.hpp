@@ -7,10 +7,10 @@
 // tie-breaking and the run is bit-identical at any worker count.
 //
 // Determinism contract: the injector owns a *dedicated* RNG fork handed
-// in by the caller (episode: protocol_rng.fork(0x666c74); campaign:
-// master.fork(6)). Rng::fork is const — taking the fork never advances
-// the parent — so attaching a plan, or adding clause types to it, cannot
-// perturb the protocol's own draws. Stochastic clauses (ge_loss,
+// in by the caller (episode: the protocol stream's fork(0x666c74);
+// campaign: master.fork(6)). Rng::fork is const — taking the fork never
+// advances the parent — so attaching a plan, or adding clause types to
+// it, cannot perturb the protocol's own draws. Stochastic clauses (ge_loss,
 // outage_train, sat_lifecycle — ISSUE 10) consume exactly this reserved
 // stream: arm() expands them through a FaultProcessExpander into
 // scripted clauses *before* any event fires, so protocol draws still see

@@ -40,7 +40,7 @@
 //       deactivate.
 //
 // Always compiled in; a detached checker is a null pointer at the call
-// sites (EpisodeFaultHooks), so the default path pays one branch.
+// sites (EpisodeContext::run), so the default path pays one branch.
 #pragma once
 
 #include <cstdint>

@@ -15,7 +15,7 @@
 //
 // The OAQ protocol consumes the converged view: a coordination chain can
 // skip a known-failed "next visitor" instead of paying the wait-deadline
-// timeout (see EpisodeEngine and bench/ablation_membership).
+// timeout (see EpisodeContext's `known_failed` and bench/ablation_membership).
 #pragma once
 
 #include <cstdint>

@@ -118,35 +118,6 @@ TimePoint ComputeCalendar::schedule(SatelliteId sat, TimePoint ready,
   return free_at;
 }
 
-EpisodeEngine::EpisodeEngine(const CoverageSchedule& schedule,
-                             ProtocolConfig config, bool opportunity_adaptive)
-    : schedule_(&schedule), config_(config), oaq_(opportunity_adaptive) {
-  OAQ_REQUIRE(config.tau > Duration::zero(), "deadline must be positive");
-  OAQ_REQUIRE(config.delta >= Duration::zero(), "delta must be nonnegative");
-  OAQ_REQUIRE(config.tg >= Duration::zero(), "Tg must be nonnegative");
-  OAQ_REQUIRE(config.nu > Rate::zero(), "computation rate must be positive");
-}
-
-EpisodeResult EpisodeEngine::run(TimePoint signal_start,
-                                 Duration signal_duration, Rng& rng,
-                                 const std::vector<Fault>& faults,
-                                 const std::set<SatelliteId>& known_failed,
-                                 ShardTraceBuffer* trace, int episode_id,
-                                 const EpisodeFaultHooks* hooks) const {
-  OAQ_REQUIRE(signal_duration > Duration::zero(),
-              "signal duration must be positive");
-  const EpisodeFaultHooks none;
-  const EpisodeFaultHooks& h = hooks != nullptr ? *hooks : none;
-  EpisodeContext ctx(*schedule_, config_, oaq_, h.plan, &known_failed);
-  EpisodeResult result = ctx.run(episode_id, rng, signal_start,
-                                 signal_duration, trace, h.invariants,
-                                 h.ledger, faults);
-  // The episode's draws advance the caller's stream, as if it had been
-  // drawn from directly.
-  rng = ctx.protocol_rng();
-  return result;
-}
-
 struct EpisodeContext::Target {
   explicit Target(EpisodeContext& ctx)
       : episode(/*target_id=*/0, ctx.sim_, ctx.net_, *ctx.schedule_, ctx.cfg_,
@@ -170,6 +141,9 @@ EpisodeContext::EpisodeContext(const CoverageSchedule& schedule,
       calendar_(calendar),
       net_(sim_, net_options(cfg), Rng(0)) {  // re-seeded by every reset()
   OAQ_REQUIRE(cfg.tau > Duration::zero(), "deadline must be positive");
+  OAQ_REQUIRE(cfg.delta >= Duration::zero(), "delta must be nonnegative");
+  OAQ_REQUIRE(cfg.tg >= Duration::zero(), "Tg must be nonnegative");
+  OAQ_REQUIRE(cfg.nu > Rate::zero(), "computation rate must be positive");
   net_.register_node(Address::ground(), [this](const Envelope& env) {
     if (const auto* alert = env.payload.get_if<AlertMessage>()) {
       for (int i = 0; i < armed_; ++i) {
@@ -177,12 +151,13 @@ EpisodeContext::EpisodeContext(const CoverageSchedule& schedule,
       }
     }
   });
-  // Graceful degradation: when links may fail for good (retry budgets or
-  // an injected plan), a finally-dropped coordination request re-routes to
-  // the next live downstream peer (each target filters by target id).
-  // Left detached otherwise so the default path's drop accounting matches
-  // the pre-fault engine.
-  if (cfg_.reliable_links || cfg_.self_healing_links || plan_ != nullptr) {
+  // Graceful degradation: a finally-dropped coordination request re-routes
+  // to the next live downstream peer (each target filters by target id) —
+  // but only where the sender can observe the drop: an exhausted retry
+  // budget (reliable links) or a health demotion (self-healing links). A
+  // best-effort sender gets no ack, so it cannot learn that a message was
+  // lost and must rely on the wait deadline, plan or no plan (§3.2).
+  if (cfg_.reliable_links || cfg_.self_healing_links) {
     net_.set_drop_handler([this](const Envelope& env, DropReason reason) {
       for (int i = 0; i < armed_; ++i) {
         targets_[i]->episode.handle_send_failure(env, reason);
@@ -289,24 +264,17 @@ void EpisodeContext::audit_kernel(InvariantChecker& invariants) const {
 }
 
 const EpisodeResult& EpisodeContext::run(
-    std::int64_t episode_id, const Rng& protocol_rng, TimePoint signal_start,
+    std::int64_t episode_id, const Rng& protocol, TimePoint signal_start,
     Duration signal_duration, ShardTraceBuffer* trace,
-    InvariantChecker* invariants, EpisodeLedger* ledger,
-    const std::vector<EpisodeEngine::Fault>& faults) {
+    InvariantChecker* invariants, EpisodeLedger* ledger) {
   reset({.trace_episode = episode_id,
-         .net_rng = protocol_rng.fork(0x6e6574),
-         .fault_rng = protocol_rng.fork(0x666c74),
+         .net_rng = protocol.fork(0x6e6574),
+         .fault_rng = protocol.fork(0x666c74),
          .trace = trace,
          .ledger = ledger});
-  if (!arm_target(static_cast<int>(episode_id), protocol_rng, signal_start,
+  if (!arm_target(static_cast<int>(episode_id), protocol, signal_start,
                   signal_duration)) {
     return targets_.front()->episode.result();
-  }
-  for (const auto& f : faults) {
-    const TimePoint at = std::max(f.at, sim_.now());
-    sim_.schedule_at(at, [this, sat = f.satellite] {
-      net_.fail_silent(Address::sat(sat));
-    });
   }
   arm_faults(signal_start);
   drain();
@@ -317,10 +285,6 @@ const EpisodeResult& EpisodeContext::run(
     audit_kernel(*invariants);
   }
   return result_;
-}
-
-const Rng& EpisodeContext::protocol_rng() const {
-  return targets_.front()->rng;
 }
 
 }  // namespace oaq

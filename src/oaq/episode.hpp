@@ -219,55 +219,6 @@ class ComputeCalendar {
   Duration queueing_ = Duration::zero();
 };
 
-/// Optional fault-injection hooks of one episode run. The plan's clause
-/// times are relative to the signal start; the checker (when attached)
-/// audits the episode result and the DES accounting after finalize; the
-/// ledger (when attached) receives every final drop, retry, and fault
-/// activation attributed to this episode's row.
-struct EpisodeFaultHooks {
-  const FaultPlan* plan = nullptr;
-  InvariantChecker* invariants = nullptr;
-  EpisodeLedger* ledger = nullptr;
-};
-
-/// Runs one signal episode against a coverage schedule: a fresh
-/// EpisodeContext run once — the scalar oracle of every reused context.
-class EpisodeEngine {
- public:
-  /// `scheme` selects OAQ or BAQ behaviour (Scheme from analytic/qos_model).
-  EpisodeEngine(const CoverageSchedule& schedule, ProtocolConfig config,
-                bool opportunity_adaptive);
-
-  /// Simulate a signal starting at `signal_start` lasting `signal_duration`.
-  /// `rng` drives computation times and message delays. Satellites listed
-  /// in `fail_silent` go silent at the given times (fault injection).
-  struct Fault {
-    SatelliteId satellite;
-    TimePoint at;
-  };
-  /// `known_failed`: satellites the group-membership service (src/net/
-  /// membership) has already removed from the view — the coordination
-  /// chain skips their passes instead of paying a wait-deadline timeout.
-  /// `trace`: optional per-shard event buffer (null = tracing disabled);
-  /// `episode_id` stamps the trace events (and the message target id) so
-  /// a sharded Monte-Carlo run can attribute events to episodes.
-  /// `hooks`: optional fault plan + invariant checker (see
-  /// EpisodeFaultHooks). The injector's RNG is a dedicated fork of `rng`,
-  /// so attaching a plan never perturbs the protocol's own draws. `rng` is
-  /// left advanced past the episode's protocol draws.
-  [[nodiscard]] EpisodeResult run(
-      TimePoint signal_start, Duration signal_duration, Rng& rng,
-      const std::vector<Fault>& faults = {},
-      const std::set<SatelliteId>& known_failed = {},
-      ShardTraceBuffer* trace = nullptr, int episode_id = 0,
-      const EpisodeFaultHooks* hooks = nullptr) const;
-
- private:
-  const CoverageSchedule* schedule_;
-  ProtocolConfig config_;
-  bool oaq_;
-};
-
 /// The one episode lifecycle (DESIGN.md §15): reset → arm → drain →
 /// collect over a Simulator, CrosslinkNetwork, optional FaultInjector and
 /// the per-target protocol state machines that the context owns and reuses
@@ -288,6 +239,9 @@ class EpisodeContext {
   /// empty plan is treated as none), `known_failed` (nullable = no
   /// membership view; the chain skips these satellites' passes) and
   /// `calendar` (nullable = uncontended computations) hold for every run.
+  /// The plan is the only fault input (a fail-silent peer is a
+  /// FaultPlan::fail_silent clause). Throws PreconditionError unless
+  /// τ > 0, δ ≥ 0, Tg ≥ 0 and ν > 0.
   EpisodeContext(const CoverageSchedule& schedule, const ProtocolConfig& cfg,
                  bool opportunity_adaptive, const FaultPlan* plan = nullptr,
                  const std::set<SatelliteId>* known_failed = nullptr,
@@ -338,21 +292,17 @@ class EpisodeContext {
   /// Audit the kernel's event balance under the run's trace episode.
   void audit_kernel(InvariantChecker& invariants) const;
 
-  /// One simulate episode: reset → arm its target on `protocol_rng`, then
-  /// schedule `faults` and the injector at `signal_start` → drain →
-  /// collect the result with the run's telemetry, audited with
-  /// `invariants` (nullable). An escaped episode returns its default
-  /// result without telemetry or audit. The reference is valid until the
-  /// next run.
+  /// One simulate episode: reset → arm its target on the `protocol`
+  /// stream → arm the plan's injector at `signal_start` → drain → collect
+  /// the result with the run's telemetry, audited with `invariants`
+  /// (nullable). An escaped episode returns its default result without
+  /// telemetry or audit. A fresh context run once is the scalar oracle of
+  /// every reused one. The reference is valid until the next run.
   const EpisodeResult& run(
-      std::int64_t episode_id, const Rng& protocol_rng,
+      std::int64_t episode_id, const Rng& protocol,
       TimePoint signal_start, Duration signal_duration,
       ShardTraceBuffer* trace = nullptr, InvariantChecker* invariants = nullptr,
-      EpisodeLedger* ledger = nullptr,
-      const std::vector<EpisodeEngine::Fault>& faults = {});
-
-  /// The last run()'s protocol stream, advanced by its draws.
-  [[nodiscard]] const Rng& protocol_rng() const;
+      EpisodeLedger* ledger = nullptr);
 
  private:
   struct Target;  ///< a protocol stream and the state machine drawing on it

@@ -99,25 +99,20 @@ Orbit::SecularRates Orbit::j2_secular_rates() const {
   return rates;
 }
 
-const Orbit& Orbit::self_or_drifted(Duration t, Orbit& scratch) const {
-  if (!j2_) return *this;
+Orbit Orbit::drifted(Duration t) const {
   const SecularRates rates = j2_secular_rates();
-  KeplerianElements drifted = elements_;
+  KeplerianElements el = elements_;
   const double dt = t.to_seconds();
-  drifted.raan_rad = wrap_two_pi(elements_.raan_rad + rates.raan_rate * dt);
-  drifted.arg_perigee_rad =
+  el.raan_rad = wrap_two_pi(elements_.raan_rad + rates.raan_rate * dt);
+  el.arg_perigee_rad =
       wrap_two_pi(elements_.arg_perigee_rad + rates.arg_perigee_rate * dt);
-  drifted.mean_anomaly_rad =
+  el.mean_anomaly_rad =
       elements_.mean_anomaly_rad + rates.mean_anomaly_rate * dt;
-  scratch = Orbit(drifted);
-  return scratch;
+  return Orbit(el);
 }
 
 StateVector Orbit::state_at(Duration t) const {
-  if (j2_) {
-    Orbit scratch(elements_);
-    return self_or_drifted(t, scratch).state_at(t);
-  }
+  if (j2_) return drifted(t).state_at(t);
   const double a = elements_.semi_major_km;
   const double e = elements_.eccentricity;
   const double m = elements_.mean_anomaly_rad + mean_motion_ * t.to_seconds();
@@ -137,10 +132,7 @@ StateVector Orbit::state_at(Duration t) const {
 }
 
 Vec3 Orbit::position_eci(Duration t) const {
-  if (j2_) {
-    Orbit scratch(elements_);
-    return self_or_drifted(t, scratch).position_eci(t);
-  }
+  if (j2_) return drifted(t).position_eci(t);
   const double e = elements_.eccentricity;
   if (e == 0.0) {
     // Fast path for circular orbits — no Kepler solve.

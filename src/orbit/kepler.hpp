@@ -93,8 +93,8 @@ class Orbit {
   [[nodiscard]] bool j2_enabled() const { return j2_; }
 
  private:
-  /// Elements propagated to time t (secular drift applied when enabled).
-  [[nodiscard]] const Orbit& self_or_drifted(Duration t, Orbit& scratch) const;
+  /// The J2-free orbit of the elements drifted secularly to time t.
+  [[nodiscard]] Orbit drifted(Duration t) const;
 
   KeplerianElements elements_;
   double mean_motion_ = 0.0;  // rad/s

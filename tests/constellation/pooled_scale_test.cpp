@@ -86,7 +86,7 @@ Constellation two_shell_constellation() {
 }
 
 /// 130 episodes over `c` through one reused context (simulate's per-shard
-/// path) and through a fresh EpisodeEngine::run each (the oracle).
+/// path) and through a fresh EpisodeContext each (the oracle).
 void expect_reuse_matches_oracle(const Constellation& c,
                                   const FaultPlan* plan,
                                   const std::string& label) {

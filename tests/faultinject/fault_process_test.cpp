@@ -370,18 +370,14 @@ TEST(FaultProcessReroute, DemotedLinkIsSkippedForAHealthyPlane) {
   // drop hook would ignore it. With retries the failure surfaces later,
   // through the DES — the path production re-routes actually take.
   cfg.reliable_links = true;
-  EpisodeEngine engine(schedule, cfg, /*opportunity_adaptive=*/true);
 
   FaultPlan plan;
   plan.add(FaultPlan::link_loss(0, 1, 1.0, Duration::zero(),
                                 Duration::minutes(9)));
-  EpisodeFaultHooks hooks;
-  hooks.plan = &plan;
-
-  Rng rng(77);
-  const EpisodeResult result =
-      engine.run(TimePoint::at(Duration::minutes(0.2)), Duration::minutes(30),
-                 rng, {}, {}, nullptr, 0, &hooks);
+  EpisodeContext context(schedule, cfg, /*opportunity_adaptive=*/true, &plan);
+  const EpisodeResult& result =
+      context.run(0, Rng(77), TimePoint::at(Duration::minutes(0.2)),
+                  Duration::minutes(30));
   EXPECT_TRUE(result.detected);
   EXPECT_GE(result.reroutes, 1);
   EXPECT_GE(result.telemetry.links_demoted, 1u);

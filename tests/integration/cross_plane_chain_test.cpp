@@ -40,16 +40,16 @@ TEST(CrossPlaneChain, ParticipantsSpanPlanes) {
   cfg.delta = Duration::seconds(6);
   cfg.tg = Duration::seconds(3);
   cfg.computation_cap = Duration::seconds(3);
-  const EpisodeEngine engine(sched, cfg, true);
+  EpisodeContext context(sched, cfg, true);
 
   // Sweep signal starts until an episode's chain spans both planes.
   bool cross_plane_seen = false;
   Rng master(7);
   for (int e = 0; e < 40 && !cross_plane_seen; ++e) {
-    Rng rng = master.fork(static_cast<std::uint64_t>(e));
-    const auto r = engine.run(
+    const auto& r = context.run(
+        e, master.fork(static_cast<std::uint64_t>(e)),
         TimePoint::at(Duration::minutes(2.0 + 2.0 * e)),
-        Duration::minutes(40), rng);
+        Duration::minutes(40));
     if (!r.detected) continue;
     EXPECT_TRUE(r.alert_delivered);
     std::set<int> planes;
@@ -73,10 +73,9 @@ TEST(CrossPlaneChain, ParticipantsMatchChainLength) {
   cfg.delta = Duration::zero();
   cfg.tg = Duration::zero();
   cfg.computation_cap = Duration::seconds(1e-6);
-  const EpisodeEngine engine(sched, cfg, true);
-  Rng rng(1);
-  const auto r = engine.run(TimePoint::at(Duration::minutes(2)),
-                            Duration::minutes(60), rng);
+  EpisodeContext context(sched, cfg, true);
+  const auto& r = context.run(0, Rng(1), TimePoint::at(Duration::minutes(2)),
+                              Duration::minutes(60));
   ASSERT_EQ(r.chain_length, 4);
   ASSERT_EQ(r.participants.size(), 4u);
   // Join order: slots descend mod k (next visitor = slot − 1 mod 9).

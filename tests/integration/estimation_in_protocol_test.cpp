@@ -20,10 +20,9 @@ TEST(EstimationInProtocol, ChainMeasurementsReproduceAccuracyOrdering) {
   cfg.delta = Duration::zero();
   cfg.tg = Duration::zero();
   cfg.computation_cap = Duration::seconds(1e-6);
-  const EpisodeEngine engine(sched, cfg, true);
-  Rng rng(1);
-  const auto episode = engine.run(TimePoint::at(Duration::minutes(2)),
-                                  Duration::minutes(30), rng);
+  EpisodeContext context(sched, cfg, true);
+  const auto episode = context.run(
+      0, Rng(1), TimePoint::at(Duration::minutes(2)), Duration::minutes(30));
   ASSERT_EQ(episode.level, QosLevel::kSequentialDual);
   ASSERT_EQ(episode.chain_length, 2);
 

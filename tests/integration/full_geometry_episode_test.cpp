@@ -30,13 +30,12 @@ TEST(FullGeometryEpisode, UnderlapPlaneReachesSequentialDual) {
   // are 9 min with 1-min gaps (Tr = 10).
   const auto c = polar_plane(9);
   const GeometricSchedule sched(c, GeoPoint{0.0, 0.0});
-  const EpisodeEngine engine(sched, quick_config(), true);
-  Rng rng(1);
+  EpisodeContext context(sched, quick_config(), true);
   // Passes over the target run [5.5, 14.5], [15.5, 24.5], ... ; a signal
   // at t = 13 is detected near the end of a pass, so the next satellite
   // (arriving 15.5) is inside the 5-minute window of opportunity.
-  const auto r = engine.run(TimePoint::at(Duration::minutes(13.0)),
-                            Duration::minutes(30), rng);
+  const auto& r = context.run(0, Rng(1), TimePoint::at(Duration::minutes(13.0)),
+                              Duration::minutes(30));
   EXPECT_TRUE(r.detected);
   EXPECT_TRUE(r.alert_delivered);
   EXPECT_EQ(r.level, QosLevel::kSequentialDual);
@@ -48,10 +47,9 @@ TEST(FullGeometryEpisode, OverlapPlaneReachesSimultaneousDual) {
   // k = 14 polar plane: Tr = 6.43 < Tc = 9, real overlap windows exist.
   const auto c = polar_plane(14);
   const GeometricSchedule sched(c, GeoPoint{0.0, 0.0});
-  const EpisodeEngine engine(sched, quick_config(), true);
-  Rng rng(2);
-  const auto r = engine.run(TimePoint::at(Duration::minutes(10.0)),
-                            Duration::minutes(30), rng);
+  EpisodeContext context(sched, quick_config(), true);
+  const auto& r = context.run(0, Rng(2), TimePoint::at(Duration::minutes(10.0)),
+                              Duration::minutes(30));
   EXPECT_TRUE(r.detected);
   EXPECT_EQ(r.level, QosLevel::kSimultaneousDual);
   EXPECT_TRUE(r.timely);
@@ -60,17 +58,18 @@ TEST(FullGeometryEpisode, OverlapPlaneReachesSimultaneousDual) {
 TEST(FullGeometryEpisode, BaqNeverExceedsOaqOverManyEpisodes) {
   const auto c = polar_plane(9);
   const GeometricSchedule sched(c, GeoPoint{0.0, 0.0});
-  const EpisodeEngine oaq(sched, quick_config(), true);
-  const EpisodeEngine baq(sched, quick_config(), false);
+  EpisodeContext oaq(sched, quick_config(), true);
+  EpisodeContext baq(sched, quick_config(), false);
   Rng master(3);
   int oaq_high = 0, baq_high = 0;
   for (int e = 0; e < 60; ++e) {
     const auto start = TimePoint::at(
         Duration::minutes(5.0 + 1.5 * static_cast<double>(e)));
-    Rng r1 = master.fork(static_cast<std::uint64_t>(2 * e));
-    Rng r2 = master.fork(static_cast<std::uint64_t>(2 * e + 1));
-    const auto ro = oaq.run(start, Duration::minutes(25), r1);
-    const auto rb = baq.run(start, Duration::minutes(25), r2);
+    const auto& ro = oaq.run(e, master.fork(static_cast<std::uint64_t>(2 * e)),
+                             start, Duration::minutes(25));
+    const auto& rb =
+        baq.run(e, master.fork(static_cast<std::uint64_t>(2 * e + 1)), start,
+                Duration::minutes(25));
     oaq_high += to_int(ro.level) >= 2;
     baq_high += to_int(rb.level) >= 2;
     EXPECT_GE(to_int(ro.level), to_int(rb.level) > 0 ? 1 : 0);
@@ -85,13 +84,13 @@ TEST(FullGeometryEpisode, ReferenceConstellationAt30North) {
   // quick (near-continuous coverage) and a timely alert always goes out.
   const auto c = Constellation::reference();
   const GeometricSchedule sched(c, GeoPoint::from_degrees(30.0, 13.0));
-  const EpisodeEngine engine(sched, quick_config(), true);
+  EpisodeContext context(sched, quick_config(), true);
   Rng master(4);
   for (int e = 0; e < 10; ++e) {
     const auto start = TimePoint::at(
         Duration::minutes(3.0 + 4.0 * static_cast<double>(e)));
-    Rng rng = master.fork(static_cast<std::uint64_t>(e));
-    const auto r = engine.run(start, Duration::minutes(20), rng);
+    const auto& r = context.run(e, master.fork(static_cast<std::uint64_t>(e)),
+                                start, Duration::minutes(20));
     EXPECT_TRUE(r.detected) << "episode " << e;
     EXPECT_TRUE(r.alert_delivered) << "episode " << e;
     EXPECT_TRUE(r.timely) << "episode " << e;
@@ -103,10 +102,9 @@ TEST(FullGeometryEpisode, DegradedReferencePlaneStillDelivers) {
   auto c = Constellation::reference();
   for (int j = 0; j < c.num_planes(); ++j) c.plane(j).set_active_count(9);
   const GeometricSchedule sched(c, GeoPoint::from_degrees(0.0, 0.0));
-  const EpisodeEngine engine(sched, quick_config(), true);
-  Rng rng(5);
-  const auto r = engine.run(TimePoint::at(Duration::minutes(12.0)),
-                            Duration::minutes(30), rng);
+  EpisodeContext context(sched, quick_config(), true);
+  const auto& r = context.run(0, Rng(5), TimePoint::at(Duration::minutes(12.0)),
+                              Duration::minutes(30));
   EXPECT_TRUE(r.detected);
   EXPECT_TRUE(r.alert_delivered);
   EXPECT_TRUE(r.timely);

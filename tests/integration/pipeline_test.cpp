@@ -54,10 +54,10 @@ TEST(Pipeline, AnalyticMeasureMatchesCampaignSimulation) {
     }
     const AnalyticSchedule sched(
         geometry, k, rng.uniform(Duration::zero(), geometry.tr(k)));
-    const EpisodeEngine engine(sched, protocol, true);
-    Rng ep = rng.fork(static_cast<std::uint64_t>(signals));
-    const auto r = engine.run(TimePoint::at(Duration::minutes(60)),
-                              rng.exponential(params.mu), ep);
+    EpisodeContext context(sched, protocol, true);
+    const auto& r = context.run(
+        signals, rng.fork(static_cast<std::uint64_t>(signals)),
+        TimePoint::at(Duration::minutes(60)), rng.exponential(params.mu));
     levels.add(to_int(r.alert_delivered ? r.level : QosLevel::kMissed));
   }
   ASSERT_GT(signals, 4000);

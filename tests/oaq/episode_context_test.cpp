@@ -1,6 +1,6 @@
 // Reuse-vs-fresh property of the episode lifecycle: thousands of episodes
 // run through ONE reused EpisodeContext must be indistinguishable from a
-// fresh EpisodeEngine::run per episode on the same fork(e) streams —
+// fresh EpisodeContext per episode on the same fork(e) streams —
 // identical EpisodeResults (telemetry included), identical sequential
 // trace bytes, identical ledger rows, identical invariant audits — for
 // OAQ and BAQ, on the analytic k = 9 plane and the iridium-next
@@ -42,7 +42,7 @@ FaultPlan storm_plan(int planes) {
 }
 
 /// 2000 episodes through one reused context and through a fresh
-/// EpisodeEngine::run each; `geometric` null = the analytic k = 9 plane.
+/// EpisodeContext each; `geometric` null = the analytic k = 9 plane.
 /// `storm` replaces the sequence's fault plan with a stochastic storm over
 /// reliable self-healing links.
 void expect_reuse_matches_fresh(oracle::Sequence s, int planes, bool storm,

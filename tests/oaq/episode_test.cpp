@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/error.hpp"
+#include "fault/plan.hpp"
 
 namespace oaq {
 namespace {
@@ -29,14 +32,22 @@ AnalyticSchedule overlap_schedule() {
   return AnalyticSchedule(PlaneGeometry{}, 12, Duration::zero());
 }
 
+/// One episode through a fresh context. `plan` clause times count from
+/// the signal start; `known_failed` is the membership view.
 EpisodeResult run(const CoverageSchedule& sched, const ProtocolConfig& cfg,
                   bool oaq, double start_min, double duration_min,
-                  std::uint64_t seed = 1,
-                  const std::vector<EpisodeEngine::Fault>& faults = {}) {
-  const EpisodeEngine engine(sched, cfg, oaq);
-  Rng rng(seed);
-  return engine.run(TimePoint::at(Duration::minutes(start_min)),
-                    Duration::minutes(duration_min), rng, faults);
+                  std::uint64_t seed = 1, const FaultPlan* plan = nullptr,
+                  const std::set<SatelliteId>* known_failed = nullptr) {
+  EpisodeContext context(sched, cfg, oaq, plan, known_failed);
+  return context.run(0, Rng(seed), TimePoint::at(Duration::minutes(start_min)),
+                     Duration::minutes(duration_min));
+}
+
+/// A plan that silences `sat` `at_min` minutes after the signal start.
+FaultPlan fail_silent_plan(SatelliteId sat, double at_min) {
+  FaultPlan plan;
+  plan.add(FaultPlan::fail_silent(sat, Duration::minutes(at_min)));
+  return plan;
 }
 
 TEST(Episode, SignalInGapThatDiesEscapesSurveillance) {
@@ -112,10 +123,10 @@ TEST(Episode, BackwardMessagingSurvivesFailSilentPeer) {
   // Sn+1 becomes fail-silent in the middle of computation."
   const auto sched = underlap_schedule();
   // S2 of the chain is the satellite of the pass at 5.5. Find its id
-  // dynamically: phase 0, k = 9 ⇒ pass j=1 has slot (k-1) mod 9 = 8.
-  const std::vector<EpisodeEngine::Fault> faults = {
-      {SatelliteId{0, 8}, TimePoint::at(Duration::minutes(5.0))}};
-  const auto r = run(sched, fast_config(), true, 2.0, 30.0, 1, faults);
+  // dynamically: phase 0, k = 9 ⇒ pass j=1 has slot (k-1) mod 9 = 8. It
+  // goes silent at t = 5, three minutes after the signal starts.
+  const FaultPlan plan = fail_silent_plan(SatelliteId{0, 8}, 3.0);
+  const auto r = run(sched, fast_config(), true, 2.0, 30.0, 1, &plan);
   EXPECT_TRUE(r.alert_delivered);
   EXPECT_EQ(r.level, QosLevel::kSingle);  // S1's own preliminary result
   EXPECT_TRUE(r.timely);
@@ -126,9 +137,8 @@ TEST(Episode, ForwardResponsibilityLosesAlertOnFailSilentPeer) {
   auto cfg = fast_config();
   cfg.backward_messaging = false;
   const auto sched = underlap_schedule();
-  const std::vector<EpisodeEngine::Fault> faults = {
-      {SatelliteId{0, 8}, TimePoint::at(Duration::minutes(5.0))}};
-  const auto r = run(sched, cfg, true, 2.0, 30.0, 1, faults);
+  const FaultPlan plan = fail_silent_plan(SatelliteId{0, 8}, 3.0);
+  const auto r = run(sched, cfg, true, 2.0, 30.0, 1, &plan);
   EXPECT_TRUE(r.detected);
   EXPECT_FALSE(r.alert_delivered);  // the ablation's point
 }
@@ -235,22 +245,19 @@ TEST(Episode, MembershipViewSkipsKnownFailedPeer) {
   // full deadline and falls back to its level-1 result. With the
   // membership view marking S2 failed, S1 skips straight to S3's pass and
   // still achieves sequential-dual quality.
+  // The best-effort sender gets no ack, so the plan alone must not let the
+  // blind chain re-route around S2.
   const auto sched = underlap_schedule();
   const auto cfg = fast_config(25.0);
-  const EpisodeEngine engine(sched, cfg, true);
   const SatelliteId s2{0, 8};  // pass at 5.5 (phase 0, k = 9)
+  const FaultPlan plan = fail_silent_plan(s2, 0.0);
 
-  Rng rng1(1);
-  const std::vector<EpisodeEngine::Fault> faults = {
-      {s2, TimePoint::at(Duration::minutes(0.0))}};
-  const auto blind = engine.run(TimePoint::at(Duration::minutes(2)),
-                                Duration::minutes(60), rng1, faults);
+  const auto blind = run(sched, cfg, true, 2.0, 60.0, 1, &plan);
   EXPECT_EQ(blind.level, QosLevel::kSingle);
   EXPECT_NEAR(blind.first_alert_sent.since_origin().to_minutes(), 27.0, 1e-6);
 
-  Rng rng2(1);
-  const auto informed = engine.run(TimePoint::at(Duration::minutes(2)),
-                                   Duration::minutes(60), rng2, faults, {s2});
+  const std::set<SatelliteId> view = {s2};
+  const auto informed = run(sched, cfg, true, 2.0, 60.0, 1, &plan, &view);
   EXPECT_EQ(informed.level, QosLevel::kSequentialDual);
   EXPECT_GE(informed.chain_length, 2);
   EXPECT_LT(informed.first_alert_sent.since_origin().to_minutes(), 27.0);
@@ -259,13 +266,19 @@ TEST(Episode, MembershipViewSkipsKnownFailedPeer) {
 
 TEST(Episode, RejectsBadInput) {
   const auto sched = underlap_schedule();
-  const EpisodeEngine engine(sched, fast_config(), true);
-  Rng rng(1);
-  EXPECT_THROW((void)engine.run(TimePoint::origin(), Duration::zero(), rng),
-               PreconditionError);
-  auto bad = fast_config();
-  bad.tau = Duration::zero();
-  EXPECT_THROW(EpisodeEngine(sched, bad, true), PreconditionError);
+  EpisodeContext context(sched, fast_config(), true);
+  EXPECT_THROW(
+      (void)context.run(0, Rng(1), TimePoint::origin(), Duration::zero()),
+      PreconditionError);
+  const auto rejects = [&](auto&& spoil) {
+    auto bad = fast_config();
+    spoil(bad);
+    EXPECT_THROW(EpisodeContext(sched, bad, true), PreconditionError);
+  };
+  rejects([](ProtocolConfig& c) { c.tau = Duration::zero(); });
+  rejects([](ProtocolConfig& c) { c.delta = Duration::seconds(-1); });
+  rejects([](ProtocolConfig& c) { c.tg = Duration::seconds(-1); });
+  rejects([](ProtocolConfig& c) { c.nu = Rate::zero(); });
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST(OpportunityPlanner, PlanMatchesEpisodeOutcomeForPersistentSignal) {
                                    Duration::minutes(0.0));
       const auto cfg = ideal_config();
       const OpportunityPlanner planner(sched, cfg);
-      const EpisodeEngine engine(sched, cfg, true);
+      EpisodeContext context(sched, cfg, true);
       const auto t0 = TimePoint::at(Duration::minutes(start));
       // Only plan at covered instants.
       const auto passes = sched.passes(Duration::minutes(-10),
@@ -89,8 +89,7 @@ TEST(OpportunityPlanner, PlanMatchesEpisodeOutcomeForPersistentSignal) {
       }
       if (!covered) continue;
       const auto plan = planner.plan(t0);
-      Rng rng(9);
-      const auto episode = engine.run(t0, Duration::hours(5), rng);
+      const auto& episode = context.run(0, Rng(9), t0, Duration::hours(5));
       EXPECT_EQ(episode.level, plan.best_achievable)
           << "k=" << k << " start=" << start;
     }

@@ -1,6 +1,6 @@
 // Helpers for the scalar-oracle suites: an episode sequence run either
-// through a fresh EpisodeEngine::run per episode (the oracle) or through
-// one reused EpisodeContext, on the per-index streams simulate_qos forks —
+// through a fresh EpisodeContext per episode (the oracle) or through one
+// reused EpisodeContext, on the per-index streams simulate_qos forks —
 // episode_rng.fork(e).fork(1) phase, .fork(2) duration, .fork(3) protocol —
 // with trace, ledger and invariant sinks rendered to comparable bytes.
 #pragma once
@@ -87,50 +87,40 @@ struct EpisodeSinks {
   }
 };
 
-/// The oracle: a fresh EpisodeEngine::run per episode.
-inline EpisodeOutputs run_fresh(const Sequence& s) {
-  EpisodeSinks sinks;
-  EpisodeFaultHooks hooks;
-  hooks.plan = s.plan;
-  hooks.invariants = &sinks.invariants;
-  hooks.ledger = &sinks.ledger;
-  EpisodeOutputs out;
-  for (std::int64_t e = 0; e < s.episodes; ++e) {
-    EpisodeDraw d = draw_episode(s, e);
-    std::optional<AnalyticSchedule> analytic;
-    const CoverageSchedule& schedule =
-        s.geometric != nullptr
-            ? *s.geometric
-            : analytic.emplace(PlaneGeometry{}, s.k, d.phase);
-    const EpisodeEngine engine(schedule, s.protocol, s.oaq);
-    out.results.push_back(engine.run(d.start, d.duration, d.protocol, {}, {},
-                                     sinks.trace.shard(0),
-                                     static_cast<int>(e), &hooks));
-  }
-  sinks.finish(out);
-  return out;
-}
-
-/// One EpisodeContext reused for every episode of the sequence.
-inline EpisodeOutputs run_reused(const Sequence& s) {
+/// The sequence through a fresh EpisodeContext per episode (`fresh`, the
+/// oracle) or through one context reused for every episode.
+inline EpisodeOutputs run_sequence(const Sequence& s, bool fresh) {
   EpisodeSinks sinks;
   AnalyticSchedule analytic(PlaneGeometry{}, s.k, Duration::zero());
   const CoverageSchedule& schedule =
       s.geometric != nullptr ? *s.geometric
                              : static_cast<const CoverageSchedule&>(analytic);
-  EpisodeContext context(schedule, s.protocol, s.oaq, s.plan);
+  std::optional<EpisodeContext> context;
   EpisodeOutputs out;
   for (std::int64_t e = 0; e < s.episodes; ++e) {
     const EpisodeDraw d = draw_episode(s, e);
     if (s.geometric == nullptr) {
       analytic = AnalyticSchedule(PlaneGeometry{}, s.k, d.phase);
     }
-    out.results.push_back(context.run(e, d.protocol, d.start, d.duration,
-                                      sinks.trace.shard(0),
-                                      &sinks.invariants, &sinks.ledger));
+    if (fresh || !context) {
+      context.emplace(schedule, s.protocol, s.oaq, s.plan);
+    }
+    out.results.push_back(context->run(e, d.protocol, d.start, d.duration,
+                                       sinks.trace.shard(0),
+                                       &sinks.invariants, &sinks.ledger));
   }
   sinks.finish(out);
   return out;
+}
+
+/// The oracle: a fresh EpisodeContext per episode.
+inline EpisodeOutputs run_fresh(const Sequence& s) {
+  return run_sequence(s, /*fresh=*/true);
+}
+
+/// One EpisodeContext reused for every episode of the sequence.
+inline EpisodeOutputs run_reused(const Sequence& s) {
+  return run_sequence(s, /*fresh=*/false);
 }
 
 /// Field-for-field identity of two sequences' outputs.

@@ -36,10 +36,11 @@ TEST_P(EpisodeInvariants, HoldOverRandomizedEpisodes) {
     const Duration phase =
         phase_rng.uniform(Duration::zero(), geometry.tr(sc.k));
     const AnalyticSchedule sched(geometry, sc.k, phase);
-    const EpisodeEngine engine(sched, cfg, true);
+    EpisodeContext context(sched, cfg, true);
     const Duration dur = dur_rng.exponential(Rate::per_minute(0.3));
-    Rng rng = ep_rng.fork(static_cast<std::uint64_t>(e));
-    const auto r = engine.run(TimePoint::at(Duration::minutes(60)), dur, rng);
+    const auto& r =
+        context.run(e, ep_rng.fork(static_cast<std::uint64_t>(e)),
+                    TimePoint::at(Duration::minutes(60)), dur);
 
     // I1: detection implies delivery (no faults injected), and exactly one
     //     alert under backward messaging.

@@ -35,11 +35,10 @@ TEST_P(LossyLinks, AtLeastOnceDeliverySurvivesLoss) {
     const Duration phase = phase_rng.uniform(Duration::zero(),
                                              geometry.tr(9));
     const AnalyticSchedule sched(geometry, 9, phase);
-    const EpisodeEngine engine(sched, cfg, true);
-    Rng rng = ep_rng.fork(static_cast<std::uint64_t>(e));
-    const auto r = engine.run(TimePoint::at(Duration::minutes(60)),
-                              dur_rng.exponential(Rate::per_minute(0.2)),
-                              rng);
+    EpisodeContext context(sched, cfg, true);
+    const auto& r = context.run(e, ep_rng.fork(static_cast<std::uint64_t>(e)),
+                                TimePoint::at(Duration::minutes(60)),
+                                dur_rng.exponential(Rate::per_minute(0.2)));
     detected += r.detected;
     delivered += r.alert_delivered;
     duplicates += (r.alerts_sent > 1);
@@ -83,10 +82,10 @@ TEST(LossyLinks, LostDoneCausesDuplicateNotSilence) {
   for (int e = 0; e < 800; ++e) {
     const AnalyticSchedule sched(geometry, 9,
                                  Duration::minutes(0.013 * e));
-    const EpisodeEngine engine(sched, cfg, true);
-    Rng rng = master.fork(static_cast<std::uint64_t>(e));
-    const auto r = engine.run(TimePoint::at(Duration::minutes(60)),
-                              Duration::minutes(30), rng);
+    EpisodeContext context(sched, cfg, true);
+    const auto& r = context.run(e, master.fork(static_cast<std::uint64_t>(e)),
+                                TimePoint::at(Duration::minutes(60)),
+                                Duration::minutes(30));
     detected += r.detected;
     delivered += r.alert_delivered;
     dup += (r.alerts_sent > 1);

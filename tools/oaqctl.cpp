@@ -10,7 +10,7 @@
 //                    [--self-heal] [--ge-loss PA,PB,P,R,LOSS]
 //                    [--outage-train PA,PB,UP,DOWN]
 //                    [--check-invariants] [--chaos-sweep]
-//   oaqctl coverage  [--bands 18]
+//   oaqctl coverage  [--bands 18] [--constellation starlink]
 //   oaqctl trace-summary trace.jsonl [--metrics metrics.json]
 //   oaqctl report    [--trace T] [--metrics M] [--spans S] [--manifest F]
 //                    [--top N] [--json out.json]
@@ -1449,7 +1449,7 @@ int help() {
       "  simulate --k K --episodes N [--baq] [--jobs J]  protocol Monte-Carlo\n"
       "  campaign --k K --per-hour R --hours H\n"
       "           [--replications R] [--jobs J]         multi-target load run\n"
-      "  coverage [--bands N]                          coverage by latitude\n"
+      "  coverage [--bands N] [--constellation C]      coverage by latitude\n"
       "  constellation [--constellation C] [--out F]   shell layout +\n"
       "           canonical round-trip file of a preset or shell file\n"
       "  trace-summary FILE.jsonl [--metrics FILE.json]\n"
@@ -1466,10 +1466,11 @@ int help() {
       "Geometric mode (simulate, campaign, coverage): --constellation C\n"
       "runs against real orbital geometry, where C is a preset (reference,\n"
       "kepler, iridium-next, oneweb, starlink) or a Walker shell file (see\n"
-      "tools/README.md); --lat D --lon D place the target (degrees),\n"
-      "--earth-rotation enables Earth rotation (all three need\n"
-      "--constellation). Shell-relative fault clauses require\n"
-      "--constellation and are resolved against its shell layout.\n"
+      "tools/README.md). simulate and campaign also take --lat D --lon D\n"
+      "to place the target (degrees) and --earth-rotation to enable Earth\n"
+      "rotation (all three need --constellation). Shell-relative fault\n"
+      "clauses require --constellation and are resolved against its shell\n"
+      "layout.\n"
       "Observability (simulate & campaign): --trace FILE writes protocol\n"
       "events as JSONL (bit-identical for any --jobs), --metrics FILE\n"
       "writes the run metrics as oaq-metrics-v2 JSON (one fixed key set\n"
