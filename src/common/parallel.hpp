@@ -127,13 +127,16 @@ struct ReduceProfile {
 
 /// Pre-fan-out hook for shared read-mostly state (e.g. the
 /// SharedVisibilityCache seed/freeze protocol): `seed` builds the shared
-/// state and `freeze` publishes it read-only. Both run back-to-back ON THE
-/// CALLING THREAD before any shard's `map` is dispatched — in the pooled
-/// path as well as the jobs<=1 inline path — so every shard observes the
-/// frozen state without synchronizing, and a run produces the same shared
-/// state for any worker count. Null members are skipped.
+/// state and `freeze` publishes it read-only. Both are called back-to-back
+/// FROM THE CALLING THREAD before any shard's `map` is dispatched — in the
+/// pooled path as well as the jobs<=1 inline path — so every shard
+/// observes the frozen state without synchronizing. `seed` receives the
+/// run's resolved executor count (before the shard clamp) and may fan its
+/// own work out over that many executors with `for_each_shard`, provided
+/// the state it builds does not depend on the count; at 1 it must run
+/// inline. Null members are skipped.
 struct SeedFreezeHook {
-  std::function<void()> seed;
+  std::function<void(int jobs)> seed;
   std::function<void()> freeze;
 };
 
@@ -142,8 +145,10 @@ struct SeedFreezeHook {
 /// `merge(into, from)` on the calling thread. Deterministic in `jobs`
 /// (see file header); `jobs <= 1` runs fully inline. A non-null `profile`
 /// receives wall-clock timings (which never influence the result). A
-/// non-null `hook` runs seed-then-freeze on the calling thread before any
-/// shard starts (timed into profile->seed_s).
+/// non-null `hook` runs seed-then-freeze from the calling thread before
+/// any shard starts (timed into profile->seed_s); its seed gets
+/// resolve_jobs(jobs) unclamped, so a run with fewer shards than
+/// executors (a 1-replication campaign) still seeds on all of them.
 template <typename Accum, typename MapFn, typename MergeFn>
 [[nodiscard]] Accum parallel_reduce(std::int64_t n_items, int n_shards,
                                     int jobs, MapFn&& map, MergeFn&& merge,
@@ -157,7 +162,8 @@ template <typename Accum, typename MapFn, typename MergeFn>
   OAQ_REQUIRE(n_items > 0, "parallel_reduce needs at least one item");
   OAQ_REQUIRE(n_shards > 0, "parallel_reduce needs at least one shard");
   if (n_shards > n_items) n_shards = static_cast<int>(n_items);
-  jobs = std::min(resolve_jobs(jobs), n_shards);
+  const int run_jobs = resolve_jobs(jobs);
+  jobs = std::min(run_jobs, n_shards);
 
   const auto t_start = Clock::now();
   if (profile != nullptr) {
@@ -169,7 +175,7 @@ template <typename Accum, typename MapFn, typename MergeFn>
   }
 
   if (hook != nullptr) {
-    if (hook->seed) hook->seed();
+    if (hook->seed) hook->seed(run_jobs);
     if (hook->freeze) hook->freeze();
     if (profile != nullptr) {
       profile->seed_s = seconds_between(t_start, Clock::now());

@@ -238,9 +238,10 @@ CampaignResult run_campaign(const CampaignConfig& config) {
                                    : nullptr;
   };
 
-  // Run-wide pass table: the horizon window is seeded once on the calling
-  // thread and frozen before any replication runs — every replication then
-  // reads the same sweep lock-free.
+  // Run-wide pass table: the horizon window is seeded once (its planes
+  // swept on the run's executors, even for a single replication) and
+  // frozen before any replication runs — every replication then reads the
+  // same sweep lock-free.
   std::optional<RunPassTable> table;
   if (config.constellation != nullptr) {
     table.emplace(*config.constellation, config.earth_rotation, config.target,

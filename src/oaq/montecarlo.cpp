@@ -152,10 +152,11 @@ SimulatedQos simulate_qos(const QosSimulationConfig& config) {
   const bool geometric = config.constellation != nullptr;
   // Geometric runs answer every episode's pass query from one pass table:
   // its window covers every episode window (the phase jitters starts over
-  // one longest-shell period), it is seeded ONCE on the calling thread,
-  // frozen, and then read lock-free by every shard. Clipped table values
-  // are pure functions of the query, so results are bit-identical at any
-  // jobs.
+  // one longest-shell period), it is seeded ONCE before the shards start
+  // (its planes swept on the run's executors into a jobs-independent
+  // table), frozen, and then read lock-free by every shard. Clipped table
+  // values are pure functions of the query, so results are bit-identical
+  // at any jobs.
   std::optional<RunPassTable> table;
   if (geometric) {
     table.emplace(*config.constellation, config.earth_rotation, config.target,

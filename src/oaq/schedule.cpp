@@ -82,9 +82,9 @@ RunPassTable::RunPassTable(const Constellation& constellation,
                            bool earth_rotation, GeoPoint target,
                            Duration quantum, SpanArena* spans)
     : cache(constellation, earth_rotation, {quantum}) {
-  hook.seed = [this, target, quantum, spans] {
+  hook.seed = [this, target, quantum, spans](int jobs) {
     const ScopedSpan span(spans, "visibility_seed");
-    cache.seed_window(target, Duration::zero(), quantum);
+    cache.seed_window(target, Duration::zero(), quantum, jobs);
   };
   hook.freeze = [this, spans] {
     const ScopedSpan span(spans, "visibility_freeze");

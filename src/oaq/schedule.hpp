@@ -113,9 +113,10 @@ inline constexpr Duration kSignalStart = Duration::minutes(60);
                                           Duration tau);
 
 /// A geometric run's pass table over `target` and [0, quantum], with the
-/// parallel_reduce hook that seeds it (span `visibility_seed`) and freezes
-/// it (span `visibility_freeze`) on the calling thread before any shard
-/// starts. Not copyable: the hook refers to the table.
+/// parallel_reduce hook that seeds it (span `visibility_seed`, planes swept
+/// on the run's executors) and freezes it (span `visibility_freeze`) from
+/// the calling thread before any shard starts. Not copyable: the hook
+/// refers to the table.
 struct RunPassTable {
   RunPassTable(const Constellation& constellation, bool earth_rotation,
                GeoPoint target, Duration quantum, SpanArena* spans);

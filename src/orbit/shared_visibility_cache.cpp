@@ -19,7 +19,7 @@ SharedVisibilityCache::SharedVisibilityCache(const Constellation& constellation,
 }
 
 void SharedVisibilityCache::seed_window(const GeoPoint& target, Duration from,
-                                        Duration to) {
+                                        Duration to, int jobs) {
   OAQ_REQUIRE(!frozen_, "seed_window after freeze");
   OAQ_REQUIRE(!seeded_, "pass table already seeded");
   const Duration f = std::max(from, Duration::zero());
@@ -29,7 +29,8 @@ void SharedVisibilityCache::seed_window(const GeoPoint& target, Duration from,
   to_ = Duration::seconds(std::ceil(to.to_seconds() / q) * q);
   target_ = target;
   passes_ = PassPredictor(*constellation_, earth_rotation_)
-                .passes(target, from_, to_);
+                .passes(target, from_, to_, PassPredictor::kDefaultTolerance,
+                        jobs);
   seeded_ = true;
 }
 

@@ -11,9 +11,10 @@
 //
 // Two phases:
 //   1. SEED: seed_window() rounds the requested window OUT to the grid of
-//      `options.window_quantum` and sweeps it once. Single-threaded and
-//      called once: the engines run it on the calling thread through the
-//      parallel_reduce SeedFreezeHook, before any shard starts.
+//      `options.window_quantum` and sweeps it once. Called once, from the
+//      calling thread through the parallel_reduce SeedFreezeHook, before
+//      any shard starts; the sweep fans the constellation's planes out
+//      over the run's executors and returns the same table for any count.
 //   2. FROZEN: freeze() publishes the table read-only; any number of
 //      threads then query it without locks and — via passes_window_into()
 //      — without allocating in the steady state. A query clips the table
@@ -23,10 +24,12 @@
 //      precondition error: the engines size their quantum so the seeded
 //      window covers every episode window of the run.
 //
-// Synchronization contract: seed_window() and freeze() run on one thread
-// before any query, and reader threads must be started (or handed work)
-// after freeze() returns — parallel_reduce's dispatch provides that
-// happens-before edge. Queries require frozen().
+// Synchronization contract: seed_window() and freeze() are called from
+// one thread before any query (the plane tasks of the seed write only
+// their own vectors, joined before seed_window() returns), and reader
+// threads must be started (or handed work) after freeze() returns —
+// parallel_reduce's dispatch provides that happens-before edge. Queries
+// require frozen().
 #pragma once
 
 #include <cstdint>
@@ -61,9 +64,11 @@ class SharedVisibilityCache {
                                  Options options = {});
 
   /// Seed phase: sweep the quantum-aligned window enclosing
-  /// [max(from, 0), to] over `target`. Single-threaded; call exactly once,
-  /// before freeze().
-  void seed_window(const GeoPoint& target, Duration from, Duration to);
+  /// [max(from, 0), to] over `target`, plane by plane on up to `jobs`
+  /// executors (PassPredictor::passes; 1 sweeps inline). The table is
+  /// bit-identical for every `jobs`. Call exactly once, before freeze().
+  void seed_window(const GeoPoint& target, Duration from, Duration to,
+                   int jobs = 1);
 
   /// Publish the table read-only and enter the frozen phase. Call exactly
   /// once, on the seeding thread.

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/numeric.hpp"
+#include "common/parallel.hpp"
 
 namespace oaq {
 
@@ -94,13 +95,20 @@ void sweep_orbit_passes(const Orbit& orbit, SatelliteId id,
 }
 
 std::vector<Pass> PassPredictor::passes(const GeoPoint& target, Duration t0,
-                                        Duration t1, Duration tol) const {
+                                        Duration t1, Duration tol,
+                                        int jobs) const {
   OAQ_REQUIRE(t1 > t0, "pass horizon must be nonempty");
   OAQ_REQUIRE(tol > Duration::zero(), "tolerance must be positive");
-  std::vector<Pass> result;
+  OAQ_REQUIRE(jobs >= 1, "pass sweep needs at least one executor");
   const Vec3 target_unit = geo_to_ecef_unit(target);
+  const int n_planes = constellation_->num_planes();
 
-  for (int pi = 0; pi < constellation_->num_planes(); ++pi) {
+  // One task per plane, each appending to its own vector: a sweep is a
+  // pure function of (orbit, target, window), so a plane's passes do not
+  // depend on which executor swept it.
+  std::vector<std::vector<Pass>> plane_passes(
+      static_cast<std::size_t>(n_planes));
+  const auto sweep_plane = [&](int pi) {
     const auto& plane = constellation_->plane(pi);
     // Per-plane footprint: shells differ in altitude and sensor half-angle
     // (single-shell constellations see the same fp/ψ as before).
@@ -109,16 +117,33 @@ std::vector<Pass> PassPredictor::passes(const GeoPoint& target, Duration t0,
     // Step floor: a footprint transit lasts Tc = θ·ψ/π; 64 samples per
     // transit reliably bracket every crossing.
     const Duration min_step = fp.coverage_time(plane.period()) / 64.0;
+    auto& out = plane_passes[static_cast<std::size_t>(pi)];
     for (int slot = 0; slot < plane.active_count(); ++slot) {
       sweep_orbit_passes(plane.orbit_of(slot), SatelliteId{pi, slot},
                          target_unit, psi, earth_rotation_, min_step, t0, t1,
-                         tol, result);
+                         tol, out);
     }
+  };
+  // At one executor the planes run inline and the process-wide pool is
+  // never created; for_each_shard would run them inline too, but
+  // ThreadPool::global() would spawn its workers first.
+  if (jobs == 1) {
+    for (int pi = 0; pi < n_planes; ++pi) sweep_plane(pi);
+  } else {
+    ThreadPool::global().for_each_shard(n_planes, jobs, sweep_plane);
   }
 
+  std::size_t total = 0;
+  for (const auto& v : plane_passes) total += v.size();
+  std::vector<Pass> result;
+  result.reserve(total);
+  for (const auto& v : plane_passes) {
+    result.insert(result.end(), v.begin(), v.end());
+  }
   // Total order: passes that start together (e.g. every satellite already
   // covering the target at t0) sort by satellite, so the table never
-  // depends on the standard library's unstable sort.
+  // depends on the standard library's unstable sort — nor, with the plane
+  // order above, on the executor count.
   std::sort(result.begin(), result.end(), [](const Pass& a, const Pass& b) {
     if (a.start != b.start) return a.start < b.start;
     return a.satellite < b.satellite;

@@ -80,6 +80,9 @@ void sweep_orbit_passes(const Orbit& orbit, SatelliteId id,
 /// Predicts satellite passes over ground points for a constellation.
 class PassPredictor {
  public:
+  /// Default boundary tolerance of passes(); the shared pass table's too.
+  static constexpr Duration kDefaultTolerance = Duration::seconds(0.01);
+
   /// `earth_rotation` selects whether targets rotate with the Earth; the
   /// paper's periodic revisit analysis corresponds to `false`.
   explicit PassPredictor(const Constellation& constellation,
@@ -89,9 +92,16 @@ class PassPredictor {
   /// by satellite (plane, slot): sweep_orbit_passes for every active
   /// satellite, with a step floor of Tc/64 of its plane.
   /// Boundary crossings are refined to `tol` by bisection/Brent.
+  /// The planes are swept as independent tasks on up to `jobs` executors
+  /// of ThreadPool::global() (the caller is one of them); `jobs` == 1
+  /// sweeps them inline without touching the pool. The result is
+  /// bit-identical for every `jobs`: each plane's passes are a pure
+  /// function of its orbits, they are joined in plane order, and the sort
+  /// is a total order.
   [[nodiscard]] std::vector<Pass> passes(const GeoPoint& target, Duration t0,
                                          Duration t1,
-                                         Duration tol = Duration::seconds(0.01)) const;
+                                         Duration tol = kDefaultTolerance,
+                                         int jobs = 1) const;
 
   /// Partition [t0, t1] into segments of constant covering-satellite sets.
   [[nodiscard]] static std::vector<CoverageSegment> multiplicity_timeline(

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -141,6 +142,41 @@ TEST(ParallelReduce, SingleItemCollapsesToOneShard) {
       },
       [](int& into, int from) { into += from; });
   EXPECT_EQ(v, 1);
+}
+
+TEST(ParallelReduce, SeedHookGetsResolvedJobsBeforeShardClamp) {
+  // The hook's seed may fan out on its own, so it sees the run's executor
+  // count, not the one left after clamping to the shard count: a
+  // one-item run at jobs 4 still seeds on 4. Handing the hook the clamped
+  // `jobs` makes it read 1 there.
+  const auto caller = std::this_thread::get_id();
+  for (const auto [n_items, jobs] : {std::pair{1, 4}, std::pair{8, 1}}) {
+    int seeded_with = 0;
+    bool frozen = false;
+    std::vector<std::thread::id> ran_on;
+    SeedFreezeHook hook;
+    hook.seed = [&](int seed_jobs) { seeded_with = seed_jobs; };
+    hook.freeze = [&] { frozen = true; };
+    ReduceProfile profile;
+    const auto v = parallel_reduce<int>(
+        n_items, 8, jobs,
+        [&](std::int64_t b, std::int64_t e, int) {
+          ran_on.push_back(std::this_thread::get_id());
+          return static_cast<int>(e - b);
+        },
+        [](int& into, int from) { into += from; }, &profile, &hook);
+    EXPECT_EQ(v, n_items);
+    EXPECT_EQ(seeded_with, jobs) << "jobs=" << jobs;
+    EXPECT_TRUE(frozen);
+    // The shards themselves still run on the clamped count.
+    EXPECT_EQ(profile.jobs_resolved, 1) << "jobs=" << jobs;
+    // Either way one executor ran every shard; at jobs 1 that is the
+    // calling thread, so nothing was handed to the pool.
+    ASSERT_EQ(ran_on.size(), static_cast<std::size_t>(n_items));
+    if (jobs == 1) {
+      for (const auto& id : ran_on) EXPECT_EQ(id, caller);
+    }
+  }
 }
 
 TEST(ParallelReduce, RejectsEmptyInput) {
