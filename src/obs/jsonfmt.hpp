@@ -7,6 +7,11 @@
 // doubles have no JSON literal and are rendered as `null` (the convention
 // Chrome's trace viewer and most strict parsers accept).
 //
+// Bulk exporters (trace JSONL, ledger rows) do not go through `ostream <<`
+// per field: they format each line into a kJsonLineMax stack buffer with
+// the append_* helpers (memcpy for key text, std::to_chars for numbers,
+// the same double rule) and hand the stream one write per line.
+//
 // MiniJson is the inverse direction: a small recursive-descent parser for
 // the documents this repo emits (metrics/manifest/span/BENCH files), used
 // by `oaqctl report`, `tools/bench_trend`, and the round-trip tests. It
@@ -16,7 +21,10 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <concepts>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -27,17 +35,46 @@
 
 namespace oaq {
 
-/// Writes a double as its shortest round-trip decimal form; non-finite
-/// values (NaN, ±inf) become `null`.
-inline void write_json_double(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  os << std::string_view(buf, static_cast<std::size_t>(end - buf));
+/// Longest text append_json_double writes: sign, 17 significant digits,
+/// point, `e-` and a 3-digit exponent ("-2.2250738585072014e-308").
+inline constexpr std::size_t kJsonDoubleMaxChars = 24;
+
+/// Longest decimal text of an integer type, sign included.
+template <std::integral Int>
+inline constexpr std::size_t kJsonIntMaxChars =
+    static_cast<std::size_t>(std::numeric_limits<Int>::digits10) + 1 +
+    (std::numeric_limits<Int>::is_signed ? 1 : 0);
+
+/// Copies `text` to `out`; returns the end of what was written.
+inline char* append_text(char* out, std::string_view text) {
+  std::memcpy(out, text.data(), text.size());
+  return out + text.size();
 }
+
+/// Appends an integer in decimal; needs kJsonIntMaxChars<Int> of room.
+template <std::integral Int>
+inline char* append_int(char* out, Int v) {
+  return std::to_chars(out, out + kJsonIntMaxChars<Int>, v).ptr;
+}
+
+/// Appends a double as its shortest round-trip decimal form; non-finite
+/// values (NaN, ±inf) become `null`. Needs kJsonDoubleMaxChars of room.
+inline char* append_json_double(char* out, double v) {
+  if (!std::isfinite(v)) return append_text(out, "null");
+  return std::to_chars(out, out + kJsonDoubleMaxChars, v).ptr;
+}
+
+/// Writes a double by the append_json_double rule.
+inline void write_json_double(std::ostream& os, double v) {
+  char buf[kJsonDoubleMaxChars];
+  os << std::string_view(
+      buf, static_cast<std::size_t>(append_json_double(buf, v) - buf));
+}
+
+/// Size of the stack buffer a bulk exporter formats one line into before
+/// its single `os.write`; each exporter static_asserts its longest line
+/// against it.
+inline constexpr std::size_t kJsonLineMax = 512;
 
 /// Writes a quoted JSON string, escaping quotes, backslashes, and control
 /// characters (named escapes where JSON has them, \u00XX otherwise).

@@ -2,6 +2,8 @@
 
 #include <ostream>
 
+#include "obs/jsonfmt.hpp"
+
 namespace oaq {
 
 void EpisodeLedger::reserve(std::size_t episodes) {
@@ -74,13 +76,35 @@ void EpisodeLedger::clear() {
 
 namespace {
 
-void write_row_fields(std::ostream& os, const LedgerRow& r) {
-  os << "\"drops_loss\":" << r.drops_loss
-     << ",\"drops_dead\":" << r.drops_dead
-     << ",\"drops_link\":" << r.drops_link << ",\"retries\":" << r.retries
-     << ",\"retries_exhausted\":" << r.retries_exhausted
-     << ",\"faults\":" << r.faults << ",\"reroutes\":" << r.reroutes
-     << ",\"probations\":" << r.probations;
+// Key text of a row's fields, in write order before each value.
+constexpr std::string_view kRowKeys[] = {
+    "\"drops_loss\":", ",\"drops_dead\":", ",\"drops_link\":",
+    ",\"retries\":", ",\"retries_exhausted\":", ",\"faults\":",
+    ",\"reroutes\":", ",\"probations\":",
+};
+constexpr std::string_view kRowOpen = "{\"ep\":";
+
+// Longest piece written at once: a row, `,{"ep":N,` + fields + `}`
+// (the global and totals pieces frame the same fields in 24 bytes).
+constexpr std::size_t max_row_line() {
+  std::size_t n = kRowOpen.size() + kJsonIntMaxChars<std::size_t> + 3;
+  for (const auto key : kRowKeys) {
+    n += key.size() + kJsonIntMaxChars<std::int64_t>;
+  }
+  return n;
+}
+static_assert(max_row_line() <= kJsonLineMax,
+              "a ledger row must fit the export's line buffer");
+
+char* append_row_fields(char* out, const LedgerRow& r) {
+  const std::int64_t values[] = {r.drops_loss, r.drops_dead,
+                                 r.drops_link, r.retries,
+                                 r.retries_exhausted, r.faults,
+                                 r.reroutes, r.probations};
+  for (std::size_t i = 0; i < std::size(kRowKeys); ++i) {
+    out = append_int(append_text(out, kRowKeys[i]), values[i]);
+  }
+  return out;
 }
 
 }  // namespace
@@ -88,20 +112,23 @@ void write_row_fields(std::ostream& os, const LedgerRow& r) {
 void EpisodeLedger::write_json(std::ostream& os) const {
   os << "{\"schema\":\"oaq-ledger-v1\",\"episodes\":" << rows_.size()
      << ",\"rows\":[";
+  char line[kJsonLineMax];
   bool first = true;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     if (!rows_[i].any()) continue;
-    if (!first) os << ',';
+    char* p = line;
+    if (!first) *p++ = ',';
     first = false;
-    os << "{\"ep\":" << i << ',';
-    write_row_fields(os, rows_[i]);
-    os << '}';
+    p = append_int(append_text(p, kRowOpen), i);
+    *p++ = ',';
+    p = append_row_fields(p, rows_[i]);
+    *p++ = '}';
+    os.write(line, p - line);
   }
-  os << "],\"global\":{";
-  write_row_fields(os, global_);
-  os << "},\"totals\":{";
-  write_row_fields(os, totals());
-  os << "}}\n";
+  char* p = append_row_fields(append_text(line, "],\"global\":{"), global_);
+  os.write(line, append_text(p, "},\"totals\":{") - line);
+  p = append_row_fields(line, totals());
+  os.write(line, append_text(p, "}}\n") - line);
 }
 
 }  // namespace oaq

@@ -61,7 +61,12 @@ void RunManifest::write_json(std::ostream& os) const {
     os << ':';
     write_json_string(os, path);
   }
-  os << "}}\n";
+  os << '}';
+  if (trace) {
+    os << ",\"trace_events\":" << trace->events
+       << ",\"trace_dropped\":" << trace->dropped;
+  }
+  os << "}\n";
 }
 
 }  // namespace oaq

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -35,6 +36,14 @@ struct RunManifest {
   std::vector<std::pair<std::string, std::string>> config;
   /// Artifact kind → path ("trace" → trace.jsonl, ...).
   std::vector<std::pair<std::string, std::string>> artifacts;
+  /// Events the run traced and how many of them the per-shard rings
+  /// overwrote; written as `trace_events` / `trace_dropped` when a trace
+  /// file is written, absent otherwise.
+  struct TraceTotals {
+    std::uint64_t events = 0;
+    std::uint64_t dropped = 0;
+  };
+  std::optional<TraceTotals> trace;
 
   void add_config(std::string key, std::string value) {
     config.emplace_back(std::move(key), std::move(value));
@@ -46,7 +55,8 @@ struct RunManifest {
   /// FNV-1a 64-bit over "key=value\n" config lines in order.
   [[nodiscard]] std::uint64_t config_digest() const;
 
-  /// One JSON object (schema, identity, digest as hex, config, artifacts).
+  /// One JSON object (schema, identity, digest as hex, config, artifacts,
+  /// trace totals).
   void write_json(std::ostream& os) const;
 };
 

@@ -18,6 +18,7 @@ struct TypeName {
 };
 
 // Wire names are part of the trace schema — append-only, never renamed.
+// Row i names enum value i, so to_string is one index.
 constexpr TypeName kTypeNames[] = {
     {TraceEventType::kDetection, "detection"},
     {TraceEventType::kChainHop, "chain_hop"},
@@ -52,6 +53,46 @@ constexpr TypeName kTypeNames[] = {
     {TraceEventType::kLinkRestored, "link_restored"},
 };
 
+constexpr bool type_names_indexed_by_value() {
+  for (std::size_t i = 0; i < std::size(kTypeNames); ++i) {
+    if (static_cast<std::size_t>(kTypeNames[i].type) != i) return false;
+  }
+  return std::size(kTypeNames) ==
+         static_cast<std::size_t>(TraceEventType::kLinkRestored) + 1;
+}
+static_assert(type_names_indexed_by_value(),
+              "kTypeNames row i must name TraceEventType value i");
+
+constexpr std::string_view kUnknownType = "unknown";
+
+constexpr std::size_t longest_type_name() {
+  std::size_t longest = kUnknownType.size();
+  for (const auto& entry : kTypeNames) {
+    longest = std::max(longest, entry.name.size());
+  }
+  return longest;
+}
+
+// Key text of one JSONL line, in write order around the values.
+constexpr std::string_view kShardKey = "{\"shard\":";
+constexpr std::string_view kEpKey = ",\"ep\":";
+constexpr std::string_view kTKey = ",\"t\":";
+constexpr std::string_view kTypeKey = ",\"type\":\"";
+constexpr std::string_view kSatKey = "\",\"sat\":";
+constexpr std::string_view kPeerKey = ",\"peer\":";
+constexpr std::string_view kAKey = ",\"a\":";
+constexpr std::string_view kVKey = ",\"v\":";
+constexpr std::string_view kLineEnd = "}\n";
+
+constexpr std::size_t kMaxTraceLine =
+    kShardKey.size() + kEpKey.size() + kTKey.size() + kTypeKey.size() +
+    kSatKey.size() + kPeerKey.size() + kAKey.size() + kVKey.size() +
+    kLineEnd.size() + longest_type_name() + kJsonIntMaxChars<int> +
+    kJsonIntMaxChars<std::int64_t> + 2 * kJsonIntMaxChars<std::int16_t> +
+    kJsonIntMaxChars<std::int32_t> + 2 * kJsonDoubleMaxChars;
+static_assert(kMaxTraceLine <= kJsonLineMax,
+              "a trace line must fit the export's line buffer");
+
 constexpr std::string_view kDropReasonNames[] = {
     "dead_sender", "loss", "dead_receiver", "unregistered", "link_down",
 };
@@ -59,10 +100,8 @@ constexpr std::string_view kDropReasonNames[] = {
 }  // namespace
 
 std::string_view to_string(TraceEventType type) {
-  for (const auto& entry : kTypeNames) {
-    if (entry.type == type) return entry.name;
-  }
-  return "unknown";
+  const auto i = static_cast<std::size_t>(type);
+  return i < std::size(kTypeNames) ? kTypeNames[i].name : kUnknownType;
 }
 
 std::string_view to_string(DropReason reason) {
@@ -95,9 +134,7 @@ void ShardTraceBuffer::push(const TraceEvent& event) {
 std::vector<TraceEvent> ShardTraceBuffer::events() const {
   std::vector<TraceEvent> out;
   out.reserve(events_.size());
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    out.push_back(events_[(head_ + i) % events_.size()]);
-  }
+  for_each([&out](const TraceEvent& ev) { out.push_back(ev); });
   return out;
 }
 
@@ -142,17 +179,21 @@ std::uint64_t TraceCollector::total_dropped() const {
 }
 
 void TraceCollector::write_jsonl(std::ostream& os) const {
+  char line[kJsonLineMax];
   for (int s = 0; s < shards(); ++s) {
-    for (const TraceEvent& ev : buffers_[static_cast<std::size_t>(s)]
-                                    .events()) {
-      os << "{\"shard\":" << s << ",\"ep\":" << ev.episode << ",\"t\":";
-      write_json_double(os, ev.t_min);
-      os << ",\"type\":\"" << to_string(ev.type)
-         << "\",\"sat\":" << ev.sat << ",\"peer\":" << ev.peer
-         << ",\"a\":" << ev.a << ",\"v\":";
-      write_json_double(os, ev.v);
-      os << "}\n";
-    }
+    buffers_[static_cast<std::size_t>(s)].for_each(
+        [&](const TraceEvent& ev) {
+          char* p = append_int(append_text(line, kShardKey), s);
+          p = append_int(append_text(p, kEpKey), ev.episode);
+          p = append_json_double(append_text(p, kTKey), ev.t_min);
+          p = append_text(append_text(p, kTypeKey), to_string(ev.type));
+          p = append_int(append_text(p, kSatKey), ev.sat);
+          p = append_int(append_text(p, kPeerKey), ev.peer);
+          p = append_int(append_text(p, kAKey), ev.a);
+          p = append_json_double(append_text(p, kVKey), ev.v);
+          p = append_text(p, kLineEnd);
+          os.write(line, p - line);
+        });
   }
 }
 

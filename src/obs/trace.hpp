@@ -138,7 +138,15 @@ class ShardTraceBuffer {
     return recorded_ - events_.size();
   }
 
-  /// Events in recording order (oldest surviving first).
+  /// Calls `fn(event)` in recording order (oldest surviving first),
+  /// reading the ring in place: [head, end) then [0, head) once wrapped.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (std::size_t i = head_; i < events_.size(); ++i) fn(events_[i]);
+    for (std::size_t i = 0; i < head_; ++i) fn(events_[i]);
+  }
+
+  /// Events in recording order (oldest surviving first), copied.
   [[nodiscard]] std::vector<TraceEvent> events() const;
 
   void clear();
@@ -170,7 +178,9 @@ class TraceCollector {
   /// Canonical JSONL export: shard buffers concatenated in shard order,
   /// one event per line:
   ///   {"shard":S,"ep":E,"t":T,"type":"...","sat":A,"peer":B,"a":N,"v":V}
-  /// Deterministic bytes for any jobs value (see file header).
+  /// Deterministic bytes for any jobs value (see file header). Each line
+  /// is formatted into a stack buffer straight from the ring and written
+  /// with one `os.write`.
   void write_jsonl(std::ostream& os) const;
 
  private:

@@ -109,6 +109,15 @@ TEST(MiniJson, RoundTripsTheEmittersOutput) {
   EXPECT_EQ(mdoc->find("seed")->number, 7.0);
   EXPECT_EQ(mdoc->find("config")->find("path")->text, "a\"b\\c");
   EXPECT_EQ(mdoc->find("config_digest")->text.size(), 16u);
+  EXPECT_EQ(mdoc->find("trace_events"), nullptr);  // no trace written
+
+  manifest.trace = {{.events = 76081, .dropped = 10545}};
+  std::ostringstream traced_os;
+  manifest.write_json(traced_os);
+  const auto tdoc = MiniJson::parse(traced_os.str());
+  ASSERT_TRUE(tdoc.has_value());
+  EXPECT_EQ(tdoc->find("trace_events")->number, 76081.0);
+  EXPECT_EQ(tdoc->find("trace_dropped")->number, 10545.0);
 
   // Ledger emitter → parser.
   EpisodeLedger ledger;

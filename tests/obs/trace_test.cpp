@@ -2,8 +2,15 @@
 // canonical JSONL export, and the parse/summarize round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -119,6 +126,170 @@ TEST(TraceCollector, ExportConcatenatesInShardOrder) {
   collector.write_jsonl(os);
   const std::string text = os.str();
   EXPECT_LT(text.find("\"shard\":0"), text.find("\"shard\":1"));
+}
+
+// Reference export: the per-field `ostream <<` formulation of the JSONL
+// line, with its own copy of the double rule, over the events each shard
+// should still hold (the last `capacity` pushed, oldest first).
+// write_jsonl must produce the same bytes. Dropping the isfinite branch
+// of append_json_double (so NaN prints `nan`, not `null`) fails the
+// comparison.
+void reference_double(std::ostream& os, double v) {
+  if (!std::isfinite(v)) {
+    os << "null";
+    return;
+  }
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  os << std::string_view(buf, static_cast<std::size_t>(end - buf));
+}
+
+std::string reference_jsonl(const std::vector<std::vector<TraceEvent>>& pushed,
+                            std::size_t capacity) {
+  std::ostringstream os;
+  for (std::size_t s = 0; s < pushed.size(); ++s) {
+    const auto& events = pushed[s];
+    const std::size_t first =
+        events.size() > capacity ? events.size() - capacity : 0;
+    for (std::size_t i = first; i < events.size(); ++i) {
+      const TraceEvent& ev = events[i];
+      os << "{\"shard\":" << s << ",\"ep\":" << ev.episode << ",\"t\":";
+      reference_double(os, ev.t_min);
+      os << ",\"type\":\"" << to_string(ev.type)
+         << "\",\"sat\":" << ev.sat << ",\"peer\":" << ev.peer
+         << ",\"a\":" << ev.a << ",\"v\":";
+      reference_double(os, ev.v);
+      os << "}\n";
+    }
+  }
+  return os.str();
+}
+
+/// Pushes `pushed[s]` into shard s of a fresh collector and exports it.
+std::string export_jsonl(const std::vector<std::vector<TraceEvent>>& pushed,
+                        std::size_t capacity) {
+  TraceCollector collector(capacity);
+  collector.prepare(static_cast<int>(pushed.size()));
+  for (std::size_t s = 0; s < pushed.size(); ++s) {
+    for (const TraceEvent& ev : pushed[s]) {
+      collector.shard(static_cast<int>(s))->push(ev);
+    }
+  }
+  std::ostringstream os;
+  collector.write_jsonl(os);
+  return os.str();
+}
+
+/// Byte equality, reported as the first differing line of each side.
+void expect_same_bytes(const std::string& got, const std::string& want) {
+  if (got == want) return;
+  const auto at = static_cast<std::size_t>(
+      std::mismatch(got.begin(), got.end(), want.begin(), want.end()).first -
+      got.begin());
+  const auto line_at = [at](const std::string& text) {
+    const auto begin = text.rfind('\n', at == 0 ? 0 : at - 1);
+    const auto from = begin == std::string::npos || at == 0 ? 0 : begin + 1;
+    return text.substr(from, text.find('\n', from) - from);
+  };
+  ADD_FAILURE() << "export differs from the reference at byte " << at
+                << " (" << got.size() << " vs " << want.size()
+                << " bytes)\n  got:  " << line_at(got)
+                << "\n  want: " << line_at(want);
+}
+
+double bits_to_double(std::uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+TEST(TraceCollector, ExportMatchesReferenceOnEdgeValues) {
+  using Limits = std::numeric_limits<double>;
+  const double doubles[] = {
+      Limits::quiet_NaN(),  Limits::infinity(), -Limits::infinity(),
+      -0.0,                 0.0,                Limits::denorm_min(),
+      Limits::max(),        1e-300,             -2.2250738585072014e-308,
+      9999.0,               -9999.0,            10000.0,
+      100000.0,             0.5,                -3.0,
+  };
+  const std::int64_t episodes[] = {std::numeric_limits<std::int64_t>::min(),
+                                   std::numeric_limits<std::int64_t>::max(),
+                                   -1, 0};
+  const std::int16_t slots[] = {std::numeric_limits<std::int16_t>::min(),
+                                std::numeric_limits<std::int16_t>::max(), -2,
+                                -1};
+  const std::int32_t details[] = {std::numeric_limits<std::int32_t>::min(),
+                                  std::numeric_limits<std::int32_t>::max(),
+                                  0};
+  std::vector<TraceEvent> events;
+  // Every wire type, plus one value past the table ("unknown").
+  const int n_types = static_cast<int>(TraceEventType::kLinkRestored) + 2;
+  for (int t = 0; t < n_types; ++t) {
+    TraceEvent ev;
+    ev.type = static_cast<TraceEventType>(t);
+    ev.episode = episodes[static_cast<std::size_t>(t) % std::size(episodes)];
+    ev.sat = slots[static_cast<std::size_t>(t) % std::size(slots)];
+    ev.peer = slots[static_cast<std::size_t>(t + 1) % std::size(slots)];
+    ev.a = details[static_cast<std::size_t>(t) % std::size(details)];
+    ev.t_min = doubles[static_cast<std::size_t>(t) % std::size(doubles)];
+    ev.v = doubles[static_cast<std::size_t>(t + 7) % std::size(doubles)];
+    events.push_back(ev);
+  }
+  for (const double t : doubles) {
+    for (const double v : doubles) {
+      TraceEvent ev;
+      ev.t_min = t;
+      ev.v = v;
+      events.push_back(ev);
+    }
+  }
+  const std::vector<std::vector<TraceEvent>> pushed{events};
+  expect_same_bytes(export_jsonl(pushed, events.size()),
+                    reference_jsonl(pushed, events.size()));
+}
+
+TEST(TraceCollector, ExportMatchesReferenceOnWrappedAndEmptyShards) {
+  // Shard 0 wraps (11 pushes into 4 slots), shard 1 stays empty, shard 2
+  // is exactly full without wrapping, shard 3 is part full.
+  std::vector<std::vector<TraceEvent>> pushed(4);
+  for (int i = 0; i < 11; ++i) pushed[0].push_back(make_event(i));
+  for (int i = 0; i < 4; ++i) pushed[2].push_back(make_event(100 + i));
+  for (int i = 0; i < 2; ++i) pushed[3].push_back(make_event(200 + i));
+  const std::string text = export_jsonl(pushed, 4);
+  expect_same_bytes(text, reference_jsonl(pushed, 4));
+  EXPECT_TRUE(text.starts_with("{\"shard\":0,\"ep\":7,")) << text;
+}
+
+TEST(TraceCollector, ExportMatchesReferenceOnSeededRandomEvents) {
+  // 18,000 lines over three shards; raw bit patterns cover every double
+  // class (denormals, huge exponents, NaN payloads).
+  std::mt19937_64 rng(20030622);
+  std::uniform_int_distribution<int> type(
+      0, static_cast<int>(TraceEventType::kLinkRestored));
+  std::vector<std::vector<TraceEvent>> pushed(3);
+  for (auto& shard : pushed) {
+    for (int i = 0; i < 6000; ++i) {
+      TraceEvent ev;
+      ev.type = static_cast<TraceEventType>(type(rng));
+      ev.episode = static_cast<std::int64_t>(rng());
+      ev.sat = static_cast<std::int16_t>(rng());
+      ev.peer = static_cast<std::int16_t>(rng());
+      ev.a = static_cast<std::int32_t>(rng());
+      switch (rng() % 3) {
+        case 0: ev.t_min = bits_to_double(rng()); break;
+        case 1: ev.t_min = std::ldexp(static_cast<double>(rng() >> 11), -40);
+                break;
+        default: ev.t_min = static_cast<double>(
+                     static_cast<std::int64_t>(rng() % 20001) - 10000);
+      }
+      ev.v = rng() % 2 == 0 ? bits_to_double(rng())
+                            : static_cast<double>(rng() % 64);
+      shard.push_back(ev);
+    }
+  }
+  // Capacity 5000: every shard wraps.
+  expect_same_bytes(export_jsonl(pushed, 5000), reference_jsonl(pushed, 5000));
+  expect_same_bytes(export_jsonl(pushed, 8000), reference_jsonl(pushed, 8000));
 }
 
 TEST(ParseTraceLine, RejectsForeignLines) {

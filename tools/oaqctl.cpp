@@ -395,6 +395,7 @@ struct ObsSinks {
                 << trace.total_dropped() << " dropped) -> " << trace_path
                 << "\n";
       manifest.add_artifact("trace", trace_path);
+      manifest.trace = {trace.total_recorded(), trace.total_dropped()};
     }
     if (!metrics_path.empty()) {
       std::ofstream os(metrics_path);
@@ -1115,6 +1116,16 @@ int cmd_report(const Args& args) {
               << " (" << field("build_type") << ")\n";
   }
 
+  // Trace totals the manifest records; counts past 2^53 would not be
+  // exact in a JSON number and read as 0, as does a missing key.
+  const auto manifest_count = [&manifest](std::string_view key) {
+    const MiniJson* v = manifest ? manifest->find(key) : nullptr;
+    return v != nullptr && v->is_number() && v->number >= 0.0 &&
+                   v->number <= 0x1p53
+               ? static_cast<std::uint64_t>(v->number)
+               : std::uint64_t{0};
+  };
+
   // --- Trace: latency percentiles + cause×chain×drops. ---
   std::optional<TraceSummary> summary;
   std::vector<double> latencies_min;
@@ -1189,6 +1200,14 @@ int cmd_report(const Args& args) {
     }
     std::sort(recovery_min.begin(), recovery_min.end());
 
+    // A ring that overflowed kept only each shard's newest events; every
+    // table below is then over a subset, which the manifest records.
+    if (const std::uint64_t dropped = manifest_count("trace_dropped");
+        dropped > 0) {
+      std::cout << "trace dropped " << dropped << " of "
+                << manifest_count("trace_events")
+                << " events; tables cover surviving events only\n";
+    }
     std::cout << "trace: " << summary->events << " events, "
               << summary->detections << " detections, "
               << summary->alerts_delivered << " alerts delivered, "
@@ -1294,6 +1313,12 @@ int cmd_report(const Args& args) {
       write_json_double(os, jobs != nullptr ? jobs->number : 0.0);
       os << ",\"config_digest\":";
       str_field("config_digest");
+      // Trace totals only when the run wrote a trace (and so recorded them).
+      for (const std::string_view key : {"trace_events", "trace_dropped"}) {
+        if (manifest->find(key) != nullptr) {
+          os << ",\"" << key << "\":" << manifest_count(key);
+        }
+      }
       os << "}";
     } else {
       os << "null";
