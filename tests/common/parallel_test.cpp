@@ -123,13 +123,13 @@ TEST(ParallelReduce, MergesInShardOrder) {
 
 TEST(ParallelReduce, PropagatesMapException) {
   for (const int jobs : {1, 4}) {
-    EXPECT_THROW(parallel_reduce<int>(
+    EXPECT_THROW(static_cast<void>(parallel_reduce<int>(
                      16, 8, jobs,
                      [](std::int64_t b, std::int64_t, int) -> int {
                        if (b >= 8) throw std::runtime_error("map failed");
                        return 0;
                      },
-                     [](int& into, int from) { into += from; }),
+                     [](int& into, int from) { into += from; })),
                  std::runtime_error)
         << "jobs=" << jobs;
   }
@@ -150,7 +150,7 @@ TEST(ParallelReduce, SeedHookGetsResolvedJobsBeforeShardClamp) {
   // one-item run at jobs 4 still seeds on 4. Handing the hook the clamped
   // `jobs` makes it read 1 there.
   const auto caller = std::this_thread::get_id();
-  for (const auto [n_items, jobs] : {std::pair{1, 4}, std::pair{8, 1}}) {
+  for (const auto& [n_items, jobs] : {std::pair{1, 4}, std::pair{8, 1}}) {
     int seeded_with = 0;
     bool frozen = false;
     std::vector<std::thread::id> ran_on;

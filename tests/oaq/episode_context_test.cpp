@@ -191,7 +191,7 @@ std::string without_shards(const std::string& jsonl) {
   std::istringstream in(jsonl);
   std::string out;
   for (std::string line; std::getline(in, line);) {
-    out += "{" + line.substr(line.find(',') + 1) + "\n";
+    out.append("{").append(line, line.find(',') + 1).append("\n");
   }
   return out;
 }

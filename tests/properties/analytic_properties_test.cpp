@@ -131,13 +131,17 @@ INSTANTIATE_TEST_SUITE_P(Grid, QosModelGrid,
                          ::testing::ValuesIn(make_grid()),
                          [](const auto& info) {
                            const auto& p = info.param;
-                           return "k" + std::to_string(p.k) + "_tau" +
-                                  std::to_string(static_cast<int>(
-                                      p.tau_min * 10)) +
-                                  "_mu" + std::to_string(static_cast<int>(
-                                              p.mu_per_min * 10)) +
-                                  "_nu" + std::to_string(static_cast<int>(
-                                              p.nu_per_min));
+                           std::string name = "k";
+                           return name.append(std::to_string(p.k))
+                               .append("_tau")
+                               .append(std::to_string(
+                                   static_cast<int>(p.tau_min * 10)))
+                               .append("_mu")
+                               .append(std::to_string(
+                                   static_cast<int>(p.mu_per_min * 10)))
+                               .append("_nu")
+                               .append(std::to_string(
+                                   static_cast<int>(p.nu_per_min)));
                          });
 
 }  // namespace

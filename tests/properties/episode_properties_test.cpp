@@ -95,9 +95,11 @@ INSTANTIATE_TEST_SUITE_P(
                       Scenario{14, 8.0, true}),
     [](const auto& info) {
       const auto& s = info.param;
-      return "k" + std::to_string(s.k) + "_tau" +
-             std::to_string(static_cast<int>(s.tau_min * 10)) +
-             (s.backward ? "_bwd" : "_fwd");
+      std::string name = "k";
+      return name.append(std::to_string(s.k))
+          .append("_tau")
+          .append(std::to_string(static_cast<int>(s.tau_min * 10)))
+          .append(s.backward ? "_bwd" : "_fwd");
     });
 
 }  // namespace
