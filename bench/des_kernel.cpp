@@ -109,10 +109,9 @@ double cancel_heavy_ops_per_sec(int batch, int rounds) {
 }
 
 /// Pops/sec of a pure drain: each round schedules one big batch up front
-/// and then drains it with no further scheduling. After the first flush
-/// the ready queue holds a single sorted run over an empty spill — the
-/// settle() fast-path shape an episode's tail (and the cancel-heavy
-/// pattern between batches) sits in almost exclusively.
+/// and then drains it with no further scheduling — pops only, the shape
+/// of an episode's tail (and of the cancel-heavy pattern between
+/// batches). Its "single-run drain" name is the BENCH_3.json key.
 template <typename Sim>
 double single_run_drain_pops_per_sec(int batch, int rounds) {
   Sim sim;
@@ -281,8 +280,8 @@ int main(int argc, char** argv) {
 
   // Regression gates (ISSUE 3 acceptance): >= 2x schedule/cancel speedup,
   // zero steady-state allocations per event in the pooled kernel. The
-  // single-run fast path (ISSUE 6) must not regress the drain below the
-  // legacy heap. Frozen visibility queries allocate nothing.
+  // pure drain must not fall below the legacy heap. Frozen visibility
+  // queries allocate nothing.
   bool ok = pooled_fire >= 2.0 * legacy_fire &&
             pooled_cancel >= 2.0 * legacy_cancel && pooled_allocs == 0.0 &&
             pooled_drain >= legacy_drain;

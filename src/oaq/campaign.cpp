@@ -12,7 +12,7 @@ namespace oaq {
 namespace {
 
 /// Mergeable tallies for one or more campaign replications: the
-/// CampaignResult fields and the inputs of the oaq-metrics-v2 keys.
+/// CampaignResult fields and the inputs of the oaq-metrics-v3 keys.
 /// Counters and pmf weights are integral, so any grouping merges exactly;
 /// the RunningStats are folded in a fixed replication order (one shard per
 /// replication), so their floating-point values are also independent of
@@ -51,7 +51,7 @@ struct CampaignAccum {
   }
 };
 
-/// run_campaign's oaq-metrics-v2 key set (tools/README.md), written once
+/// run_campaign's oaq-metrics-v3 key set (tools/README.md), written once
 /// from the merged replications: the outcome keys, then the shared
 /// families.
 MetricsRegistry campaign_metrics(const CampaignAccum& a, int replications,

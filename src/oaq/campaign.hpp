@@ -77,7 +77,7 @@ struct CampaignConfig {
   /// state carries its target id, and campaign-wide events (fault clauses,
   /// episode-less traffic) carry -1.
   TraceCollector* trace = nullptr;
-  /// Receives the run's oaq-metrics-v2 key set (tools/README.md), written
+  /// Receives the run's oaq-metrics-v3 key set (tools/README.md), written
   /// once from the merged replications; deterministic for any `jobs`.
   MetricsRegistry* metrics = nullptr;
   /// Per-replication wall-time profile of the replication fan-out.
@@ -92,12 +92,12 @@ struct CampaignConfig {
   /// enabled implicitly by check_invariants, which audits I7 against it.
   EpisodeLedger* ledger = nullptr;
 
-  /// Inert: nothing reads them. `queue_metrics` gated the `sim.queue.*`
-  /// keys, which oaq-metrics-v2 always writes; `episode_attribution`
-  /// stamped xlink_* trace events with their target id, which every
-  /// campaign trace now does. They stay only because the end-to-end
-  /// benchmark (e2ebench/e2ebench.cpp) still assigns them; delete them
-  /// with those assignments in the next e2ebench change.
+  /// Inert: nothing reads them. `queue_metrics` gated the retired
+  /// `sim.queue.*` keys; `episode_attribution` stamped xlink_* trace
+  /// events with their target id, which every campaign trace now does.
+  /// They stay only because the end-to-end benchmark (e2ebench/e2ebench.cpp)
+  /// still assigns them; delete them with those assignments in the next
+  /// e2ebench change.
   bool queue_metrics = false;
   bool episode_attribution = false;
 };

@@ -37,7 +37,7 @@ CrosslinkNetwork::Options net_options(const ProtocolConfig& cfg) {
   return opt;
 }
 
-/// The tally's counter slots: oaq-metrics-v2 key and telemetry field.
+/// The tally's counter slots: oaq-metrics-v3 key and telemetry field.
 struct TallyCounter {
   const char* key;
   std::uint64_t EpisodeTelemetry::*field;
@@ -49,9 +49,6 @@ constexpr TallyCounter kTallyCounters[] = {
     {"xlink.dropped_dead", &EpisodeTelemetry::messages_dropped_dead},
     {"xlink.dropped_link", &EpisodeTelemetry::messages_dropped_link},
     {"sim.events", &EpisodeTelemetry::sim_events},
-    {"sim.queue.runs_created", &EpisodeTelemetry::sim_runs_created},
-    {"sim.queue.run_merges", &EpisodeTelemetry::sim_run_merges},
-    {"sim.queue.tombstones_purged", &EpisodeTelemetry::sim_tombstones_purged},
     {"net.retry.attempts", &EpisodeTelemetry::retries},
     {"net.retry.exhausted", &EpisodeTelemetry::retries_exhausted},
     {"net.fault.injected", &EpisodeTelemetry::faults_injected},
@@ -78,7 +75,6 @@ void TelemetryTally::add(const EpisodeTelemetry& t) {
     counters[i] += t.*kTallyCounters[i].field;
   }
   peak_pending.add(static_cast<double>(t.sim_peak_pending));
-  max_run_length.add(static_cast<double>(t.sim_max_run_length));
 }
 
 void TelemetryTally::merge(const TelemetryTally& other) {
@@ -86,7 +82,6 @@ void TelemetryTally::merge(const TelemetryTally& other) {
     counters[i] += other.counters[i];
   }
   peak_pending.merge(other.peak_pending);
-  max_run_length.merge(other.max_run_length);
   visibility.pass_queries += other.visibility.pass_queries;
   visibility.pass_hits += other.visibility.pass_hits;
 }
@@ -98,7 +93,6 @@ void write_shared_metrics(MetricsRegistry& m, const TelemetryTally& tally,
     m.add(kTallyCounters[i].key, as_counter(tally.counters[i]));
   }
   m.observe("sim.peak_pending", tally.peak_pending);
-  m.observe("sim.queue.max_run_length", tally.max_run_length);
   m.add("visibility.pass_queries", as_counter(tally.visibility.pass_queries));
   m.add("visibility.pass_hits", as_counter(tally.visibility.pass_hits));
   m.add("visibility.cache_entries", as_counter(cache_entries));
@@ -244,11 +238,6 @@ void EpisodeContext::drain() {
   t.lifecycle_spares = fs.lifecycle_spares;
   t.sim_events = sim_.processed_count();
   t.sim_peak_pending = sim_.peak_pending_count();
-  const QueueStats& qs = sim_.queue_stats();
-  t.sim_runs_created = qs.runs_created;
-  t.sim_run_merges = qs.run_merges;
-  t.sim_tombstones_purged = qs.tombstones_purged;
-  t.sim_max_run_length = qs.max_run_length;
 }
 
 const EpisodeResult& EpisodeContext::target_result(int i) const {

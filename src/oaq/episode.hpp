@@ -115,11 +115,6 @@ struct EpisodeTelemetry {
   std::uint64_t fault_truncations = 0;  ///< clauses cut at the interval cap
   std::uint64_t sim_events = 0;             ///< DES events processed
   std::uint64_t sim_peak_pending = 0;       ///< DES queue-depth high water
-  // Merge-run ready-queue maintenance counters (Simulator::QueueStats).
-  std::uint64_t sim_runs_created = 0;
-  std::uint64_t sim_run_merges = 0;
-  std::uint64_t sim_tombstones_purged = 0;
-  std::uint64_t sim_max_run_length = 0;
   // Link-health + stochastic-fault telemetry (ISSUE 10; all zero unless
   // self-healing links or stochastic clauses are in play).
   std::uint64_t links_demoted = 0;       ///< healthy → demoted transitions
@@ -138,16 +133,15 @@ struct EpisodeTelemetry {
 
 /// Run-wide tally of EpisodeTelemetry plus pass-table query accounting:
 /// the link, kernel, fault, health and visibility families that simulate
-/// and campaign share in oaq-metrics-v2 (tools/README.md). Each counter
-/// sums one telemetry field; the two high-water marks are observed as
-/// stats, one value per simulate episode or campaign replication, because
-/// a sum of peaks means nothing. Shard tallies folded in shard order give
-/// the serial observation exactly.
+/// and campaign share in oaq-metrics-v3 (tools/README.md). Each counter
+/// sums one telemetry field; the pending-event high-water mark is observed
+/// as a stat, one value per simulate episode or campaign replication,
+/// because a sum of peaks means nothing. Shard tallies folded in shard
+/// order give the serial observation exactly.
 struct TelemetryTally {
-  static constexpr std::size_t kCounters = 19;
+  static constexpr std::size_t kCounters = 16;
   std::array<std::uint64_t, kCounters> counters{};
-  RunningStat peak_pending;    ///< sim.peak_pending
-  RunningStat max_run_length;  ///< sim.queue.max_run_length
+  RunningStat peak_pending;  ///< sim.peak_pending
   VisibilityCacheStats visibility;  ///< geometric runs' pass queries
 
   void add(const EpisodeTelemetry& t);

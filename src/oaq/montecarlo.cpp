@@ -23,7 +23,7 @@ std::int64_t checked_add(std::int64_t a, std::int64_t b) {
 }
 
 /// Private per-shard tallies of the episode loop: the SimulatedQos fields
-/// and the inputs of the oaq-metrics-v2 keys. Merging in shard order is
+/// and the inputs of the oaq-metrics-v3 keys. Merging in shard order is
 /// exact: counters and pmf weights are integral, and every RunningStat
 /// folds its shards left to right with the Chan combination, the order a
 /// serial run would observe.
@@ -86,7 +86,7 @@ struct EpisodeAccum {
   }
 };
 
-/// simulate_qos's oaq-metrics-v2 key set (tools/README.md), written once
+/// simulate_qos's oaq-metrics-v3 key set (tools/README.md), written once
 /// from the merged shards: the outcome keys, then the shared families.
 MetricsRegistry simulate_metrics(const EpisodeAccum& a,
                                  std::int64_t episodes,

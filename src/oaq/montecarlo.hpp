@@ -59,11 +59,11 @@ struct QosSimulationConfig {
   GeoPoint target{};
   bool earth_rotation = false;
 
-  /// Inert: nothing reads them. `queue_metrics` gated the `sim.queue.*`
-  /// keys, which oaq-metrics-v2 always writes; `batch_metrics` exported the
-  /// retired batch engine's occupancy counters. They stay only because the
-  /// end-to-end benchmark (e2ebench/e2ebench.cpp) still assigns them;
-  /// delete them with those assignments in the next e2ebench change.
+  /// Inert: nothing reads them. `queue_metrics` gated the retired
+  /// `sim.queue.*` keys; `batch_metrics` exported the retired batch
+  /// engine's occupancy counters. They stay only because the end-to-end
+  /// benchmark (e2ebench/e2ebench.cpp) still assigns them; delete them
+  /// with those assignments in the next e2ebench change.
   bool queue_metrics = false;
   bool batch_metrics = false;
 
@@ -87,7 +87,7 @@ struct QosSimulationConfig {
   /// stream depends only on its episode indices, and shards are exported
   /// in shard order.
   TraceCollector* trace = nullptr;
-  /// Receives the run's oaq-metrics-v2 key set (tools/README.md), written
+  /// Receives the run's oaq-metrics-v3 key set (tools/README.md), written
   /// once from the merged result: every key present whatever the flags,
   /// every value deterministic for any `jobs`.
   MetricsRegistry* metrics = nullptr;

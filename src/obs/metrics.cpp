@@ -50,7 +50,7 @@ const RunningStat& MetricsRegistry::stat(std::string_view name) const {
 void MetricsRegistry::write_json(std::ostream& os) const {
   // Names are escaped (quotes, backslashes, control chars); the repo's own
   // metric names are plain identifiers.
-  os << "{\"schema\":\"oaq-metrics-v2\",\"counters\":{";
+  os << "{\"schema\":\"" << kMetricsSchema << "\",\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : counters_) {
     os << (first ? "" : ",");

@@ -1,4 +1,4 @@
-// Metrics registry: the `oaq-metrics-v2` export of a Monte-Carlo run.
+// Metrics registry: the `oaq-metrics-v3` export of a Monte-Carlo run.
 //
 // A MetricsRegistry is a named bag of counters (int64) and value stats
 // (RunningStat). The engines do not record into it while they run: shards
@@ -20,6 +20,10 @@
 #include "common/stats.hpp"
 
 namespace oaq {
+
+/// The `"schema"` tag of every metrics file this build writes; readers
+/// reject any other (older schemas had other key sets).
+inline constexpr std::string_view kMetricsSchema = "oaq-metrics-v3";
 
 /// Named counters and value stats with a sorted-key JSON export.
 class MetricsRegistry {
@@ -46,7 +50,7 @@ class MetricsRegistry {
       const { return stats_; }
 
   /// One-object JSON export with sorted keys (deterministic bytes):
-  /// {"schema":"oaq-metrics-v2","counters":{...},
+  /// {"schema":"oaq-metrics-v3","counters":{...},
   ///  "stats":{"name":{"count":..,"mean":..,"min":..,"max":..,"stddev":..}}}
   void write_json(std::ostream& os) const;
 

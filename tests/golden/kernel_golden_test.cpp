@@ -3,7 +3,7 @@
 // tests/data/golden_* are the output of the oaqctl invocations documented
 // in tests/data/README.md (CTest re-runs those commands and compares the
 // files too). The configurations below are what those commands build, and
-// the library writes the same oaq-metrics-v2 key set oaqctl does. The
+// the library writes the same oaq-metrics-v3 key set oaqctl does. The
 // pooled kernel, flat network dispatch, and any future hot-path change
 // must reproduce those bytes exactly — trace JSONL and metrics JSON are
 // fully deterministic for a fixed seed at any worker count. A mismatch

@@ -149,7 +149,7 @@ TEST(Campaign, SelfHealingExportsTheSimulateLinkKeySet) {
 }
 
 TEST(Campaign, MetricsKeySetIsFixed) {
-  // oaq-metrics-v2: one key set for every campaign — plain, faulted
+  // oaq-metrics-v3: one key set for every campaign — plain, faulted
   // (reliable self-healing links under ge_loss + outage train, invariants
   // on) and geometric — equal to the documented table, idle keys zero.
   const auto run = [](CampaignConfig cfg) {

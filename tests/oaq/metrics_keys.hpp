@@ -1,4 +1,4 @@
-// The oaq-metrics-v2 key table of tools/README.md, per engine, for the
+// The oaq-metrics-v3 key table of tools/README.md, per engine, for the
 // fixed-key-set tests: every run of an engine must write exactly these
 // keys, whatever its flags or its data.
 #pragma once
@@ -29,10 +29,6 @@ inline std::set<std::string> shared() {
       "counter:xlink.dropped_link",
       "counter:sim.events",
       "stat:sim.peak_pending",
-      "counter:sim.queue.runs_created",
-      "counter:sim.queue.run_merges",
-      "counter:sim.queue.tombstones_purged",
-      "stat:sim.queue.max_run_length",
       "counter:net.retry.attempts",
       "counter:net.retry.exhausted",
       "counter:net.fault.injected",

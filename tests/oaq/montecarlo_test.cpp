@@ -147,7 +147,7 @@ TEST(MonteCarlo, ReportsStochasticFaultTruncation) {
 }
 
 TEST(MonteCarlo, MetricsKeySetIsFixed) {
-  // oaq-metrics-v2: one key set for every simulate run — plain analytic,
+  // oaq-metrics-v3: one key set for every simulate run — plain analytic,
   // the analytic storm (reliable self-healing links, ge_loss + outage
   // train, invariants on) and a geometric run — equal to the documented
   // table, with idle families written as zeros.
@@ -196,7 +196,7 @@ TEST(MonteCarlo, MetricsKeySetIsFixed) {
   EXPECT_EQ(plain_metrics.counter("invariant.violations"), 0);
   EXPECT_EQ(plain_metrics.counter("visibility.pass_queries"), 0);
   EXPECT_EQ(plain_metrics.counter("visibility.cache_entries"), 0);
-  EXPECT_EQ(plain_metrics.stat("sim.queue.max_run_length").count(), 300u);
+  EXPECT_EQ(plain_metrics.stat("sim.peak_pending").count(), 300u);
   EXPECT_GT(storm_metrics.counter("net.fault.injected"), 0);
   EXPECT_GT(geometric_metrics.counter("visibility.pass_queries"), 0);
   EXPECT_GT(geometric_metrics.counter("visibility.cache_entries"), 0);

@@ -1,6 +1,6 @@
 // MetricsRegistry: counter/stat semantics, the shard-order stat fold the
 // engines export through (observe of a whole RunningStat), and the
-// oaq-metrics-v2 JSON layout.
+// oaq-metrics-v3 JSON layout.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -67,7 +67,7 @@ TEST(MetricsRegistry, MergeMatchesSerialRecording) {
               1e-12);
 
   // Folding into a fresh key is an exact copy; an empty stream still
-  // creates its key (every oaq-metrics-v2 key is always written).
+  // creates its key (every oaq-metrics-v3 key is always written).
   MetricsRegistry copy;
   copy.observe("v", shard0);
   copy.observe("idle", RunningStat{});
@@ -117,7 +117,7 @@ TEST(MetricsRegistry, WriteJsonIsSortedAndParseable) {
   const std::string json = os.str();
   // The schema tag comes first; keys appear sorted (map order) —
   // deterministic bytes. No gauges object.
-  EXPECT_EQ(json.rfind("{\"schema\":\"oaq-metrics-v2\",", 0), 0u);
+  EXPECT_EQ(json.rfind("{\"schema\":\"oaq-metrics-v3\",", 0), 0u);
   EXPECT_LT(json.find("a.counter"), json.find("b.counter"));
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_EQ(json.find("\"gauges\""), std::string::npos);

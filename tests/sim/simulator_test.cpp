@@ -270,29 +270,6 @@ TEST(Simulator, PeakPendingTracksHighWaterMonotonically) {
   EXPECT_EQ(sim.peak_pending_count(), 9u);
 }
 
-TEST(Simulator, LongLivedSoleRunStaysCompact) {
-  // A simulator that alternates small out-of-order bursts with full drains
-  // keeps its sole run alive forever through the direct-append fast path —
-  // the run is never exhausted when settle() scans it, so only the fold
-  // path can reclaim popped entries. Without dead-prefix compaction the
-  // run buffer grew by every burst for the lifetime of the simulator;
-  // with it, the largest run ever materialized stays bounded by the live
-  // set, not the round count.
-  Simulator sim;
-  int fired = 0;
-  for (int round = 0; round < 4000; ++round) {
-    // Descending offsets force the later events below the appended head,
-    // so every burst exercises the spill-fold path on the live sole run.
-    sim.schedule_after(Duration::minutes(8.0), [&] { ++fired; });
-    sim.schedule_after(Duration::minutes(4.0), [&] { ++fired; });
-    sim.schedule_after(Duration::minutes(2.0), [&] { ++fired; });
-    sim.schedule_after(Duration::minutes(1.0), [&] { ++fired; });
-    sim.run();
-  }
-  EXPECT_EQ(fired, 4 * 4000);
-  EXPECT_LT(sim.queue_stats().max_run_length, 512u);
-}
-
 TEST(Simulator, IdsStayDistinctAcrossHeavyChurn) {
   // Schedule/cancel/fire churn must never produce an id that aliases a
   // live event (the generation-tag contract of the pooled kernel).
@@ -319,8 +296,8 @@ TEST(Simulator, IdsStayDistinctAcrossHeavyChurn) {
 
 // --- reset() equivalence property (ISSUE 9). The episode context leans
 // on reset() between episodes, so a reused kernel must be indistinguishable
-// from a fresh one — same event order AND same queue-maintenance
-// counters, since QueueStats feeds the deterministic metrics export. ---
+// from a fresh one — same event order AND same accounting, since the
+// kernel's counters feed the deterministic metrics export. ---
 
 /// One randomized episode driven against a simulator: schedules bursts of
 /// events (some at equal timestamps, some chained from callbacks), cancels
@@ -361,7 +338,7 @@ std::vector<std::string> random_episode(Simulator& sim, Rng rng) {
     for (const auto id : ids) {
       if (rng.bernoulli(0.25)) sim.cancel(id);
     }
-    // Fire part of the timeline before the next scheduling burst so spills
+    // Fire part of the timeline before the next scheduling burst so bursts
     // land both on an empty queue and mid-drain.
     sim.run_until(TimePoint::at(
         Duration::seconds(sim.now().since_origin().to_seconds() +
@@ -374,7 +351,7 @@ std::vector<std::string> random_episode(Simulator& sim, Rng rng) {
 TEST(Simulator, ResetEquivalentToFreshAcrossRandomizedCycles) {
   // One long-lived simulator is reset between randomized episodes; each
   // episode must replay what a fresh simulator produces — same fired-event
-  // log, same clock, same QueueStats (reset zeroes the counters, so a
+  // log, same clock, same accounting (reset zeroes the counters, so a
   // reused kernel's telemetry is a pure function of the episode, not of
   // how many episodes came before — the metrics-determinism contract).
   Simulator reused;
@@ -387,14 +364,6 @@ TEST(Simulator, ResetEquivalentToFreshAcrossRandomizedCycles) {
     EXPECT_EQ(reused.now().since_origin().to_seconds(),
               fresh.now().since_origin().to_seconds())
         << "cycle " << cycle;
-
-    const QueueStats& fs = fresh.queue_stats();
-    const QueueStats& rs = reused.queue_stats();
-    EXPECT_EQ(rs.runs_created, fs.runs_created) << "cycle " << cycle;
-    EXPECT_EQ(rs.run_merges, fs.run_merges) << "cycle " << cycle;
-    EXPECT_EQ(rs.tombstones_purged, fs.tombstones_purged) << "cycle " << cycle;
-    EXPECT_EQ(rs.spill_folds, fs.spill_folds) << "cycle " << cycle;
-    EXPECT_EQ(rs.max_run_length, fs.max_run_length) << "cycle " << cycle;
 
     const SimAccounting fa = fresh.accounting();
     const SimAccounting ra = reused.accounting();

@@ -11,7 +11,7 @@
 //                    [--outage-train PA,PB,UP,DOWN]
 //                    [--check-invariants] [--chaos-sweep]
 //   oaqctl coverage  [--bands 18] [--constellation starlink]
-//   oaqctl trace-summary trace.jsonl [--metrics metrics.json]
+//   oaqctl trace-summary trace.jsonl
 //   oaqctl report    [--trace T] [--metrics M] [--spans S] [--manifest F]
 //                    [--top N] [--json out.json]
 //
@@ -266,6 +266,24 @@ std::optional<FaultPlan> load_fault_plan(
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument("--fault-plan " + path + ": " + e.what());
   }
+}
+
+/// The plan a run arms: nullopt when it has no clause. Shell-relative
+/// clauses are resolved against the --constellation shell layout, and are
+/// an error without one.
+std::optional<FaultPlan> resolve_fault_plan(
+    const std::optional<FaultPlan>& plan,
+    const std::optional<ConstellationChoice>& con) {
+  if (!plan || plan->empty()) return std::nullopt;
+  if (con) return plan->resolve(con->constellation);
+  for (const auto& c : plan->clauses()) {
+    if (c.shell >= 0) {
+      throw std::invalid_argument(
+          "--fault-plan uses shell-relative clauses; pass "
+          "--constellation so they can be resolved");
+    }
+  }
+  return plan;
 }
 
 /// Exact-arity comma-separated numeric flag value ("0,1,4.0,2.0,0.95").
@@ -652,22 +670,8 @@ int cmd_simulate(const Args& args) {
   const bool chaos_sweep = args.flag("chaos-sweep");
   args.reject_unread("simulate");
   if (chaos_sweep) return run_chaos_sweep(cfg, plan);
-  std::optional<FaultPlan> resolved;
-  if (plan && !plan->empty()) {
-    if (con) {
-      resolved = plan->resolve(con->constellation);
-    } else {
-      for (const auto& c : plan->clauses()) {
-        if (c.shell >= 0) {
-          throw std::invalid_argument(
-              "--fault-plan uses shell-relative clauses; pass "
-              "--constellation so they can be resolved");
-        }
-      }
-      resolved = *plan;
-    }
-    cfg.fault_plan = &*resolved;
-  }
+  const auto resolved = resolve_fault_plan(plan, con);
+  if (resolved) cfg.fault_plan = &*resolved;
   cfg.check_invariants = cfg.check_invariants || cfg.fault_plan != nullptr;
 
   cfg.trace = obs.trace_ptr();
@@ -751,22 +755,8 @@ int cmd_campaign(const Args& args) {
   // expand over the whole horizon.
   auto plan = load_fault_plan(args, cfg.horizon);
   append_stochastic_clauses(args, plan, cfg.horizon);
-  std::optional<FaultPlan> resolved;
-  if (plan && !plan->empty()) {
-    if (con) {
-      resolved = plan->resolve(con->constellation);
-    } else {
-      for (const auto& c : plan->clauses()) {
-        if (c.shell >= 0) {
-          throw std::invalid_argument(
-              "--fault-plan uses shell-relative clauses; pass "
-              "--constellation so they can be resolved");
-        }
-      }
-      resolved = *plan;
-    }
-    cfg.fault_plan = &*resolved;
-  }
+  const auto resolved = resolve_fault_plan(plan, con);
+  if (resolved) cfg.fault_plan = &*resolved;
   cfg.check_invariants =
       args.flag("check-invariants") || cfg.fault_plan != nullptr;
 
@@ -856,10 +846,9 @@ std::optional<std::string> slurp(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// The one --metrics reader of trace-summary and report. Nullopt, after an
-/// error naming the file, unless the file parses, declares
-/// "schema":"oaq-metrics-v2" (older files had flag-dependent key sets) and
-/// holds its counters and stats objects.
+/// The --metrics reader of report. Nullopt, after an error naming the
+/// file, unless the file parses, declares the current kMetricsSchema (older
+/// files had other key sets) and holds its counters and stats objects.
 std::optional<MiniJson> load_metrics(const std::string& path) {
   const auto text = slurp(path);
   if (!text) {
@@ -872,50 +861,13 @@ std::optional<MiniJson> load_metrics(const std::string& path) {
     return v != nullptr && v->is_object();
   };
   const MiniJson* schema = doc ? doc->find("schema") : nullptr;
-  if (schema == nullptr || schema->text != "oaq-metrics-v2" ||
+  if (schema == nullptr || schema->text != kMetricsSchema ||
       !member_is_object("counters") || !member_is_object("stats")) {
-    std::cerr << "error: " << path
-              << " is not an oaq-metrics-v2 metrics file\n";
+    std::cerr << "error: " << path << " is not an " << kMetricsSchema
+              << " metrics file\n";
     return std::nullopt;
   }
   return doc;
-}
-
-/// Counter of a loaded metrics file (0 when absent).
-long long metrics_counter(const MiniJson& metrics, std::string_view key) {
-  const MiniJson* v = metrics.find("counters")->find(key);
-  return v != nullptr ? static_cast<long long>(v->number) : 0;
-}
-
-/// Print the DES ready-queue telemetry of a loaded metrics file (the
-/// sim.queue.* keys, present in every oaq-metrics-v2 file); trace-summary
-/// and report share the table.
-void print_queue_telemetry(const MiniJson& metrics,
-                           const std::string& metrics_path) {
-  const MiniJson* run_length =
-      metrics.find("stats")->find("sim.queue.max_run_length");
-  const MiniJson* max_run =
-      run_length != nullptr ? run_length->find("max") : nullptr;
-  const long long purged =
-      metrics_counter(metrics, "sim.queue.tombstones_purged");
-  // Share of ready-queue entries that died as tombstones instead of
-  // firing: purged / (purged + processed events).
-  const auto fired =
-      static_cast<double>(metrics_counter(metrics, "sim.events"));
-  const auto dead = static_cast<double>(purged);
-  const double ratio = dead + fired > 0.0 ? dead / (dead + fired) : 0.0;
-  TablePrinter table({"ready-queue metric", "value"}, 4);
-  table.add_row({std::string("runs created"),
-                 metrics_counter(metrics, "sim.queue.runs_created")});
-  table.add_row({std::string("run merges"),
-                 metrics_counter(metrics, "sim.queue.run_merges")});
-  table.add_row({std::string("tombstones purged"), purged});
-  table.add_row({std::string("tombstone purge ratio"), ratio});
-  table.add_row({std::string("max run length"),
-                 static_cast<long long>(
-                     max_run != nullptr ? max_run->number : 0.0)});
-  std::cout << "DES ready-queue telemetry (" << metrics_path << "):\n";
-  table.print(std::cout);
 }
 
 /// `counts[key]`, or 0 when the key is absent.
@@ -925,16 +877,9 @@ long long count_of(const std::map<std::string, std::int64_t>& counts,
   return it == counts.end() ? 0 : it->second;
 }
 
-/// `oaqctl trace-summary trace.jsonl [--metrics metrics.json]` —
-/// termination-cause × chain-length table over a JSONL trace written by
-/// --trace, plus the ready-queue telemetry of a --metrics file when given.
-int cmd_trace_summary(const std::string& path,
-                      const std::string& metrics_path) {
-  std::optional<MiniJson> metrics;
-  if (!metrics_path.empty()) {
-    metrics = load_metrics(metrics_path);
-    if (!metrics) return 1;
-  }
+/// `oaqctl trace-summary trace.jsonl` — termination-cause × chain-length
+/// table over a JSONL trace written by --trace.
+int cmd_trace_summary(const std::string& path) {
   std::ifstream is(path);
   if (!is.good()) {
     std::cerr << "error: cannot open trace file: " << path << '\n';
@@ -966,7 +911,6 @@ int cmd_trace_summary(const std::string& path,
   }
   if (summary.termination.empty()) {
     std::cout << "no termination events\n";
-    if (metrics) print_queue_telemetry(*metrics, metrics_path);
     return 0;
   }
 
@@ -974,25 +918,27 @@ int cmd_trace_summary(const std::string& path,
   for (int chain = 0; chain <= summary.max_chain; ++chain) {
     headers.push_back("n=" + std::to_string(chain));
   }
-  headers.emplace_back("total");
+  headers.emplace_back("events");
+  headers.emplace_back("episodes");
   headers.emplace_back("drops");
   TablePrinter table(headers, 0);
   for (const auto& [cause, by_chain] : summary.termination) {
     std::vector<Cell> row{cause};
-    long long total = 0;
+    long long events = 0;
     for (int chain = 0; chain <= summary.max_chain; ++chain) {
       const auto it = by_chain.find(chain);
       const long long count = it == by_chain.end() ? 0 : it->second;
       row.emplace_back(count);
-      total += count;
+      events += count;
     }
-    row.emplace_back(total);
-    // Crosslink drops in episodes whose first termination had this cause.
+    row.emplace_back(events);
+    // The episodes whose first termination had this cause, and their
+    // crosslink drops; `events` counts every term_* event of the cause.
+    row.emplace_back(count_of(summary.episodes_by_cause, cause));
     row.emplace_back(count_of(summary.drops_by_cause, cause));
     table.add_row(row);
   }
   table.print(std::cout);
-  if (metrics) print_queue_telemetry(*metrics, metrics_path);
   return 0;
 }
 
@@ -1094,7 +1040,7 @@ std::vector<SpanEntry> parse_spans(const std::string& text) {
 /// single human report (and optionally one oaq-report-v1 JSON document):
 /// manifest identity, detection→alert latency percentiles, termination
 /// cause × chain × drops attribution, top-k spans by inclusive wall time,
-/// and the DES ready-queue telemetry.
+/// and the DES kernel metrics.
 int cmd_report(const Args& args) {
   const std::string trace_path = args.str("trace");
   const std::string metrics_path = args.str("metrics");
@@ -1235,8 +1181,29 @@ int cmd_report(const Args& args) {
     }
   }
 
-  // --- Metrics: DES ready-queue telemetry. ---
-  if (metrics) print_queue_telemetry(*metrics, metrics_path);
+  // --- Metrics: DES events processed and the pending-event high water
+  // per episode (replication). ---
+  double sim_events = 0.0;
+  double peak_mean = 0.0;
+  double peak_max = 0.0;
+  if (metrics) {
+    const auto number = [](const MiniJson* v) {
+      return v != nullptr ? v->number : 0.0;
+    };
+    sim_events = number(metrics->find("counters")->find("sim.events"));
+    if (const MiniJson* peak =
+            metrics->find("stats")->find("sim.peak_pending")) {
+      peak_mean = number(peak->find("mean"));
+      peak_max = number(peak->find("max"));
+    }
+    TablePrinter table({"DES kernel metric", "value"}, 4);
+    table.add_row({std::string("events"), static_cast<long long>(sim_events)});
+    table.add_row({std::string("peak pending mean"), peak_mean});
+    table.add_row({std::string("peak pending max"),
+                   static_cast<long long>(peak_max)});
+    std::cout << "DES kernel (" << metrics_path << "):\n";
+    table.print(std::cout);
+  }
 
   // --- Optional consolidated JSON document. ---
   if (!json_path.empty()) {
@@ -1300,17 +1267,13 @@ int cmd_report(const Args& args) {
     }
     os << "],\"queue\":";
     if (metrics) {
-      os << "{";
-      bool first_counter = true;
-      for (const auto& [key, value] : metrics->find("counters")->object) {
-        if (key.rfind("sim.queue.", 0) != 0 && key != "sim.events") continue;
-        os << (first_counter ? "" : ",");
-        write_json_string(os, key);
-        os << ":";
-        write_json_double(os, value.number);
-        first_counter = false;
-      }
-      os << "}";
+      os << "{\"sim.events\":";
+      write_json_double(os, sim_events);
+      os << ",\"sim.peak_pending\":{\"mean\":";
+      write_json_double(os, peak_mean);
+      os << ",\"max\":";
+      write_json_double(os, peak_max);
+      os << "}}";
     } else {
       os << "null";
     }
@@ -1405,13 +1368,11 @@ int help() {
       "  coverage [--bands N] [--constellation C]      coverage by latitude\n"
       "  constellation [--constellation C] [--out F]   shell layout +\n"
       "           canonical round-trip file of a preset or shell file\n"
-      "  trace-summary FILE.jsonl [--metrics FILE.json]\n"
-      "           termination-cause x chain table; with --metrics also the\n"
-      "           DES ready-queue telemetry (runs, merges, purge ratio)\n"
+      "  trace-summary FILE.jsonl   termination-cause x chain table\n"
       "  report   [--trace T] [--metrics M] [--spans S] [--manifest F]\n"
       "           [--top N] [--json OUT]   one consolidated run report:\n"
       "           manifest identity, latency percentiles, cause x drops,\n"
-      "           top spans, queue telemetry\n"
+      "           top spans, DES kernel metrics\n"
       "           (oaq-report-v1 JSON via --json)\n"
       "Monte-Carlo commands run on all cores by default; --jobs N (or the\n"
       "OAQ_JOBS env var) overrides, --jobs 1 is the serial path. Results\n"
@@ -1426,7 +1387,7 @@ int help() {
       "layout.\n"
       "Observability (simulate & campaign): --trace FILE writes protocol\n"
       "events as JSONL (bit-identical for any --jobs), --metrics FILE\n"
-      "writes the run metrics as oaq-metrics-v2 JSON (one fixed key set\n"
+      "writes the run metrics as oaq-metrics-v3 JSON (one fixed key set\n"
       "per command; tools/README.md), --spans FILE writes the\n"
       "hierarchical span profile as Chrome/Perfetto trace JSON, --profile\n"
       "prints a BENCH_JSON line with per-shard wall times. Any file sink\n"
@@ -1459,14 +1420,12 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "trace-summary") {
       if (argc < 3) {
-        std::cerr << "usage: oaqctl trace-summary FILE.jsonl"
-                     " [--metrics FILE.json]\n";
+        std::cerr << "usage: oaqctl trace-summary FILE.jsonl\n";
         return 1;
       }
       const Args args(argc, argv, 3);
-      const std::string metrics = args.str("metrics");
       args.reject_unread("trace-summary");
-      return cmd_trace_summary(argv[2], metrics);
+      return cmd_trace_summary(argv[2]);
     }
     const Args args(argc, argv, 2);
     if (cmd == "qos") return cmd_qos(args);
