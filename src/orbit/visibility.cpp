@@ -43,6 +43,31 @@ double subsatellite_rate_bound(const Orbit& orbit, bool earth_rotation) {
   return rate;
 }
 
+bool plane_may_cover(const Orbit& orbit, const Vec3& target_unit, double psi,
+                     bool earth_rotation, Duration t0, Duration t1) {
+  constexpr double kCullMargin = 1e-9;  // rad
+  const KeplerianElements& el = orbit.elements();
+  const double inc = el.inclination_rad;
+  const double sin_inc = std::sin(inc);
+  // Distance from the target to the band of latitudes the plane reaches.
+  double gap = std::asin(std::min(1.0, std::abs(target_unit.z))) -
+               std::min(inc, kPi - inc);
+  if (!earth_rotation) {
+    const Vec3 normal{sin_inc * std::sin(el.raan_rad),
+                      -sin_inc * std::cos(el.raan_rad), std::cos(inc)};
+    double plane_gap =
+        std::asin(std::min(1.0, std::abs(normal.dot(target_unit))));
+    if (orbit.j2_enabled()) {
+      const double horizon =
+          std::max(std::abs(t0.to_seconds()), std::abs(t1.to_seconds()));
+      plane_gap -=
+          std::abs(orbit.j2_secular_rates().raan_rate) * sin_inc * horizon;
+    }
+    gap = std::max(gap, plane_gap);
+  }
+  return gap <= psi + kCullMargin;
+}
+
 void sweep_orbit_passes(const Orbit& orbit, SatelliteId id,
                         const Vec3& target_unit, double footprint_radius_rad,
                         bool earth_rotation, Duration min_step, Duration t0,
@@ -101,14 +126,27 @@ std::vector<Pass> PassPredictor::passes(const GeoPoint& target, Duration t0,
   OAQ_REQUIRE(tol > Duration::zero(), "tolerance must be positive");
   OAQ_REQUIRE(jobs >= 1, "pass sweep needs at least one executor");
   const Vec3 target_unit = geo_to_ecef_unit(target);
-  const int n_planes = constellation_->num_planes();
+  // Planes that may cover the target; the rest have no pass. Every slot
+  // shares its plane's i, Ω and J2 drift, so slot 0 speaks for all.
+  std::vector<int> planes;
+  for (int pi = 0; pi < constellation_->num_planes(); ++pi) {
+    const auto& plane = constellation_->plane(pi);
+    if (plane.active_count() > 0 &&
+        plane_may_cover(
+            plane.orbit_of(0), target_unit,
+            constellation_->footprint_of_plane(pi).angular_radius_rad(),
+            earth_rotation_, t0, t1)) {
+      planes.push_back(pi);
+    }
+  }
+  const int n_tasks = static_cast<int>(planes.size());
 
-  // One task per plane, each appending to its own vector: a sweep is a
-  // pure function of (orbit, target, window), so a plane's passes do not
+  // One task per swept plane, each appending to its own vector: a sweep is
+  // a pure function of (orbit, target, window), so a plane's passes do not
   // depend on which executor swept it.
-  std::vector<std::vector<Pass>> plane_passes(
-      static_cast<std::size_t>(n_planes));
-  const auto sweep_plane = [&](int pi) {
+  std::vector<std::vector<Pass>> plane_passes(planes.size());
+  const auto sweep_plane = [&](int task) {
+    const int pi = planes[static_cast<std::size_t>(task)];
     const auto& plane = constellation_->plane(pi);
     // Per-plane footprint: shells differ in altitude and sensor half-angle
     // (single-shell constellations see the same fp/ψ as before).
@@ -117,20 +155,20 @@ std::vector<Pass> PassPredictor::passes(const GeoPoint& target, Duration t0,
     // Step floor: a footprint transit lasts Tc = θ·ψ/π; 64 samples per
     // transit reliably bracket every crossing.
     const Duration min_step = fp.coverage_time(plane.period()) / 64.0;
-    auto& out = plane_passes[static_cast<std::size_t>(pi)];
+    auto& out = plane_passes[static_cast<std::size_t>(task)];
     for (int slot = 0; slot < plane.active_count(); ++slot) {
       sweep_orbit_passes(plane.orbit_of(slot), SatelliteId{pi, slot},
                          target_unit, psi, earth_rotation_, min_step, t0, t1,
                          tol, out);
     }
   };
-  // At one executor the planes run inline and the process-wide pool is
-  // never created; for_each_shard would run them inline too, but
-  // ThreadPool::global() would spawn its workers first.
-  if (jobs == 1) {
-    for (int pi = 0; pi < n_planes; ++pi) sweep_plane(pi);
+  // At one executor (or at most one plane) the planes run inline and the
+  // process-wide pool is never created; for_each_shard would run them
+  // inline too, but ThreadPool::global() would spawn its workers first.
+  if (jobs == 1 || n_tasks <= 1) {
+    for (int task = 0; task < n_tasks; ++task) sweep_plane(task);
   } else {
-    ThreadPool::global().for_each_shard(n_planes, jobs, sweep_plane);
+    ThreadPool::global().for_each_shard(n_tasks, jobs, sweep_plane);
   }
 
   std::size_t total = 0;

@@ -77,6 +77,27 @@ void sweep_orbit_passes(const Orbit& orbit, SatelliteId id,
                         bool earth_rotation, Duration min_step, Duration t0,
                         Duration t1, Duration tol, std::vector<Pass>& out);
 
+/// Whether any satellite sharing `orbit`'s plane may cover the target
+/// direction `target_unit` (ECEF unit vector) with a footprint of angular
+/// radius `psi` at some time in [t0, t1]. false means provably never: the
+/// test reads only the plane (inclination i, node Ω, J2 node drift Ω̇,
+/// elements at epoch 0), never the in-plane phase, so it holds for every
+/// slot of an OrbitalPlane, and its bounds hold at any eccentricity. It
+/// culls when the target lies more than psi + 1e-9 rad from every point a
+/// satellite can reach:
+///  - any case: the latitude band |lat| ≤ min(i, π − i), since
+///    |sin lat| ≤ sin i on every orbit of the plane and neither J2 nor
+///    Earth rotation changes i;
+///  - no Earth rotation: the plane's great circle, at asin|n̂·t̂| from the
+///    target, n̂ = (sin i sin Ω, −sin i cos Ω, cos i); with J2, n̂ turns
+///    about the pole, moving at most |Ω̇|·sin i·max(|t0|, |t1|), and that
+///    much is taken off the distance.
+/// The 1e-9 rad margin dwarfs the rounding of coverage_margin, so a plane
+/// that grazes the footprint edge is kept.
+[[nodiscard]] bool plane_may_cover(const Orbit& orbit, const Vec3& target_unit,
+                                   double psi, bool earth_rotation,
+                                   Duration t0, Duration t1);
+
 /// Predicts satellite passes over ground points for a constellation.
 class PassPredictor {
  public:
@@ -90,7 +111,10 @@ class PassPredictor {
 
   /// All passes over `target` within [t0, t1], sorted by start time, then
   /// by satellite (plane, slot): sweep_orbit_passes for every active
-  /// satellite, with a step floor of Tc/64 of its plane.
+  /// satellite of each plane that plane_may_cover admits at the plane's
+  /// own footprint radius, with a step floor of Tc/64 of its plane. The
+  /// planes it rejects provably have no pass, so the table is the one a
+  /// sweep of every satellite gives, bit for bit.
   /// Boundary crossings are refined to `tol` by bisection/Brent.
   /// The planes are swept as independent tasks on up to `jobs` executors
   /// of ThreadPool::global() (the caller is one of them); `jobs` == 1
