@@ -114,8 +114,13 @@ double integrate_gauss(const Integrand& f, double a, double b, int order) {
 }
 
 double find_root(const Integrand& f, double a, double b, double tol) {
-  double fa = f(a);
-  double fb = f(b);
+  const double fa = f(a);
+  const double fb = f(b);
+  return find_root(f, a, b, fa, fb, tol);
+}
+
+double find_root(const Integrand& f, double a, double b, double fa, double fb,
+                 double tol) {
   OAQ_REQUIRE(fa * fb <= 0.0, "find_root requires a bracketing interval");
   if (fa == 0.0) return a;
   if (fb == 0.0) return b;

@@ -30,6 +30,12 @@ using Integrand = std::function<double(double)>;
 [[nodiscard]] double find_root(const Integrand& f, double a, double b,
                                double tol = 1e-12);
 
+/// The same root find for a caller that already holds `fa` = f(a) and
+/// `fb` = f(b): `f` is not evaluated at the endpoints again. Returns
+/// find_root(f, a, b, tol) bit for bit when `f` is a pure function.
+[[nodiscard]] double find_root(const Integrand& f, double a, double b,
+                               double fa, double fb, double tol);
+
 /// `n` evenly spaced points from `lo` to `hi` inclusive (n >= 2).
 [[nodiscard]] std::vector<double> linspace(double lo, double hi, int n);
 

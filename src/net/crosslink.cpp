@@ -76,6 +76,7 @@ void CrosslinkNetwork::register_node(const Address& node, Handler handler) {
 
 void CrosslinkNetwork::fail_silent(const Address& node) {
   ensure(node).failed = true;
+  any_failed_ = true;
 }
 
 void CrosslinkNetwork::recover(const Address& node) {
@@ -405,9 +406,12 @@ void CrosslinkNetwork::reset(Rng rng) {
   trace_ = nullptr;
   trace_episode_ = -1;
   ledger_ = nullptr;
-  ground_.failed = false;
-  for (auto& ring : sats_) {
-    for (auto& state : ring) state.failed = false;
+  if (any_failed_) {
+    ground_.failed = false;
+    for (auto& ring : sats_) {
+      for (auto& state : ring) state.failed = false;
+    }
+    any_failed_ = false;
   }
   partitions_.clear();
   loss_overrides_.clear();

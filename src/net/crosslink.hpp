@@ -342,6 +342,7 @@ class CrosslinkNetwork {
   Rng rng_;
   NodeState ground_;
   std::vector<std::vector<NodeState>> sats_;  ///< [plane][slot]
+  bool any_failed_ = false;  ///< any fail_silent() since reset
   std::vector<Envelope> pool_;                ///< in-flight envelope slab
   std::vector<std::uint32_t> free_slots_;
   NetworkStats stats_;

@@ -187,6 +187,9 @@ bool EpisodeContext::arm_target(int target_id, const Rng& stream,
   // An escaped signal schedules nothing (paper §2, worst case).
   if (!target.episode.arm(signal_start, signal_duration)) return false;
   ++armed_;
+  // Handlers survive reset(), so once every satellite the schedule can
+  // name has one, no horizon holds an unregistered satellite.
+  if (registered_satellites_ == schedule_->satellite_count()) return true;
   for (const Pass& p : target.episode.horizon()) {
     const SatelliteId id = p.satellite;
     if (net_.has_handler(Address::sat(id))) continue;
@@ -195,6 +198,7 @@ bool EpisodeContext::arm_target(int target_id, const Rng& stream,
         targets_[i]->episode.handle_satellite_message(id, env);
       }
     });
+    ++registered_satellites_;
   }
   return true;
 }

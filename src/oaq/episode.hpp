@@ -226,7 +226,9 @@ class ComputeCalendar {
 /// id). No protocol message ever targets a satellite outside its own
 /// target's horizon, so registrations left over from earlier runs are
 /// unreachable, and a reused context is observationally identical to a
-/// fresh one.
+/// fresh one. Once every satellite of the schedule
+/// (CoverageSchedule::satellite_count) is registered, arming skips the
+/// horizon scan.
 class EpisodeContext {
  public:
   /// All referenced objects must outlive the context. `plan` (nullable; an
@@ -283,6 +285,11 @@ class EpisodeContext {
   [[nodiscard]] const EpisodeResult& target_result(int i) const;
   [[nodiscard]] int target_id(int i) const;
 
+  /// Satellite handlers registered so far (they survive reset()).
+  [[nodiscard]] int registered_satellites() const {
+    return registered_satellites_;
+  }
+
   /// Audit the kernel's event balance under the run's trace episode.
   void audit_kernel(InvariantChecker& invariants) const;
 
@@ -314,6 +321,7 @@ class EpisodeContext {
   /// across runs, at stable addresses.
   std::vector<std::unique_ptr<Target>> targets_;
   int armed_ = 0;
+  int registered_satellites_ = 0;
   /// Reused stochastic-clause expander: repeated arms allocate nothing.
   FaultProcessExpander expander_;
   std::optional<FaultInjector> injector_;

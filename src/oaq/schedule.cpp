@@ -74,6 +74,10 @@ void GeometricSchedule::passes_into(Duration from, Duration to,
   out = passes(from, to);
 }
 
+int GeometricSchedule::satellite_count() const {
+  return cache_ != nullptr ? cache_->satellite_count() : -1;
+}
+
 Duration visibility_quantum(Duration latest_start, Duration tau) {
   return latest_start + tau + Duration::hours(2);
 }

@@ -40,6 +40,11 @@ class CoverageSchedule {
                            std::vector<Pass>& out) const {
     out = passes(from, to);
   }
+
+  /// Number of distinct satellites passes() can ever name, or -1 when
+  /// unknown. Lets the episode context stop looking for unregistered
+  /// satellites once it has registered them all.
+  [[nodiscard]] virtual int satellite_count() const { return -1; }
 };
 
 /// Timing-diagram schedule for one plane and a centerline target.
@@ -54,6 +59,9 @@ class AnalyticSchedule final : public CoverageSchedule {
 
   void passes_into(Duration from, Duration to,
                    std::vector<Pass>& out) const override;
+
+  /// The k slots of plane 0.
+  [[nodiscard]] int satellite_count() const override { return k_; }
 
   [[nodiscard]] const PlaneGeometry& geometry() const { return geometry_; }
   [[nodiscard]] int k() const { return k_; }
@@ -89,6 +97,10 @@ class GeometricSchedule final : public CoverageSchedule {
   /// capacity); the uncached predictor variant delegates to passes().
   void passes_into(Duration from, Duration to,
                    std::vector<Pass>& out) const override;
+
+  /// The seeded table's distinct satellites when backed by the cache;
+  /// -1 (unknown) for the uncached predictor variant.
+  [[nodiscard]] int satellite_count() const override;
 
  private:
   const Constellation* constellation_ = nullptr;

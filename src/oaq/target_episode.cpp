@@ -53,7 +53,8 @@ const std::vector<Pass>& TargetEpisode::covering(TimePoint t) {
   covering_scratch_.clear();
   const Duration d = t.since_origin();
   for (const auto& p : passes_) {
-    if (p.start <= d && d < p.end) covering_scratch_.push_back(p);
+    if (p.start > d) break;  // so does every later pass
+    if (d < p.end) covering_scratch_.push_back(p);
   }
   return covering_scratch_;
 }
@@ -87,20 +88,25 @@ void TargetEpisode::reset_for(int target_id, Rng& rng,
 }
 
 std::optional<Pass> TargetEpisode::next_pass_after(Duration after) const {
-  for (const auto& p : passes_) {
-    if (p.start <= after) continue;
-    if (known_failed_ != nullptr && known_failed_->contains(p.satellite)) {
+  const auto first =
+      std::partition_point(passes_.begin(), passes_.end(),
+                           [after](const Pass& p) { return p.start <= after; });
+  for (auto it = first; it != passes_.end(); ++it) {
+    if (known_failed_ != nullptr && known_failed_->contains(it->satellite)) {
       continue;
     }
-    return p;
+    return *it;
   }
   return std::nullopt;
 }
 
 std::optional<Pass> TargetEpisode::next_pass_of(SatelliteId sat,
                                                 Duration after) const {
-  for (const auto& p : passes_) {
-    if (p.satellite == sat && p.start >= after) return p;
+  const auto first =
+      std::partition_point(passes_.begin(), passes_.end(),
+                           [after](const Pass& p) { return p.start < after; });
+  for (auto it = first; it != passes_.end(); ++it) {
+    if (it->satellite == sat) return *it;
   }
   return std::nullopt;
 }

@@ -140,6 +140,8 @@ class TargetEpisode {
   TimePoint sig_end_{};
   TimePoint t0_{};
   TimePoint deadline_{};
+  /// The armed horizon, sorted by start (CoverageSchedule's contract), so
+  /// the pass scans stop at, or binary-search, a bound on start.
   std::vector<Pass> passes_;
   /// Agents sorted by satellite id — the map it replaces iterated in key
   /// order, which finalize() relies on. Materialized lazily on first

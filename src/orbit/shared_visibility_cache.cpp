@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 
 #include "common/error.hpp"
 
@@ -31,6 +32,18 @@ void SharedVisibilityCache::seed_window(const GeoPoint& target, Duration from,
   passes_ = PassPredictor(*constellation_, earth_rotation_)
                 .passes(target, from_, to_, PassPredictor::kDefaultTolerance,
                         jobs);
+  max_end_.clear();
+  max_end_.reserve(passes_.size());
+  std::vector<SatelliteId> ids;
+  ids.reserve(passes_.size());
+  for (const Pass& p : passes_) {
+    max_end_.push_back(max_end_.empty() ? p.end
+                                        : std::max(max_end_.back(), p.end));
+    ids.push_back(p.satellite);
+  }
+  std::sort(ids.begin(), ids.end());
+  satellite_count_ = static_cast<int>(
+      std::unique(ids.begin(), ids.end()) - ids.begin());
   seeded_ = true;
 }
 
@@ -61,7 +74,14 @@ void SharedVisibilityCache::passes_window_into(const GeoPoint& target,
     ++stats->pass_queries;
     ++stats->pass_hits;
   }
-  for (const Pass& p : passes_) {
+  // Every pass before the first running-max end past `f` ends at or
+  // before `f`, so the clip below would skip it: starting there yields
+  // the same passes in the same order. (A pass that starts before `f`
+  // may still straddle it, so the start cannot be searched on instead.)
+  const auto first = std::partition_point(
+      max_end_.begin(), max_end_.end(), [f](Duration e) { return e <= f; });
+  const auto skip = static_cast<std::size_t>(first - max_end_.begin());
+  for (const Pass& p : std::span(passes_).subspan(skip)) {
     if (p.start >= to) break;  // the table is sorted by start
     if (p.end <= f) continue;
     out.push_back({p.satellite, std::max(p.start, f), std::min(p.end, to)});
@@ -79,6 +99,11 @@ std::vector<Pass> SharedVisibilityCache::passes_window(
 std::size_t SharedVisibilityCache::frozen_entries() const {
   OAQ_REQUIRE(frozen_, "frozen_entries before freeze");
   return seeded_ ? 1 : 0;
+}
+
+int SharedVisibilityCache::satellite_count() const {
+  OAQ_REQUIRE(seeded_, "satellite_count before seed_window");
+  return satellite_count_;
 }
 
 }  // namespace oaq

@@ -19,7 +19,10 @@
 //      threads then query it without locks and — via passes_window_into()
 //      — without allocating in the steady state. A query clips the table
 //      to its window, so its result is a pure function of the request and
-//      sharded runs stay bit-identical for any worker count. A query for
+//      sharded runs stay bit-identical for any worker count. It starts at
+//      the first pass whose running maximum of `end` passes the window's
+//      start (a binary search; every earlier pass ends before the window),
+//      so its cost is O(log n + window), not O(n). A query for
 //      another target, or whose window leaves the seeded one, is a
 //      precondition error: the engines size their quantum so the seeded
 //      window covers every episode window of the run.
@@ -98,6 +101,10 @@ class SharedVisibilityCache {
   /// frozen().
   [[nodiscard]] std::size_t frozen_entries() const;
 
+  /// Distinct satellites in the seeded table: an upper bound on the
+  /// satellites any query can name. Requires a seeded table.
+  [[nodiscard]] int satellite_count() const;
+
  private:
   const Constellation* constellation_;
   bool earth_rotation_;
@@ -107,7 +114,11 @@ class SharedVisibilityCache {
   GeoPoint target_{};
   Duration from_{};  ///< seeded window, quantum-aligned
   Duration to_{};
-  std::vector<Pass> passes_;
+  std::vector<Pass> passes_;  ///< sorted by (start, satellite)
+  /// max_end_[i] = max(passes_[0..i].end): nondecreasing, so the first
+  /// pass a query can keep is found by binary search.
+  std::vector<Duration> max_end_;
+  int satellite_count_ = 0;
 };
 
 }  // namespace oaq

@@ -77,7 +77,7 @@ void sweep_orbit_passes(const Orbit& orbit, SatelliteId id,
   OAQ_REQUIRE(tol > Duration::zero(), "tolerance must be positive");
   // The sweep and the root refinement evaluate this one function, so
   // bracket endpoints agree bitwise and find_root's sign precondition
-  // always holds.
+  // always holds; the refinement reuses the sweep's endpoint margins.
   auto margin = [&](double t_sec) {
     return coverage_margin(orbit, target_unit, footprint_radius_rad,
                            earth_rotation, Duration::seconds(t_sec));
@@ -102,9 +102,9 @@ void sweep_orbit_passes(const Orbit& orbit, SatelliteId id,
         std::min(t + std::max(floor_step, std::abs(m) / rate), end);
     const double m_next = margin(t_next);
     if (m <= 0.0 && m_next > 0.0) {
-      pass_start = find_root(margin, t, t_next, tol_s);
+      pass_start = find_root(margin, t, t_next, m, m_next, tol_s);
     } else if (m > 0.0 && m_next <= 0.0) {
-      const double pass_end = find_root(margin, t, t_next, tol_s);
+      const double pass_end = find_root(margin, t, t_next, m, m_next, tol_s);
       OAQ_ENSURE(pass_start >= 0.0, "pass end without start");
       out.push_back({id, Duration::seconds(pass_start),
                      Duration::seconds(pass_end)});

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
@@ -66,6 +70,42 @@ TEST(FindRoot, SimpleTranscendental) {
 TEST(FindRoot, ExactEndpoint) {
   const auto f = [](double x) { return x - 2.0; };
   EXPECT_DOUBLE_EQ(find_root(f, 2.0, 5.0), 2.0);
+}
+
+TEST(FindRoot, KnownEndpointValuesMatchBitwise) {
+  // Handing in f(a) and f(b) skips two evaluations and nothing else: the
+  // root is the four-argument form's, bit for bit, on brackets that take
+  // interpolation, bisection, an exact endpoint and a reversed interval.
+  struct Bracket {
+    std::function<double(double)> f;
+    double a, b, tol;
+  };
+  const std::vector<Bracket> brackets = {
+      {[](double x) { return std::cos(x) - x; }, 0.0, 1.0, 1e-12},
+      {[](double x) { return x * x * x - 2.0 * x - 5.0; }, 2.0, 3.0, 1e-9},
+      {[](double x) { return std::tanh(50.0 * (x - 0.3)); }, -1.0, 2.0, 1e-12},
+      {[](double x) { return x - 2.0; }, 2.0, 5.0, 1e-12},
+      {[](double x) { return std::exp(-x) - 0.5; }, 3.0, 0.0, 1e-6},
+  };
+  for (const Bracket& br : brackets) {
+    int calls = 0;
+    const Integrand counted = [&](double x) {
+      ++calls;
+      return br.f(x);
+    };
+    const double want = find_root(counted, br.a, br.b, br.tol);
+    const int want_calls = calls;
+    calls = 0;
+    const double got =
+        find_root(counted, br.a, br.b, br.f(br.a), br.f(br.b), br.tol);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "[" << br.a << ", " << br.b << "]";
+    EXPECT_EQ(calls, want_calls - 2) << "[" << br.a << ", " << br.b << "]";
+  }
+  const auto g = [](double x) { return x * x + 1.0; };
+  EXPECT_THROW((void)find_root(g, -1.0, 1.0, g(-1.0), g(1.0), 1e-12),
+               PreconditionError);
 }
 
 TEST(FindRoot, RequiresBracket) {

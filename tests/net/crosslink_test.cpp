@@ -133,6 +133,30 @@ TEST(CrosslinkNetwork, ReregisteringRevivesNode) {
   EXPECT_FALSE(net.has_handler(Address::sat({0, 0})));
   EXPECT_FALSE(net.has_handler(Address::sat({-1, 0})));
   EXPECT_FALSE(net.has_handler(Address::ground()));
+  EXPECT_FALSE(net.is_failed(Address::sat({3, 7})));
+
+  // reset() sweeps the fail-silent flags only after a failure: every
+  // cycle, failed or not, must start with every node live — including
+  // a failure after a reset that had nothing to sweep.
+  const auto g = Address::ground();
+  net.register_node(g, [&](const Envelope&) { ++received; });
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    const bool fail = cycle % 2 == 1;
+    if (fail) {
+      net.fail_silent(b);
+      net.fail_silent(g);
+      EXPECT_TRUE(net.is_failed(b));
+      EXPECT_TRUE(net.is_failed(g));
+    }
+    net.reset(Rng(static_cast<std::uint64_t>(8 + cycle)));
+    EXPECT_FALSE(net.is_failed(b)) << "cycle " << cycle;
+    EXPECT_FALSE(net.is_failed(g)) << "cycle " << cycle;
+    const int before = received;
+    net.send(Address::sat({0, 0}), b, Ping{});
+    net.send(b, g, Ping{});
+    sim.run();
+    EXPECT_EQ(received, before + 2) << "cycle " << cycle;
+  }
 }
 
 TEST(CrosslinkNetwork, RejectsDuplicateRegistrationOfLiveAddress) {

@@ -7,9 +7,12 @@
 // constellation, with and without a stochastic storm over reliable
 // self-healing links, under eccentric duration laws and a scripted fault
 // plan. simulate_qos's shards run that same loop: their analytic trace
-// matches the oracle's, byte for byte, at any worker count.
+// matches the oracle's, byte for byte, at any worker count. A context
+// stops registering handlers at its schedule's satellite count and stays
+// indistinguishable from one that scans every horizon.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -183,6 +186,105 @@ TEST(EpisodeContext, EscapedEpisodeLeavesTheContextReusable) {
                                            Duration::minutes(10));
   EXPECT_TRUE(armed.detected);
   EXPECT_GT(armed.telemetry.sim_events, 0u);
+}
+
+/// Answers like `inner` but reports no satellite count (-1), so a context
+/// over it scans every horizon for unregistered satellites.
+class UncountedSchedule final : public CoverageSchedule {
+ public:
+  explicit UncountedSchedule(const CoverageSchedule& inner) : inner_(&inner) {}
+  [[nodiscard]] std::vector<Pass> passes(Duration from,
+                                         Duration to) const override {
+    return inner_->passes(from, to);
+  }
+  void passes_into(Duration from, Duration to,
+                   std::vector<Pass>& out) const override {
+    inner_->passes_into(from, to, out);
+  }
+
+ private:
+  const CoverageSchedule* inner_;
+};
+
+/// The sequence through one reused context over `schedule`, re-phasing
+/// `analytic` per episode when given; `registered` receives the context's
+/// handler count after each episode.
+oracle::EpisodeOutputs run_recording_handlers(const oracle::Sequence& s,
+                                              const CoverageSchedule& schedule,
+                                              AnalyticSchedule* analytic,
+                                              std::vector<int>& registered) {
+  oracle::EpisodeSinks sinks;
+  EpisodeContext context(schedule, s.protocol, s.oaq, s.plan);
+  oracle::EpisodeOutputs out;
+  for (std::int64_t e = 0; e < s.episodes; ++e) {
+    const oracle::EpisodeDraw d = oracle::draw_episode(s, e);
+    if (analytic != nullptr) {
+      *analytic = AnalyticSchedule(PlaneGeometry{}, s.k, d.phase);
+    }
+    out.results.push_back(context.run(e, d.protocol, d.start, d.duration,
+                                      sinks.trace.shard(0),
+                                      &sinks.invariants, &sinks.ledger));
+    registered.push_back(context.registered_satellites());
+  }
+  sinks.finish(out);
+  return out;
+}
+
+TEST(EpisodeContext, HandlerRegistrationStopsAtTheSatelliteCount) {
+  // Once every satellite of the schedule has a handler, arm_target skips
+  // the horizon scan. The handler count must stop exactly there, early in
+  // the run, and every output must equal a context whose schedule hides
+  // its count and so scans every horizon.
+  // Without Earth rotation every table satellite passes again inside the
+  // run's episode windows (two iridium-next planes cover 45°N 10°E), so
+  // the count is met; with rotation, satellites that pass only in the
+  // table's margins never appear and the scan simply keeps running.
+  const Constellation c = ConstellationBuilder::preset("iridium-next").build();
+  const GeoPoint target = GeoPoint::from_degrees(45.0, 10.0);
+  ProtocolConfig protocol;
+  const Duration quantum =
+      visibility_quantum(kSignalStart + c.max_period(), protocol.tau);
+  SharedVisibilityCache cache(c, /*earth_rotation=*/false, {quantum});
+  cache.seed_window(target, Duration::zero(), quantum);
+  cache.freeze();
+  const GeometricSchedule geometric(cache);
+  AnalyticSchedule analytic(PlaneGeometry{}, 9, Duration::zero());
+  EXPECT_EQ(GeometricSchedule(c, target).satellite_count(), -1);
+
+  for (const bool is_geometric : {true, false}) {
+    const std::string label = is_geometric ? "iridium-next" : "analytic k=9";
+    oracle::Sequence s;
+    s.episodes = 600;
+    s.episode_rng = Rng(20261021).fork(3);
+    s.protocol.computation_cap = s.protocol.tg;
+    if (is_geometric) {
+      s.geometric = &geometric;
+      s.phase_span = c.max_period();
+      s.signal_start = TimePoint::at(kSignalStart);
+    }
+    const CoverageSchedule& counted =
+        is_geometric ? static_cast<const CoverageSchedule&>(geometric)
+                     : analytic;
+    AnalyticSchedule* rephase = is_geometric ? nullptr : &analytic;
+    const int count = counted.satellite_count();
+    EXPECT_EQ(count, is_geometric ? cache.satellite_count() : 9) << label;
+    const UncountedSchedule uncounted(counted);
+    ASSERT_EQ(uncounted.satellite_count(), -1);
+
+    std::vector<int> with_count;
+    std::vector<int> scanning;
+    const oracle::EpisodeOutputs got =
+        run_recording_handlers(s, counted, rephase, with_count);
+    const oracle::EpisodeOutputs want =
+        run_recording_handlers(s, uncounted, rephase, scanning);
+    oracle::expect_same_outputs(got, want, label);
+    EXPECT_EQ(with_count, scanning) << label;
+    const auto full = std::find(with_count.begin(), with_count.end(), count);
+    ASSERT_NE(full, with_count.end()) << label << ": the count was never met";
+    EXPECT_LT(full - with_count.begin(), s.episodes / 4) << label;
+    EXPECT_EQ(*std::max_element(with_count.begin(), with_count.end()), count)
+        << label;
+  }
 }
 
 /// A trace without its leading `"shard":N,` fields: simulate_qos splits

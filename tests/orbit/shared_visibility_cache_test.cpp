@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "orbit/constellation.hpp"
 #include "orbit/constellation_builder.hpp"
 #include "orbit/shared_visibility_cache.hpp"
@@ -93,6 +96,111 @@ TEST(SharedVisibilityCache, MatchesFreshVisibilityCacheExactly) {
   EXPECT_GT(total, 0u);
   EXPECT_EQ(stats.pass_queries, 4u);
   EXPECT_EQ(stats.pass_hits, 4u);
+}
+
+/// The frozen query as a plain scan of the whole table from its first
+/// pass: every pass is visited, so no index can drop one.
+std::vector<Pass> linear_clip(const std::vector<Pass>& table, Duration from,
+                              Duration to) {
+  std::vector<Pass> out;
+  const Duration f = std::max(from, Duration::zero());
+  if (to <= f) return out;
+  for (const Pass& p : table) {
+    if (p.start >= to) break;  // the table is sorted by start
+    if (p.end <= f) continue;
+    out.push_back({p.satellite, std::max(p.start, f), std::min(p.end, to)});
+  }
+  return out;
+}
+
+bool same_bits(const std::vector<Pass>& a, const std::vector<Pass>& b) {
+  const auto bits = [](Duration d) {
+    return std::bit_cast<std::uint64_t>(d.to_seconds());
+  };
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].satellite != b[i].satellite ||
+        bits(a[i].start) != bits(b[i].start) ||
+        bits(a[i].end) != bits(b[i].end)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SharedVisibilityCache, WindowQueryMatchesLinearScan) {
+  // The frozen query starts its scan at a binary search on the running
+  // maximum of pass ends. It must return the linear scan's passes, bit
+  // for bit, for any window: random ones, ones whose start falls inside
+  // the longest pass (which a search on pass starts would cut), windows
+  // that start or end exactly on a pass boundary, and the table's own
+  // bounds 0 and Q.
+  const Duration q = Duration::hours(6);
+  const GeoPoint target = GeoPoint::from_degrees(45.0, 10.0);
+  VisibilityCacheOptions opt;
+  opt.window_quantum = q;
+  for (const auto name : {"starlink", "iridium-next"}) {
+    const Constellation c = ConstellationBuilder::preset(name).build();
+    for (const bool rotation : {false, true}) {
+      const std::string label =
+          std::string(name) + (rotation ? " rotating" : " fixed");
+      SharedVisibilityCache cache(c, rotation, opt);
+      cache.seed_window(target, Duration::zero(), q);
+      cache.freeze();
+      const std::vector<Pass> table =
+          PassPredictor(c, rotation).passes(target, Duration::zero(), q);
+      ASSERT_GT(table.size(), 10u) << label;
+      ASSERT_TRUE(same_bits(cache.passes_window(target, Duration::zero(), q),
+                            table))
+          << label;
+
+      std::vector<std::pair<Duration, Duration>> windows = {
+          {Duration::zero(), q},
+          {Duration::seconds(-30.0), q},
+          {Duration::zero(), Duration::seconds(1e-3)},
+          {q - Duration::seconds(1e-3), q},
+      };
+      const Pass longest = *std::max_element(
+          table.begin(), table.end(), [](const Pass& a, const Pass& b) {
+            return a.duration() < b.duration();
+          });
+      for (const double frac : {1e-9, 0.25, 0.5, 0.999}) {
+        const Duration inside = longest.start + longest.duration() * frac;
+        windows.emplace_back(inside, std::min(inside + Duration::minutes(20), q));
+        windows.emplace_back(inside, longest.end);
+      }
+      Rng rng(20261021);
+      for (int i = 0; i < 200; ++i) {
+        const Pass& p = table[rng.uniform_index(table.size())];
+        const Pass& r = table[rng.uniform_index(table.size())];
+        const Duration span = Duration::minutes(rng.uniform(0.5, 120.0));
+        windows.emplace_back(p.start, std::min(p.start + span, q));
+        if (p.end < q) windows.emplace_back(p.end, std::min(p.end + span, q));
+        if (r.start > p.start) windows.emplace_back(p.start, r.start);
+        if (r.end > p.end) windows.emplace_back(p.end, r.end);
+      }
+      for (int i = 0; i < 2000; ++i) {
+        const double a = rng.uniform(-60.0, q.to_seconds());
+        const double b = rng.uniform(std::max(a, 0.0), q.to_seconds());
+        if (b > a) {
+          windows.emplace_back(Duration::seconds(a), Duration::seconds(b));
+        }
+      }
+
+      std::vector<Pass> got;
+      std::size_t kept = 0;
+      for (const auto& [from, to] : windows) {
+        cache.passes_window_into(target, from, to, got);
+        const std::vector<Pass> want = linear_clip(table, from, to);
+        EXPECT_TRUE(same_bits(got, want))
+            << label << " window [" << from.to_seconds() << ", "
+            << to.to_seconds() << "]: " << got.size() << " passes, want "
+            << want.size();
+        kept += want.size();
+      }
+      EXPECT_GT(kept, windows.size()) << label;
+    }
+  }
 }
 
 TEST(SharedVisibilityCache, EmptyWindowAfterClampReturnsNothing) {
