@@ -16,6 +16,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "oaq/episode.hpp"
+#include "orbit/shared_visibility_cache.hpp"
 
 using namespace oaq;
 
@@ -58,30 +59,38 @@ int main() {
     const auto horizon = Duration::hours(24);
     const auto passes = pred.passes(target, Duration::zero(), horizon);
     const auto timeline =
-        PassPredictor::multiplicity_timeline(passes, Duration::zero(),
-                                             horizon);
+        multiplicity_timeline(passes, Duration::zero(), horizon);
     const auto stats = PassPredictor::summarize(timeline);
     cov.add_row({std::string(v.name), stats.uncovered / stats.horizon,
                  stats.multiple / stats.horizon,
                  stats.longest_gap.to_minutes(),
                  static_cast<long long>(passes.size())});
 
-    // Protocol episodes at regular offsets through the day.
-    const GeometricSchedule sched(c, target, v.rotation);
+    // Protocol episodes at regular offsets through the day, read from a
+    // frozen pass table sized the way the engines size theirs.
     ProtocolConfig cfg;
     cfg.tau = Duration::minutes(5);
     cfg.delta = Duration::seconds(12);
     cfg.tg = Duration::seconds(6);
     cfg.computation_cap = Duration::seconds(6);
+    constexpr int kEpisodes = 80;
+    const auto start_of = [](int e) {
+      return Duration::minutes(10.0 + 17.0 * e);
+    };
+    const Duration quantum =
+        visibility_quantum(start_of(kEpisodes - 1), cfg.tau);
+    SharedVisibilityCache cache(c, v.rotation, {quantum});
+    cache.seed_window(target, Duration::zero(), quantum);
+    cache.freeze();
+    const GeometricSchedule sched(cache);
     EpisodeContext context(sched, cfg, true);
     Rng master(2003);
     int episodes = 0, high = 0, missed = 0;
     RunningStat latency;
-    for (int e = 0; e < 80; ++e) {
-      const auto& r = context.run(
-          e, master.fork(static_cast<std::uint64_t>(e)),
-          TimePoint::at(Duration::minutes(10.0 + 17.0 * e)),
-          Duration::minutes(25));
+    for (int e = 0; e < kEpisodes; ++e) {
+      const auto& r =
+          context.run(e, master.fork(static_cast<std::uint64_t>(e)),
+                      TimePoint::at(start_of(e)), Duration::minutes(25));
       ++episodes;
       high += to_int(r.level) >= 2;
       missed += !r.alert_delivered;

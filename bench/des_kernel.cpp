@@ -1,8 +1,8 @@
 // DES hot-path harness (ISSUE 3 tentpole): old-vs-new kernel throughput,
-// cancel-heavy churn, steady-state allocation counts, cached-vs-uncached
-// visibility queries and the frozen visibility cache's steady-state
-// allocation count. Prints a human table plus BENCH_JSON lines
-// (aggregated into BENCH_3.json by tools/run_bench.sh).
+// cancel-heavy churn, steady-state allocation counts and the frozen
+// visibility cache's steady-state allocation count. Prints a human table
+// plus BENCH_JSON lines (aggregated into BENCH_3.json by
+// tools/run_bench.sh).
 //
 //   des_kernel [events] [rounds]
 #include <chrono>
@@ -15,7 +15,6 @@
 #include "alloc_counter.hpp"
 #include "common/table.hpp"
 #include "legacy_simulator.hpp"
-#include "oaq/schedule.hpp"
 #include "orbit/shared_visibility_cache.hpp"
 #include "sim/simulator.hpp"
 
@@ -131,79 +130,39 @@ double single_run_drain_pops_per_sec(int batch, int rounds) {
   return static_cast<double>(pops) / seconds_since(t0);
 }
 
-struct VisibilityNumbers {
-  double uncached_qps = 0.0;
-  double cached_qps = 0.0;
-  double hit_rate = 0.0;
-  std::uint64_t frozen_steady_state_allocs = 0;
-};
-
-/// Repeated pass queries over jittered sub-windows of a 6-hour horizon —
-/// the Monte-Carlo access pattern — against a fresh PassPredictor per call
-/// (the pre-cache GeometricSchedule behaviour) vs a SharedVisibilityCache
-/// seeded with the horizon and frozen, as the engines use it. The cached
-/// timing includes the one seed sweep. Then counts operator-new calls
-/// across `queries` passes_window_into calls on the frozen cache, after
-/// 16 warm-up calls have grown the output vector to its peak capacity.
-VisibilityNumbers visibility_cached_vs_uncached(int queries) {
+/// Operator-new calls across `queries` passes_window_into calls on a
+/// seeded, frozen SharedVisibilityCache over jittered sub-windows of a
+/// 6-hour horizon (the Monte-Carlo access pattern), after 16 warm-up calls
+/// have grown the output vector to its peak capacity.
+std::uint64_t frozen_cache_steady_state_allocs(int queries) {
   ConstellationDesign d;
   d.num_planes = 1;
   d.sats_per_plane = 10;
   d.inclination_rad = deg2rad(90.0);
   const Constellation c(d);
   const GeoPoint target{0.0, 0.0};
-  const GeometricSchedule uncached(c, target);
   SharedVisibilityCache::Options opt;
   opt.window_quantum = Duration::hours(6);
   SharedVisibilityCache cache(c, false, opt);
-  VisibilityCacheStats stats;
-  const GeometricSchedule cached(cache, &stats);
-
-  VisibilityNumbers out;
-  std::uint64_t salt = 1;
-  const auto window = [&salt] {
-    salt = salt * 2862933555777941757ull + 3037000493ull;
-    const double from_min = static_cast<double>(salt % 180);
-    return std::pair(Duration::minutes(from_min),
-                     Duration::minutes(from_min + 90.0));
-  };
-
-  auto t0 = Clock::now();
-  std::size_t sink = 0;
-  for (int q = 0; q < queries; ++q) {
-    const auto [from, to] = window();
-    sink += uncached.passes(from, to).size();
-  }
-  out.uncached_qps = queries / seconds_since(t0);
-
-  salt = 1;
-  t0 = Clock::now();
   cache.seed_window(target, Duration::zero(), opt.window_quantum);
   cache.freeze();
-  for (int q = 0; q < queries; ++q) {
-    const auto [from, to] = window();
-    sink += cached.passes(from, to).size();
-  }
-  out.cached_qps = queries / seconds_since(t0);
-  out.hit_rate = static_cast<double>(stats.pass_hits) /
-                 static_cast<double>(stats.pass_queries);
 
+  std::uint64_t salt = 1;
   std::vector<Pass> passes;
-  for (int q = 0; q < 16; ++q) {
-    const auto [from, to] = window();
-    cache.passes_window_into(target, from, to, passes);
+  std::size_t sink = 0;
+  const auto query = [&] {
+    salt = salt * 2862933555777941757ull + 3037000493ull;
+    const Duration from = Duration::minutes(static_cast<double>(salt % 180));
+    cache.passes_window_into(target, from, from + Duration::minutes(90.0),
+                             passes);
     sink += passes.size();
-  }
+  };
+  for (int q = 0; q < 16; ++q) query();
   const std::uint64_t allocs_before = benchutil::allocation_count();
-  for (int q = 0; q < queries; ++q) {
-    const auto [from, to] = window();
-    cache.passes_window_into(target, from, to, passes);
-    sink += passes.size();
-  }
-  out.frozen_steady_state_allocs =
-      benchutil::allocation_count() - allocs_before;
+  for (int q = 0; q < queries; ++q) query();
+  const std::uint64_t allocs = benchutil::allocation_count() - allocs_before;
   if (sink == 0) std::abort();  // defeat over-eager optimizers
-  return out;
+  return allocs;
 }
 
 }  // namespace
@@ -234,7 +193,7 @@ int main(int argc, char** argv) {
       single_run_drain_pops_per_sec<legacy::Simulator>(kCancelBatch, rounds);
   const double pooled_drain =
       single_run_drain_pops_per_sec<Simulator>(kCancelBatch, rounds);
-  const VisibilityNumbers vis = visibility_cached_vs_uncached(400);
+  const std::uint64_t frozen_allocs = frozen_cache_steady_state_allocs(400);
 
   TablePrinter table({"workload", "legacy", "pooled", "speedup"}, 2);
   table.add_row({std::string("schedule+fire (ev/s)"), legacy_fire, pooled_fire,
@@ -246,12 +205,8 @@ int main(int argc, char** argv) {
   table.add_row({std::string("steady allocs/event"), legacy_allocs,
                  pooled_allocs, 0.0});
   table.print(std::cout);
-  std::cout << "\nvisibility passes: uncached " << vis.uncached_qps
-            << " q/s, cached " << vis.cached_qps << " q/s (speedup "
-            << vis.cached_qps / vis.uncached_qps << ", hit rate "
-            << vis.hit_rate << ")\n"
-            << "frozen-cache steady-state allocations over 400 queries: "
-            << vis.frozen_steady_state_allocs << "\n";
+  std::cout << "\nfrozen-cache steady-state allocations over 400 queries: "
+            << frozen_allocs << "\n";
 
   std::ostringstream json;
   json << "{\"bench\":\"des_kernel\",\"events\":" << events
@@ -270,12 +225,7 @@ int main(int argc, char** argv) {
 
   std::ostringstream vjson;
   vjson << "{\"bench\":\"visibility_cache\",\"queries\":" << 400
-        << ",\"uncached_queries_per_sec\":" << vis.uncached_qps
-        << ",\"cached_queries_per_sec\":" << vis.cached_qps
-        << ",\"speedup\":" << vis.cached_qps / vis.uncached_qps
-        << ",\"hit_rate\":" << vis.hit_rate
-        << ",\"frozen_steady_state_allocs\":" << vis.frozen_steady_state_allocs
-        << "}";
+        << ",\"frozen_steady_state_allocs\":" << frozen_allocs << "}";
   std::cout << "BENCH_JSON " << vjson.str() << "\n";
 
   // Regression gates (ISSUE 3 acceptance): >= 2x schedule/cancel speedup,
@@ -286,9 +236,9 @@ int main(int argc, char** argv) {
             pooled_cancel >= 2.0 * legacy_cancel && pooled_allocs == 0.0 &&
             pooled_drain >= legacy_drain;
   if (!ok) std::cout << "REGRESSION: acceptance thresholds not met\n";
-  if (vis.frozen_steady_state_allocs != 0) {
-    std::cout << "REGRESSION: frozen cache allocated "
-              << vis.frozen_steady_state_allocs << " times in steady state\n";
+  if (frozen_allocs != 0) {
+    std::cout << "REGRESSION: frozen cache allocated " << frozen_allocs
+              << " times in steady state\n";
     ok = false;
   }
   return ok ? 0 : 1;

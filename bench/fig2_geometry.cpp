@@ -41,7 +41,7 @@ int main() {
     const PassPredictor pred(c);
     const auto passes = pred.passes(GeoPoint{0.0, 0.0}, Duration::zero(),
                                     Duration::minutes(180));
-    const auto timeline = PassPredictor::multiplicity_timeline(
+    const auto timeline = multiplicity_timeline(
         passes, Duration::zero(), Duration::minutes(180));
     const auto stats = PassPredictor::summarize(timeline);
     double tr_emp = 0.0, tc_emp = 0.0;

@@ -104,14 +104,11 @@ void ThreadPool::for_each_shard(int n_shards, int jobs,
                                 const std::function<void(int)>& shard_fn) {
   OAQ_REQUIRE(n_shards > 0, "for_each_shard needs at least one shard");
   OAQ_REQUIRE(jobs >= 1, "for_each_shard needs at least one executor");
-  if (jobs == 1 || n_shards == 1 || size() == 0) {
-    for (int s = 0; s < n_shards; ++s) shard_fn(s);
-    return;
-  }
 
-  // Shared pull state. Helpers enqueued beyond pool capacity simply run
-  // late, find the counter exhausted and return — work never waits on them,
-  // because the caller also pulls until the counter is drained.
+  // Shared pull state. A helper that starts late finds the counter
+  // exhausted and returns — work never waits on one, because the caller
+  // also pulls until the counter is drained. With no helper (one executor,
+  // one shard or no workers) the caller runs every shard itself.
   struct State {
     explicit State(int total_shards, std::function<void(int)> fn)
         : total(total_shards), run(std::move(fn)) {}
@@ -142,13 +139,23 @@ void ThreadPool::for_each_shard(int n_shards, int jobs,
     }
   };
 
-  const int helpers = std::min(jobs - 1, n_shards - 1);
+  const int helpers = std::min({jobs - 1, n_shards - 1, size()});
   for (int h = 0; h < helpers; ++h) submit(pull);
   pull();  // the calling thread is an executor too
 
   std::unique_lock<std::mutex> lock(st->m);
   st->all_done.wait(lock, [&] { return st->done.load() >= st->total; });
   if (st->error) std::rethrow_exception(st->error);
+}
+
+void run_shards(int n_shards, int jobs,
+                const std::function<void(int)>& shard_fn) {
+  OAQ_REQUIRE(jobs >= 1, "run_shards needs at least one executor");
+  if (jobs == 1 || n_shards <= 1) {
+    for (int s = 0; s < n_shards; ++s) shard_fn(s);
+    return;
+  }
+  ThreadPool::global().for_each_shard(n_shards, jobs, shard_fn);
 }
 
 ThreadPool& ThreadPool::global() {

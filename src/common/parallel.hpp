@@ -10,8 +10,10 @@
 //     order-independent (e.g. per-episode RNG streams derived by
 //     `Rng::fork(item)`) therefore gets BIT-IDENTICAL results for any
 //     `jobs` value — threads only change which worker computes a shard.
-//   * `jobs == 1` never touches the pool: the map/merge loop runs inline on
-//     the calling thread, exactly the pre-parallel serial path.
+//   * Every run takes one path: its shards fan out through `run_shards`,
+//     then fold in shard order. At one executor (or one shard) the shards
+//     run inline on the calling thread, one after another, and the
+//     process-wide pool is never created.
 //
 // Worker count resolution (`resolve_jobs`): an explicit positive request
 // wins; otherwise the OAQ_JOBS environment variable; otherwise hardware
@@ -58,10 +60,6 @@ class ThreadPool {
 
   [[nodiscard]] int size() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueue a task for any worker. Fire-and-forget; use `for_each_shard`
-  /// when completion matters.
-  void submit(std::function<void()> task);
-
   /// Run `shard_fn(s)` for every s in [0, n_shards) using at most `jobs`
   /// concurrent executors (the caller participates as one of them) and
   /// block until all shards completed. The first exception thrown by a
@@ -76,6 +74,8 @@ class ThreadPool {
   [[nodiscard]] static ThreadPool& global();
 
  private:
+  /// Enqueue a task for any worker (fire-and-forget).
+  void submit(std::function<void()> task);
   void worker_loop();
 
   std::vector<std::thread> workers_;
@@ -84,6 +84,14 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
+
+/// Run `shard_fn(s)` for every s in [0, n_shards) on up to `jobs`
+/// executors and return once all ran. At one executor or at most one shard
+/// the shards run inline, in order, on the calling thread, and
+/// ThreadPool::global() is never called; otherwise they fan out over the
+/// global pool (ThreadPool::for_each_shard).
+void run_shards(int n_shards, int jobs,
+                const std::function<void(int)>& shard_fn);
 
 /// Half-open item range covered by shard `s` of `n_shards` over `n_items`:
 /// contiguous, exhaustive, and balanced to within one item.
@@ -98,7 +106,10 @@ class ThreadPool {
 /// ran, plus the sequential merge and the whole call. Filled when a
 /// profile pointer is passed to `parallel_reduce`; shard entries are
 /// written by the worker that runs the shard (one writer per slot, no
-/// synchronization needed) and kept in shard order.
+/// synchronization needed) and kept in shard order. At one executor the
+/// shards run back to back, so a shard's queue wait is the run time of
+/// the shards before it, and `merge_s` is the one shard-order fold after
+/// the last shard ran, as at any other count.
 ///
 /// Unlike the reduction *results*, wall times are not deterministic — the
 /// profile is a performance observation, emitted in the repo's BENCH_JSON
@@ -112,7 +123,7 @@ struct ReduceProfile {
   int shards_used = 0;    ///< after the n_items clamp
   double total_s = 0.0;   ///< whole parallel_reduce call
   double seed_s = 0.0;    ///< SeedFreezeHook seed+freeze, before fan-out
-  double merge_s = 0.0;   ///< sequential shard-order fold
+  double merge_s = 0.0;   ///< shard-order fold after the fan-out
   std::vector<ShardTiming> shards;  ///< indexed by shard
 
   [[nodiscard]] double max_shard_run_s() const;
@@ -128,13 +139,12 @@ struct ReduceProfile {
 /// Pre-fan-out hook for shared read-mostly state (e.g. the
 /// SharedVisibilityCache seed/freeze protocol): `seed` builds the shared
 /// state and `freeze` publishes it read-only. Both are called back-to-back
-/// FROM THE CALLING THREAD before any shard's `map` is dispatched — in the
-/// pooled path as well as the jobs<=1 inline path — so every shard
-/// observes the frozen state without synchronizing. `seed` receives the
-/// run's resolved executor count (before the shard clamp) and may fan its
-/// own work out over that many executors with `for_each_shard`, provided
-/// the state it builds does not depend on the count; at 1 it must run
-/// inline. Null members are skipped.
+/// FROM THE CALLING THREAD before any shard's `map` is dispatched, so
+/// every shard observes the frozen state without synchronizing. `seed`
+/// receives the run's resolved executor count (before the shard clamp) and
+/// may fan its own work out over that many executors with `run_shards`,
+/// provided the state it builds does not depend on the count; at 1 it must
+/// run inline. Null members are skipped.
 struct SeedFreezeHook {
   std::function<void(int jobs)> seed;
   std::function<void()> freeze;
@@ -142,8 +152,8 @@ struct SeedFreezeHook {
 
 /// Map-reduce over [0, n_items): each shard builds a private `Accum` via
 /// `map(begin, end, shard)`, and shards are folded left-to-right with
-/// `merge(into, from)` on the calling thread. Deterministic in `jobs`
-/// (see file header); `jobs <= 1` runs fully inline. A non-null `profile`
+/// `merge(into, from)` on the calling thread once every shard ran.
+/// Deterministic in `jobs` (see file header). A non-null `profile`
 /// receives wall-clock timings (which never influence the result). A
 /// non-null `hook` runs seed-then-freeze from the calling thread before
 /// any shard starts (timed into profile->seed_s); its seed gets
@@ -170,7 +180,6 @@ template <typename Accum, typename MapFn, typename MergeFn>
     profile->jobs_resolved = jobs;
     profile->shards_used = n_shards;
     profile->seed_s = 0.0;
-    profile->merge_s = 0.0;
     profile->shards.assign(static_cast<std::size_t>(n_shards), {});
   }
 
@@ -181,36 +190,12 @@ template <typename Accum, typename MapFn, typename MergeFn>
       profile->seed_s = seconds_between(t_start, Clock::now());
     }
   }
-  // Shard timings start after the hook: shard 0's inline run_s must not
-  // absorb the seed/freeze wall (it is reported separately as seed_s).
+  // Shard timings start after the hook: they must not absorb the
+  // seed/freeze wall (it is reported separately as seed_s).
   const auto t_dispatch = Clock::now();
 
-  if (jobs <= 1) {
-    auto [lo, hi] = shard_range(n_items, n_shards, 0);
-    Accum acc = map(lo, hi, 0);
-    if (profile != nullptr) {
-      profile->shards[0].run_s = seconds_between(t_dispatch, Clock::now());
-    }
-    for (int s = 1; s < n_shards; ++s) {
-      auto [b, e] = shard_range(n_items, n_shards, s);
-      const auto t_map = Clock::now();
-      Accum part = map(b, e, s);
-      const auto t_merge = Clock::now();
-      merge(acc, std::move(part));
-      if (profile != nullptr) {
-        auto& timing = profile->shards[static_cast<std::size_t>(s)];
-        timing.run_s = seconds_between(t_map, t_merge);
-        profile->merge_s += seconds_between(t_merge, Clock::now());
-      }
-    }
-    if (profile != nullptr) {
-      profile->total_s = seconds_between(t_start, Clock::now());
-    }
-    return acc;
-  }
-
   std::vector<std::optional<Accum>> parts(static_cast<std::size_t>(n_shards));
-  ThreadPool::global().for_each_shard(n_shards, jobs, [&](int s) {
+  run_shards(n_shards, jobs, [&](int s) {
     const auto t_shard = Clock::now();
     auto [b, e] = shard_range(n_items, n_shards, s);
     parts[static_cast<std::size_t>(s)].emplace(map(b, e, s));

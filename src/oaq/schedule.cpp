@@ -14,12 +14,6 @@ AnalyticSchedule::AnalyticSchedule(PlaneGeometry geometry, int k,
   OAQ_REQUIRE(k > 0, "schedule needs at least one satellite");
 }
 
-std::vector<Pass> AnalyticSchedule::passes(Duration from, Duration to) const {
-  std::vector<Pass> out;
-  passes_into(from, to, out);
-  return out;
-}
-
 void AnalyticSchedule::passes_into(Duration from, Duration to,
                                    std::vector<Pass>& out) const {
   OAQ_REQUIRE(to > from, "pass window must be nonempty");
@@ -44,38 +38,17 @@ void AnalyticSchedule::passes_into(Duration from, Duration to,
   }
 }
 
-GeometricSchedule::GeometricSchedule(const Constellation& constellation,
-                                     GeoPoint target, bool earth_rotation)
-    : constellation_(&constellation), target_(target),
-      earth_rotation_(earth_rotation) {}
-
 GeometricSchedule::GeometricSchedule(const SharedVisibilityCache& cache,
                                      VisibilityCacheStats* stats)
     : cache_(&cache), stats_(stats) {}
 
-std::vector<Pass> GeometricSchedule::passes(Duration from, Duration to) const {
-  OAQ_REQUIRE(to > from, "pass window must be nonempty");
-  if (cache_ != nullptr) {
-    return cache_->passes_window(cache_->target(), from, to, stats_);
-  }
-  const PassPredictor predictor(*constellation_, earth_rotation_);
-  // PassPredictor requires a nonnegative horizon start.
-  const Duration t0 = std::max(from, Duration::zero());
-  if (to <= t0) return {};
-  return predictor.passes(target_, t0, to);
-}
-
 void GeometricSchedule::passes_into(Duration from, Duration to,
                                     std::vector<Pass>& out) const {
-  if (cache_ != nullptr) {
-    cache_->passes_window_into(cache_->target(), from, to, out, stats_);
-    return;
-  }
-  out = passes(from, to);
+  cache_->passes_window_into(cache_->target(), from, to, out, stats_);
 }
 
 int GeometricSchedule::satellite_count() const {
-  return cache_ != nullptr ? cache_->satellite_count() : -1;
+  return cache_->satellite_count();
 }
 
 Duration visibility_quantum(Duration latest_start, Duration tau) {
@@ -138,7 +111,7 @@ std::optional<Duration> first_overlap_start(const std::vector<Pass>& passes,
 std::vector<CoverageSegment> overlap_windows(const std::vector<Pass>& passes,
                                              Duration from, Duration to) {
   if (passes.empty() || to <= from) return {};
-  auto timeline = PassPredictor::multiplicity_timeline(passes, from, to);
+  auto timeline = multiplicity_timeline(passes, from, to);
   std::vector<CoverageSegment> out;
   for (auto& seg : timeline) {
     if (seg.multiplicity() < 2) continue;

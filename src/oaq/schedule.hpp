@@ -7,8 +7,9 @@
 //     point; passes are exactly periodic with period Tr and length Tc.
 //     This mode matches the closed-form QoS model's assumptions one-to-one
 //     and is used for cross-validation.
-//   * GeometricSchedule — passes extracted from true orbital geometry by
-//     the PassPredictor (src/orbit/visibility); used by the examples.
+//   * GeometricSchedule — passes from true orbital geometry, clipped from
+//     the run's seeded, frozen pass table (SharedVisibilityCache); the
+//     geometric simulate_qos and run_campaign read it.
 #pragma once
 
 #include <memory>
@@ -18,7 +19,6 @@
 #include "analytic/geometry.hpp"
 #include "common/parallel.hpp"
 #include "orbit/shared_visibility_cache.hpp"
-#include "orbit/visibility.hpp"
 
 namespace oaq {
 
@@ -29,22 +29,23 @@ class CoverageSchedule {
  public:
   virtual ~CoverageSchedule() = default;
 
-  /// All passes intersecting [from, to], sorted by start time.
-  [[nodiscard]] virtual std::vector<Pass> passes(Duration from,
-                                                 Duration to) const = 0;
-
-  /// Same passes written into `out` (cleared first) so hot paths can reuse
-  /// one buffer across calls. The default delegates to passes();
-  /// AnalyticSchedule overrides with a direct allocation-free enumeration.
+  /// All passes intersecting [from, to], sorted by start time, written
+  /// into `out` (cleared first) so hot paths can reuse one buffer across
+  /// calls.
   virtual void passes_into(Duration from, Duration to,
-                           std::vector<Pass>& out) const {
-    out = passes(from, to);
-  }
+                           std::vector<Pass>& out) const = 0;
 
-  /// Number of distinct satellites passes() can ever name, or -1 when
-  /// unknown. Lets the episode context stop looking for unregistered
-  /// satellites once it has registered them all.
-  [[nodiscard]] virtual int satellite_count() const { return -1; }
+  /// Number of distinct satellites passes_into() can ever name. Lets the
+  /// episode context stop looking for unregistered satellites once it has
+  /// registered them all.
+  [[nodiscard]] virtual int satellite_count() const = 0;
+
+  /// passes_into() into a fresh vector, for callers off the hot path.
+  [[nodiscard]] std::vector<Pass> passes(Duration from, Duration to) const {
+    std::vector<Pass> out;
+    passes_into(from, to, out);
+    return out;
+  }
 };
 
 /// Timing-diagram schedule for one plane and a centerline target.
@@ -54,9 +55,7 @@ class AnalyticSchedule final : public CoverageSchedule {
   /// `phase` (use a uniform random phase in [0, Tr) for PASTA sampling).
   AnalyticSchedule(PlaneGeometry geometry, int k, Duration phase);
 
-  [[nodiscard]] std::vector<Pass> passes(Duration from,
-                                         Duration to) const override;
-
+  /// Direct allocation-free enumeration of the periodic passes.
   void passes_into(Duration from, Duration to,
                    std::vector<Pass>& out) const override;
 
@@ -73,41 +72,29 @@ class AnalyticSchedule final : public CoverageSchedule {
   Duration phase_;
 };
 
-/// Schedule backed by real constellation geometry.
+/// Schedule backed by real constellation geometry: queries clip the frozen
+/// pass table over the table's seeded target (see
+/// SharedVisibilityCache::passes_window_into), so every episode of a run is
+/// served from the sweep seeded once before fan-out. The cache must be
+/// frozen before the first query and outlive the schedule. Create one
+/// schedule per shard; `stats`, when given, accumulates that shard's
+/// deterministic query counts and must outlive the schedule.
 class GeometricSchedule final : public CoverageSchedule {
  public:
-  GeometricSchedule(const Constellation& constellation, GeoPoint target,
-                    bool earth_rotation = false);
-
-  /// Cached variant over the table's seeded target: queries clip the
-  /// frozen pass table (see SharedVisibilityCache::passes_window), so every
-  /// episode of a run is served from the sweep seeded once before fan-out.
-  /// The cache must be frozen before the first passes() call and outlive
-  /// the schedule. Create one schedule per shard; `stats`, when given,
-  /// accumulates that shard's deterministic query counts and must outlive
-  /// the schedule.
   explicit GeometricSchedule(const SharedVisibilityCache& cache,
                              VisibilityCacheStats* stats = nullptr);
 
-  [[nodiscard]] std::vector<Pass> passes(Duration from,
-                                         Duration to) const override;
-
-  /// Allocation-free in the steady state when backed by the cache (the
-  /// window is clipped from the seeded table into `out`'s reused
-  /// capacity); the uncached predictor variant delegates to passes().
+  /// Allocation-free in the steady state: the window is clipped from the
+  /// seeded table into `out`'s reused capacity.
   void passes_into(Duration from, Duration to,
                    std::vector<Pass>& out) const override;
 
-  /// The seeded table's distinct satellites when backed by the cache;
-  /// -1 (unknown) for the uncached predictor variant.
+  /// The seeded table's distinct satellites.
   [[nodiscard]] int satellite_count() const override;
 
  private:
-  const Constellation* constellation_ = nullptr;
-  GeoPoint target_{};
-  bool earth_rotation_ = false;
-  const SharedVisibilityCache* cache_ = nullptr;
-  VisibilityCacheStats* stats_ = nullptr;
+  const SharedVisibilityCache* cache_;
+  VisibilityCacheStats* stats_;
 };
 
 /// Earliest signal start of a geometric run: simulate_qos starts every

@@ -162,14 +162,7 @@ std::vector<Pass> PassPredictor::passes(const GeoPoint& target, Duration t0,
                          tol, out);
     }
   };
-  // At one executor (or at most one plane) the planes run inline and the
-  // process-wide pool is never created; for_each_shard would run them
-  // inline too, but ThreadPool::global() would spawn its workers first.
-  if (jobs == 1 || n_tasks <= 1) {
-    for (int task = 0; task < n_tasks; ++task) sweep_plane(task);
-  } else {
-    ThreadPool::global().for_each_shard(n_tasks, jobs, sweep_plane);
-  }
+  run_shards(n_tasks, jobs, sweep_plane);
 
   std::size_t total = 0;
   for (const auto& v : plane_passes) total += v.size();
@@ -189,7 +182,7 @@ std::vector<Pass> PassPredictor::passes(const GeoPoint& target, Duration t0,
   return result;
 }
 
-std::vector<CoverageSegment> PassPredictor::multiplicity_timeline(
+std::vector<CoverageSegment> multiplicity_timeline(
     const std::vector<Pass>& passes, Duration t0, Duration t1) {
   OAQ_REQUIRE(t1 > t0, "timeline horizon must be nonempty");
   // Sweep over pass boundaries.

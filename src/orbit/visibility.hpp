@@ -98,6 +98,10 @@ void sweep_orbit_passes(const Orbit& orbit, SatelliteId id,
                                    double psi, bool earth_rotation,
                                    Duration t0, Duration t1);
 
+/// Partition [t0, t1] into segments of constant covering-satellite sets.
+[[nodiscard]] std::vector<CoverageSegment> multiplicity_timeline(
+    const std::vector<Pass>& passes, Duration t0, Duration t1);
+
 /// Predicts satellite passes over ground points for a constellation.
 class PassPredictor {
  public:
@@ -116,9 +120,9 @@ class PassPredictor {
   /// planes it rejects provably have no pass, so the table is the one a
   /// sweep of every satellite gives, bit for bit.
   /// Boundary crossings are refined to `tol` by bisection/Brent.
-  /// The planes are swept as independent tasks on up to `jobs` executors
-  /// of ThreadPool::global() (the caller is one of them); `jobs` == 1
-  /// sweeps them inline without touching the pool. The result is
+  /// The planes are swept as independent tasks through run_shards on up
+  /// to `jobs` executors (the caller is one of them; at 1 they run inline
+  /// and the pool is never created). The result is
   /// bit-identical for every `jobs`: each plane's passes are a pure
   /// function of its orbits, they are joined in plane order, and the sort
   /// is a total order.
@@ -126,10 +130,6 @@ class PassPredictor {
                                          Duration t1,
                                          Duration tol = kDefaultTolerance,
                                          int jobs = 1) const;
-
-  /// Partition [t0, t1] into segments of constant covering-satellite sets.
-  [[nodiscard]] static std::vector<CoverageSegment> multiplicity_timeline(
-      const std::vector<Pass>& passes, Duration t0, Duration t1);
 
   /// Summarize a timeline into coverage statistics.
   [[nodiscard]] static CoverageStats summarize(

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -14,6 +16,16 @@
 
 namespace oaq {
 namespace {
+
+/// Threads of this process (entries of /proc/self/task), or -1 where the
+/// directory does not exist.
+int process_threads() {
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::exists(tasks)) return -1;
+  return static_cast<int>(
+      std::distance(std::filesystem::directory_iterator(tasks),
+                    std::filesystem::directory_iterator()));
+}
 
 TEST(ParallelJobs, HardwareDetectionIsPositive) {
   EXPECT_GE(hardware_jobs(), 1);
@@ -105,8 +117,11 @@ TEST(ParallelReduce, MatchesSerialSumForAnyJobsAndShards) {
 
 TEST(ParallelReduce, MergesInShardOrder) {
   // Non-commutative merge (concatenation): order-sensitive, so this fails
-  // unless shard results are folded strictly left-to-right.
+  // unless shard results are folded strictly left-to-right. Every jobs
+  // value takes the same fan-out-then-fold path, so the profile has one
+  // timed entry per shard and the fold after them at jobs 1 too.
   for (const int jobs : {1, 4}) {
+    ReduceProfile profile;
     const auto order = parallel_reduce<std::vector<int>>(
         48, 16, jobs,
         [](std::int64_t, std::int64_t, int shard) {
@@ -114,10 +129,21 @@ TEST(ParallelReduce, MergesInShardOrder) {
         },
         [](std::vector<int>& into, std::vector<int>&& from) {
           into.insert(into.end(), from.begin(), from.end());
-        });
+        },
+        &profile);
     std::vector<int> expected(16);
     std::iota(expected.begin(), expected.end(), 0);
     EXPECT_EQ(order, expected) << "jobs=" << jobs;
+    EXPECT_EQ(profile.jobs_resolved, jobs);
+    ASSERT_EQ(profile.shards_used, 16) << "jobs=" << jobs;
+    ASSERT_EQ(profile.shards.size(), 16u) << "jobs=" << jobs;
+    for (const auto& shard : profile.shards) {
+      EXPECT_GE(shard.run_s, 0.0) << "jobs=" << jobs;
+      EXPECT_GE(shard.queue_wait_s, 0.0) << "jobs=" << jobs;
+    }
+    EXPECT_GE(profile.merge_s, 0.0) << "jobs=" << jobs;
+    EXPECT_GE(profile.total_s, profile.seed_s + profile.merge_s)
+        << "jobs=" << jobs;
   }
 }
 
@@ -148,8 +174,12 @@ TEST(ParallelReduce, SeedHookGetsResolvedJobsBeforeShardClamp) {
   // The hook's seed may fan out on its own, so it sees the run's executor
   // count, not the one left after clamping to the shard count: a
   // one-item run at jobs 4 still seeds on 4. Handing the hook the clamped
-  // `jobs` makes it read 1 there.
+  // `jobs` makes it read 1 there. Neither run may create the process-wide
+  // pool: one executor runs its shards inline. (The thread check bites
+  // when this test runs in its own process, as CTest runs it; in a full
+  // binary run an earlier test may have created the pool already.)
   const auto caller = std::this_thread::get_id();
+  const int threads_before = process_threads();
   for (const auto& [n_items, jobs] : {std::pair{1, 4}, std::pair{8, 1}}) {
     int seeded_with = 0;
     bool frozen = false;
@@ -177,6 +207,8 @@ TEST(ParallelReduce, SeedHookGetsResolvedJobsBeforeShardClamp) {
       for (const auto& id : ran_on) EXPECT_EQ(id, caller);
     }
   }
+  EXPECT_EQ(process_threads(), threads_before)
+      << "a one-executor run started pool workers";
 }
 
 TEST(ParallelReduce, RejectsEmptyInput) {

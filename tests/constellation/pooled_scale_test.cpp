@@ -13,7 +13,7 @@
 #include "oaq/campaign.hpp"
 #include "oaq/montecarlo.hpp"
 #include "orbit/constellation_builder.hpp"
-#include "orbit/shared_visibility_cache.hpp"
+#include "../oaq/frozen_pass_table.hpp"
 #include "../oaq/scalar_oracle.hpp"
 
 namespace oaq {
@@ -96,13 +96,10 @@ void expect_reuse_matches_oracle(const Constellation& c,
   s.episode_rng = Rng(19).fork(3);
   s.protocol.computation_cap = s.protocol.tg;
   s.plan = plan;
-  const Duration quantum =
-      visibility_quantum(kSignalStart + c.max_period(), s.protocol.tau);
-  SharedVisibilityCache cache(c, /*earth_rotation=*/false, {quantum});
-  cache.seed_window(GeoPoint{0.0, 0.0}, Duration::zero(), quantum);
-  cache.freeze();
-  const GeometricSchedule schedule(cache);
-  s.geometric = &schedule;
+  const FrozenPassTable table(
+      c, GeoPoint{0.0, 0.0},
+      visibility_quantum(kSignalStart + c.max_period(), s.protocol.tau));
+  s.geometric = &table.schedule;
   const oracle::EpisodeOutputs want = oracle::run_fresh(s);
   oracle::expect_same_outputs(oracle::run_reused(s), want, label);
   EXPECT_EQ(want.violations, 0u) << label;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -336,13 +337,18 @@ class ScriptedSchedule final : public CoverageSchedule {
   explicit ScriptedSchedule(std::vector<Pass> passes)
       : passes_(std::move(passes)) {}
 
-  [[nodiscard]] std::vector<Pass> passes(Duration from,
-                                         Duration to) const override {
-    std::vector<Pass> out;
+  void passes_into(Duration from, Duration to,
+                   std::vector<Pass>& out) const override {
+    out.clear();
     for (const Pass& p : passes_) {
       if (p.end >= from && p.start <= to) out.push_back(p);
     }
-    return out;
+  }
+
+  [[nodiscard]] int satellite_count() const override {
+    std::set<SatelliteId> ids;
+    for (const Pass& p : passes_) ids.insert(p.satellite);
+    return static_cast<int>(ids.size());
   }
 
  private:

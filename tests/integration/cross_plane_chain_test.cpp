@@ -10,6 +10,7 @@
 
 #include <set>
 
+#include "../oaq/frozen_pass_table.hpp"
 #include "oaq/episode.hpp"
 
 namespace oaq {
@@ -33,14 +34,16 @@ TEST(CrossPlaneChain, ParticipantsSpanPlanes) {
   // A target between the two ground tracks (both planes' footprints reach
   // it during their equator crossings).
   const GeoPoint target = GeoPoint::from_degrees(0.0, 16.0);
-  const GeometricSchedule sched(c, target);
 
   ProtocolConfig cfg;
   cfg.tau = Duration::minutes(20);
   cfg.delta = Duration::seconds(6);
   cfg.tg = Duration::seconds(3);
   cfg.computation_cap = Duration::seconds(3);
-  EpisodeContext context(sched, cfg, true);
+  // The last signal starts at 2 + 2 · 39 = 80 min.
+  const FrozenPassTable table(
+      c, target, visibility_quantum(Duration::minutes(80.0), cfg.tau));
+  EpisodeContext context(table.schedule, cfg, true);
 
   // Sweep signal starts until an episode's chain spans both planes.
   bool cross_plane_seen = false;

@@ -1,8 +1,9 @@
-// Integration: the OAQ protocol driven by TRUE orbital geometry
-// (GeometricSchedule over real constellations) instead of the
-// timing-diagram idealization.
+// Integration: the OAQ protocol driven by TRUE orbital geometry (a
+// GeometricSchedule over a real constellation's frozen pass table) instead
+// of the timing-diagram idealization.
 #include <gtest/gtest.h>
 
+#include "../oaq/frozen_pass_table.hpp"
 #include "oaq/episode.hpp"
 
 namespace oaq {
@@ -29,8 +30,10 @@ TEST(FullGeometryEpisode, UnderlapPlaneReachesSequentialDual) {
   // k = 9 polar plane over an equatorial centerline target: real passes
   // are 9 min with 1-min gaps (Tr = 10).
   const auto c = polar_plane(9);
-  const GeometricSchedule sched(c, GeoPoint{0.0, 0.0});
-  EpisodeContext context(sched, quick_config(), true);
+  const FrozenPassTable table(
+      c, GeoPoint{0.0, 0.0},
+      visibility_quantum(Duration::minutes(13.0), quick_config().tau));
+  EpisodeContext context(table.schedule, quick_config(), true);
   // Passes over the target run [5.5, 14.5], [15.5, 24.5], ... ; a signal
   // at t = 13 is detected near the end of a pass, so the next satellite
   // (arriving 15.5) is inside the 5-minute window of opportunity.
@@ -46,8 +49,10 @@ TEST(FullGeometryEpisode, UnderlapPlaneReachesSequentialDual) {
 TEST(FullGeometryEpisode, OverlapPlaneReachesSimultaneousDual) {
   // k = 14 polar plane: Tr = 6.43 < Tc = 9, real overlap windows exist.
   const auto c = polar_plane(14);
-  const GeometricSchedule sched(c, GeoPoint{0.0, 0.0});
-  EpisodeContext context(sched, quick_config(), true);
+  const FrozenPassTable table(
+      c, GeoPoint{0.0, 0.0},
+      visibility_quantum(Duration::minutes(10.0), quick_config().tau));
+  EpisodeContext context(table.schedule, quick_config(), true);
   const auto& r = context.run(0, Rng(2), TimePoint::at(Duration::minutes(10.0)),
                               Duration::minutes(30));
   EXPECT_TRUE(r.detected);
@@ -57,9 +62,12 @@ TEST(FullGeometryEpisode, OverlapPlaneReachesSimultaneousDual) {
 
 TEST(FullGeometryEpisode, BaqNeverExceedsOaqOverManyEpisodes) {
   const auto c = polar_plane(9);
-  const GeometricSchedule sched(c, GeoPoint{0.0, 0.0});
-  EpisodeContext oaq(sched, quick_config(), true);
-  EpisodeContext baq(sched, quick_config(), false);
+  // The last signal starts at 5 + 1.5 · 59 = 93.5 min.
+  const FrozenPassTable table(
+      c, GeoPoint{0.0, 0.0},
+      visibility_quantum(Duration::minutes(93.5), quick_config().tau));
+  EpisodeContext oaq(table.schedule, quick_config(), true);
+  EpisodeContext baq(table.schedule, quick_config(), false);
   Rng master(3);
   int oaq_high = 0, baq_high = 0;
   for (int e = 0; e < 60; ++e) {
@@ -83,8 +91,11 @@ TEST(FullGeometryEpisode, ReferenceConstellationAt30North) {
   // The full 98-satellite constellation over a 30°N target: detection is
   // quick (near-continuous coverage) and a timely alert always goes out.
   const auto c = Constellation::reference();
-  const GeometricSchedule sched(c, GeoPoint::from_degrees(30.0, 13.0));
-  EpisodeContext context(sched, quick_config(), true);
+  // The last signal starts at 3 + 4 · 9 = 39 min.
+  const FrozenPassTable table(
+      c, GeoPoint::from_degrees(30.0, 13.0),
+      visibility_quantum(Duration::minutes(39.0), quick_config().tau));
+  EpisodeContext context(table.schedule, quick_config(), true);
   Rng master(4);
   for (int e = 0; e < 10; ++e) {
     const auto start = TimePoint::at(
@@ -101,8 +112,10 @@ TEST(FullGeometryEpisode, ReferenceConstellationAt30North) {
 TEST(FullGeometryEpisode, DegradedReferencePlaneStillDelivers) {
   auto c = Constellation::reference();
   for (int j = 0; j < c.num_planes(); ++j) c.plane(j).set_active_count(9);
-  const GeometricSchedule sched(c, GeoPoint::from_degrees(0.0, 0.0));
-  EpisodeContext context(sched, quick_config(), true);
+  const FrozenPassTable table(
+      c, GeoPoint::from_degrees(0.0, 0.0),
+      visibility_quantum(Duration::minutes(12.0), quick_config().tau));
+  EpisodeContext context(table.schedule, quick_config(), true);
   const auto& r = context.run(0, Rng(5), TimePoint::at(Duration::minutes(12.0)),
                               Duration::minutes(30));
   EXPECT_TRUE(r.detected);

@@ -25,7 +25,7 @@
 #include "oaq/montecarlo.hpp"
 #include "oaq/schedule.hpp"
 #include "orbit/constellation_builder.hpp"
-#include "orbit/shared_visibility_cache.hpp"
+#include "frozen_pass_table.hpp"
 #include "scalar_oracle.hpp"
 
 namespace oaq {
@@ -145,16 +145,13 @@ TEST(EpisodeContext, ReusedMatchesFreshGeometric) {
   const Constellation c = ConstellationBuilder::preset("iridium-next").build();
   const TimePoint signal_start = TimePoint::at(kSignalStart);
   ProtocolConfig protocol;
-  const Duration quantum =
-      visibility_quantum(kSignalStart + c.max_period(), protocol.tau);
-  SharedVisibilityCache cache(c, /*earth_rotation=*/false, {quantum});
-  cache.seed_window(GeoPoint{0.0, 0.0}, Duration::zero(), quantum);
-  cache.freeze();
-  const GeometricSchedule schedule(cache);
+  const FrozenPassTable table(
+      c, GeoPoint{0.0, 0.0},
+      visibility_quantum(kSignalStart + c.max_period(), protocol.tau));
   for (const bool oaq : {true, false}) {
     for (const bool storm : {false, true}) {
       oracle::Sequence s;
-      s.geometric = &schedule;
+      s.geometric = &table.schedule;
       s.phase_span = c.max_period();
       s.signal_start = signal_start;
       s.oaq = oaq;
@@ -188,19 +185,17 @@ TEST(EpisodeContext, EscapedEpisodeLeavesTheContextReusable) {
   EXPECT_GT(armed.telemetry.sim_events, 0u);
 }
 
-/// Answers like `inner` but reports no satellite count (-1), so a context
-/// over it scans every horizon for unregistered satellites.
+/// Answers like `inner` but reports a satellite count (-1) that no handler
+/// count ever equals, so a context over it scans every horizon for
+/// unregistered satellites.
 class UncountedSchedule final : public CoverageSchedule {
  public:
   explicit UncountedSchedule(const CoverageSchedule& inner) : inner_(&inner) {}
-  [[nodiscard]] std::vector<Pass> passes(Duration from,
-                                         Duration to) const override {
-    return inner_->passes(from, to);
-  }
   void passes_into(Duration from, Duration to,
                    std::vector<Pass>& out) const override {
     inner_->passes_into(from, to, out);
   }
+  [[nodiscard]] int satellite_count() const override { return -1; }
 
  private:
   const CoverageSchedule* inner_;
@@ -242,14 +237,11 @@ TEST(EpisodeContext, HandlerRegistrationStopsAtTheSatelliteCount) {
   const Constellation c = ConstellationBuilder::preset("iridium-next").build();
   const GeoPoint target = GeoPoint::from_degrees(45.0, 10.0);
   ProtocolConfig protocol;
-  const Duration quantum =
-      visibility_quantum(kSignalStart + c.max_period(), protocol.tau);
-  SharedVisibilityCache cache(c, /*earth_rotation=*/false, {quantum});
-  cache.seed_window(target, Duration::zero(), quantum);
-  cache.freeze();
-  const GeometricSchedule geometric(cache);
+  const FrozenPassTable table(
+      c, target,
+      visibility_quantum(kSignalStart + c.max_period(), protocol.tau));
+  const GeometricSchedule& geometric = table.schedule;
   AnalyticSchedule analytic(PlaneGeometry{}, 9, Duration::zero());
-  EXPECT_EQ(GeometricSchedule(c, target).satellite_count(), -1);
 
   for (const bool is_geometric : {true, false}) {
     const std::string label = is_geometric ? "iridium-next" : "analytic k=9";
@@ -267,7 +259,8 @@ TEST(EpisodeContext, HandlerRegistrationStopsAtTheSatelliteCount) {
                      : analytic;
     AnalyticSchedule* rephase = is_geometric ? nullptr : &analytic;
     const int count = counted.satellite_count();
-    EXPECT_EQ(count, is_geometric ? cache.satellite_count() : 9) << label;
+    EXPECT_EQ(count, is_geometric ? table.cache.satellite_count() : 9)
+        << label;
     const UncountedSchedule uncounted(counted);
     ASSERT_EQ(uncounted.satellite_count(), -1);
 

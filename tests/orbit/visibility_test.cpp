@@ -64,7 +64,7 @@ TEST(PassPredictor, OverlappingPlaneShowsSimultaneousCoverage) {
   const GeoPoint target{0.0, 0.0};
   const auto passes = pred.passes(target, Duration::zero(),
                                   Duration::minutes(90.0));
-  const auto timeline = PassPredictor::multiplicity_timeline(
+  const auto timeline = multiplicity_timeline(
       passes, Duration::zero(), Duration::minutes(90.0));
   const auto stats = PassPredictor::summarize(timeline);
   EXPECT_EQ(stats.max_multiplicity, 2);
@@ -83,7 +83,7 @@ TEST(PassPredictor, UnderlappingPlaneShowsGaps) {
   const GeoPoint target{0.0, 0.0};
   const auto passes = pred.passes(target, Duration::zero(),
                                   Duration::minutes(90.0));
-  const auto timeline = PassPredictor::multiplicity_timeline(
+  const auto timeline = multiplicity_timeline(
       passes, Duration::zero(), Duration::minutes(90.0));
   const auto stats = PassPredictor::summarize(timeline);
   EXPECT_EQ(stats.max_multiplicity, 1);
@@ -97,7 +97,7 @@ TEST(PassPredictor, TimelinePartitionsHorizonExactly) {
   const auto t0 = Duration::zero();
   const auto t1 = Duration::minutes(45.0);
   const auto passes = pred.passes(GeoPoint{0.0, 0.0}, t0, t1);
-  const auto timeline = PassPredictor::multiplicity_timeline(passes, t0, t1);
+  const auto timeline = multiplicity_timeline(passes, t0, t1);
   ASSERT_FALSE(timeline.empty());
   EXPECT_EQ(timeline.front().start, t0);
   EXPECT_EQ(timeline.back().end, t1);

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Runs the performance benches and aggregates their BENCH_JSON lines into
-# BENCH_3.json (DES kernel + parallel scaling + frozen visibility cache),
+# BENCH_3.json (DES kernel + parallel scaling + the frozen visibility
+# cache's steady-state allocation gate; the committed file is an older
+# snapshot whose visibility_cache payload still has the retired
+# uncached-vs-cached keys),
 # BENCH_5.json (fault-injection engine), BENCH_6.json (SoA episode batching,
 # ISSUE 6), BENCH_7.json (episode batching + span-profiler overhead,
 # ISSUE 7), BENCH_8.json (BENCH_7's pair + the mega-constellation
